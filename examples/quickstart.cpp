@@ -6,9 +6,14 @@
 //                ./build/examples/quickstart [flows] [seconds]
 //                    [--seed N] [--tcp N] [--rd-scaling]
 //                    [--telemetry-csv FILE | --telemetry-json FILE]
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "pels/metrics.h"
 #include "pels/scenario.h"
@@ -17,11 +22,45 @@
 
 using namespace pels;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: quickstart [flows] [seconds] [--seed N] [--tcp N] [--rd-scaling]\n"
+    "                  [--csv FILE] [--telemetry-csv FILE | --telemetry-json FILE]\n";
+
+/// Bad command line: the message, the usage line, exit status 2.
+int usage_error(const std::string& what) {
+  std::cerr << "quickstart: " << what << "\n" << kUsage;
+  return 2;
+}
+
+/// Whole-token parses: "abc" or "3x" are errors, not 0 or 3.
+bool parse_int(const std::string& s, int& out) {
+  char* end = nullptr;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (s.empty() || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_double(const std::string& s, double& out) {
+  char* end = nullptr;
+  out = std::strtod(s.c_str(), &end);
+  return !s.empty() && *end == '\0';
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto& pos = args.positional();
-  const int flows = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 1;
-  const double seconds = pos.size() > 1 ? std::atof(pos[1].c_str()) : 30.0;
+  int flows = 1;
+  double seconds = 30.0;
+  if (pos.size() > 0 && !parse_int(pos[0], flows))
+    return usage_error("flows must be an integer, got '" + pos[0] + "'");
+  if (pos.size() > 1 && !(parse_double(pos[1], seconds) && std::isfinite(seconds) &&
+                          seconds > 0.0))
+    return usage_error("seconds must be a positive number, got '" + pos[1] + "'");
 
   ScenarioConfig cfg;
   cfg.pels_flows = flows;
@@ -39,7 +78,15 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(from_seconds(seconds) / cfg.telemetry.period) + 16;
   }
 
-  DumbbellScenario s(cfg);
+  if (!args.parse_errors().empty()) return usage_error(args.parse_errors().front());
+
+  std::optional<DumbbellScenario> scenario;
+  try {
+    scenario.emplace(cfg);
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
+  DumbbellScenario& s = *scenario;
   std::cout << "PELS quickstart: " << flows << " video flow(s) + 1 TCP flow, "
             << "bottleneck 4 mb/s (PELS share " << s.video_capacity_bps() / 1e6
             << " mb/s), " << seconds << " s simulated\n\n";

@@ -1,84 +1,51 @@
 #include "cc/cubic.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "cc/flow_table.h"
 
 namespace pels {
 
-CubicController::CubicController(CubicConfig config)
-    : cfg_(config),
-      rate_(cubic_rate_from_cwnd(config, config.initial_cwnd_pkts, 0)),
-      cwnd_(config.initial_cwnd_pkts) {
-  assert(cfg_.c > 0.0);
-  assert(cfg_.beta > 0.0 && cfg_.beta < 1.0);
-  assert(cfg_.ecn_beta > 0.0 && cfg_.ecn_beta < 1.0);
-  assert(cfg_.mss_bytes > 0.0);
-  assert(cfg_.min_cwnd_pkts > 0.0 && cfg_.min_cwnd_pkts <= cfg_.initial_cwnd_pkts);
-  assert(cfg_.initial_rtt > 0);
+void CubicConfig::validate() const {
+  if (!(c > 0.0)) throw std::invalid_argument("CubicConfig: c must be > 0");
+  if (!(beta > 0.0 && beta < 1.0))
+    throw std::invalid_argument("CubicConfig: beta must be in (0, 1)");
+  if (!(ecn_beta > 0.0 && ecn_beta < 1.0))
+    throw std::invalid_argument("CubicConfig: ecn_beta must be in (0, 1)");
+  if (!(mss_bytes > 0.0)) throw std::invalid_argument("CubicConfig: mss_bytes must be > 0");
+  if (!(min_cwnd_pkts > 0.0 && min_cwnd_pkts <= initial_cwnd_pkts))
+    throw std::invalid_argument(
+        "CubicConfig: cwnds must satisfy 0 < min_cwnd_pkts <= initial_cwnd_pkts");
+  if (initial_rtt <= 0) throw std::invalid_argument("CubicConfig: initial_rtt must be > 0");
 }
+
+CubicController::CubicController(CubicConfig config)
+    : TableController(
+          std::make_unique<FlowTable>(MkcConfig{}, GammaConfig{}, CcZooConfig{.cubic = config}),
+          CcKind::kCubic) {}
 
 CubicController::CubicController(FlowTable& table, FlowSlot slot)
-    : cfg_(table.zoo_config().cubic),
-      table_(&table),
-      slot_(slot),
-      rate_(cubic_rate_from_cwnd(cfg_, cfg_.initial_cwnd_pkts, 0)),
-      cwnd_(cfg_.initial_cwnd_pkts) {
-  assert(table.is_live(slot) && "table-backed controller needs an allocated slot");
-  assert(table.kind(slot) == CcKind::kCubic && "slot must be allocated as kCubic");
-}
+    : TableController(table, slot, CcKind::kCubic) {}
 
-double CubicController::rate_bps() const {
-  return table_ != nullptr ? table_->rate_bps(slot_) : rate_;
-}
+const CubicConfig& CubicController::config() const { return table_->zoo_config().cubic; }
 
-double CubicController::cwnd_pkts() const {
-  return table_ != nullptr ? table_->cubic_cwnd(slot_) : cwnd_;
-}
+double CubicController::cwnd_pkts() const { return table_->cubic_cwnd(slot_); }
 
-double CubicController::w_max() const {
-  return table_ != nullptr ? table_->cubic_wmax(slot_) : w_max_;
-}
+double CubicController::w_max() const { return table_->cubic_wmax(slot_); }
 
-SimTime CubicController::srtt() const {
-  return table_ != nullptr ? table_->srtt(slot_) : srtt_;
-}
+SimTime CubicController::srtt() const { return table_->srtt(slot_); }
 
 void CubicController::on_loss_interval(double p, SimTime now) {
-  if (p <= 0.0) return;
-  if (table_ != nullptr) {
-    table_->apply_loss_interval(slot_, p, now);
-    return;
-  }
-  cubic_event_step(cfg_, cfg_.beta, now, srtt_, cwnd_, w_max_, k_, epoch_start_, rate_);
+  table_->apply_loss_interval(slot_, p, now);
 }
 
 void CubicController::on_mark_fraction(double f, SimTime now) {
-  if (f <= 0.0) return;
-  if (table_ != nullptr) {
-    table_->apply_mark_fraction(slot_, f, now);
-    return;
-  }
-  cubic_event_step(cfg_, cfg_.ecn_beta, now, srtt_, cwnd_, w_max_, k_, epoch_start_,
-                   rate_);
+  table_->apply_mark_fraction(slot_, f, now);
 }
 
-void CubicController::on_control_tick(SimTime now) {
-  if (table_ != nullptr) {
-    table_->apply_control_tick(slot_, now);
-    return;
-  }
-  cubic_tick_step(cfg_, now, srtt_, cwnd_, w_max_, k_, epoch_start_, rate_);
-}
+void CubicController::on_control_tick(SimTime now) { table_->apply_control_tick(slot_, now); }
 
-void CubicController::set_rtt(SimTime rtt) {
-  if (rtt <= 0) return;
-  if (table_ != nullptr) {
-    table_->apply_rtt(slot_, rtt);
-    return;
-  }
-  srtt_ = rtt;
-}
+void CubicController::set_rtt(SimTime rtt) { table_->apply_rtt(slot_, rtt); }
 
 void CubicController::register_metrics(MetricsRegistry& registry,
                                        const std::string& prefix) {

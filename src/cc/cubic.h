@@ -14,20 +14,17 @@
 // ECN marks are congestion events with a gentler backoff (ABE, RFC 8511).
 //
 // Kernel contract (see cc/mkc.h): the update maps are free inline kernels on
-// caller-owned scalars. CubicController applies them to members, FlowTable to
-// its contiguous columns — bit-for-bit identical, pinned by tests/cc_zoo_test.
+// caller-owned scalars, applied by FlowTable to its contiguous columns;
+// CubicController is a view on one kCubic slot (cc/table_controller.h).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "cc/table_controller.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct CubicConfig {
   double c = 0.4;          // cubic scaling constant (RFC 9438 §4.1)
@@ -46,6 +43,9 @@ struct CubicConfig {
   /// probing phase the same way MKC caps its ramp.
   double max_tick_growth = 1.5;
   SimTime initial_rtt = from_millis(100);
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
 /// Window -> pacing rate conversion; falls back to the configured RTT until
@@ -91,14 +91,13 @@ inline void cubic_tick_step(const CubicConfig& cfg, SimTime now, SimTime srtt,
   rate = cubic_rate_from_cwnd(cfg, cwnd, srtt);
 }
 
-class CubicController : public CongestionController {
+class CubicController : public TableController {
  public:
+  /// Standalone controller on a one-slot table it owns.
   explicit CubicController(CubicConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kCubic slot.
+  /// View on `slot` of `table`, which must be a kCubic slot.
   CubicController(FlowTable& table, FlowSlot slot);
 
-  double rate_bps() const override;
   /// Router feedback labels are MKC's signal; CUBIC steers by loss/marks.
   void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
   void on_loss_interval(double p, SimTime now) override;
@@ -112,18 +111,7 @@ class CubicController : public CongestionController {
   double w_max() const;
   SimTime srtt() const;
 
-  const CubicConfig& config() const { return cfg_; }
-
- private:
-  CubicConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  double cwnd_;
-  double w_max_ = 0.0;
-  double k_ = 0.0;
-  SimTime epoch_start_ = 0;
-  SimTime srtt_ = 0;
+  const CubicConfig& config() const;
 };
 
 }  // namespace pels

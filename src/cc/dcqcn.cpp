@@ -1,73 +1,50 @@
 #include "cc/dcqcn.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "cc/flow_table.h"
 
 namespace pels {
 
-DcqcnController::DcqcnController(DcqcnConfig config)
-    : cfg_(config),
-      rate_(config.initial_rate_bps),
-      target_(config.initial_rate_bps),
-      alpha_(config.initial_alpha) {
-  assert(cfg_.alpha_g > 0.0 && cfg_.alpha_g <= 1.0);
-  assert(cfg_.initial_alpha >= 0.0 && cfg_.initial_alpha <= 1.0);
-  assert(cfg_.rate_ai_bps > 0.0);
-  assert(cfg_.fast_recovery_stages >= 0);
-  assert(cfg_.min_rate_bps > 0.0 && cfg_.min_rate_bps <= cfg_.initial_rate_bps &&
-         cfg_.initial_rate_bps <= cfg_.max_rate_bps);
+void DcqcnConfig::validate() const {
+  if (!(alpha_g > 0.0 && alpha_g <= 1.0))
+    throw std::invalid_argument("DcqcnConfig: alpha_g must be in (0, 1]");
+  if (!(initial_alpha >= 0.0 && initial_alpha <= 1.0))
+    throw std::invalid_argument("DcqcnConfig: initial_alpha must be in [0, 1]");
+  if (!(rate_ai_bps > 0.0)) throw std::invalid_argument("DcqcnConfig: rate_ai_bps must be > 0");
+  if (fast_recovery_stages < 0)
+    throw std::invalid_argument("DcqcnConfig: fast_recovery_stages must be >= 0");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "DcqcnConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= max_rate_bps");
 }
+
+DcqcnController::DcqcnController(DcqcnConfig config)
+    : TableController(
+          std::make_unique<FlowTable>(MkcConfig{}, GammaConfig{}, CcZooConfig{.dcqcn = config}),
+          CcKind::kDcqcn) {}
 
 DcqcnController::DcqcnController(FlowTable& table, FlowSlot slot)
-    : cfg_(table.zoo_config().dcqcn),
-      table_(&table),
-      slot_(slot),
-      rate_(cfg_.initial_rate_bps),
-      target_(cfg_.initial_rate_bps),
-      alpha_(cfg_.initial_alpha) {
-  assert(table.is_live(slot) && "table-backed controller needs an allocated slot");
-  assert(table.kind(slot) == CcKind::kDcqcn && "slot must be allocated as kDcqcn");
-}
+    : TableController(table, slot, CcKind::kDcqcn) {}
 
-double DcqcnController::rate_bps() const {
-  return table_ != nullptr ? table_->rate_bps(slot_) : rate_;
-}
+const DcqcnConfig& DcqcnController::config() const { return table_->zoo_config().dcqcn; }
 
-double DcqcnController::alpha() const {
-  return table_ != nullptr ? table_->dcqcn_alpha(slot_) : alpha_;
-}
+double DcqcnController::alpha() const { return table_->dcqcn_alpha(slot_); }
 
-double DcqcnController::target_rate_bps() const {
-  return table_ != nullptr ? table_->dcqcn_target(slot_) : target_;
-}
+double DcqcnController::target_rate_bps() const { return table_->dcqcn_target(slot_); }
 
-std::int32_t DcqcnController::recovery_stage() const {
-  return table_ != nullptr ? table_->dcqcn_stage(slot_) : stage_;
-}
+std::int32_t DcqcnController::recovery_stage() const { return table_->dcqcn_stage(slot_); }
 
 void DcqcnController::on_loss_interval(double p, SimTime now) {
   // Loss == congestion on a lossy path: react like a marked interval. Clean
   // intervals do not recover here — recovery rides the mark path, so a tick
   // carrying both signals recovers at most once.
-  if (p <= 0.0) return;
-  if (table_ != nullptr) {
-    table_->apply_loss_interval(slot_, p, now);
-    return;
-  }
-  dcqcn_mark_step(cfg_, rate_, target_, alpha_, stage_);
+  table_->apply_loss_interval(slot_, p, now);
 }
 
 void DcqcnController::on_mark_fraction(double f, SimTime now) {
-  if (table_ != nullptr) {
-    table_->apply_mark_fraction(slot_, f, now);
-    return;
-  }
-  if (f > 0.0) {
-    dcqcn_mark_step(cfg_, rate_, target_, alpha_, stage_);
-  } else {
-    dcqcn_increase_step(cfg_, rate_, target_, alpha_, stage_);
-  }
+  table_->apply_mark_fraction(slot_, f, now);
 }
 
 void DcqcnController::register_metrics(MetricsRegistry& registry,

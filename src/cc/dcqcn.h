@@ -15,19 +15,16 @@
 // ignored loss would be blind outside its native lossless fabric.
 //
 // Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
-// scalars; DcqcnController applies them to members, FlowTable to columns —
-// bit-for-bit identical, pinned by tests/cc_zoo_test.cpp.
+// scalars, applied by FlowTable to its columns; DcqcnController is a view on
+// one kDcqcn slot (cc/table_controller.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "cc/table_controller.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct DcqcnConfig {
   double alpha_g = 1.0 / 16.0;  // alpha EWMA gain (the paper's g)
@@ -37,6 +34,9 @@ struct DcqcnConfig {
   double initial_rate_bps = 128e3;
   double min_rate_bps = 1e3;
   double max_rate_bps = 1e9;
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
 /// Marked interval: RT <- RC, RC <- RC (1 - alpha/2), alpha grows toward 1.
@@ -59,14 +59,13 @@ inline void dcqcn_increase_step(const DcqcnConfig& cfg, double& rate, double& ta
   rate = std::min(0.5 * (target + rate), cfg.max_rate_bps);
 }
 
-class DcqcnController : public CongestionController {
+class DcqcnController : public TableController {
  public:
+  /// Standalone controller on a one-slot table it owns.
   explicit DcqcnController(DcqcnConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kDcqcn slot.
+  /// View on `slot` of `table`, which must be a kDcqcn slot.
   DcqcnController(FlowTable& table, FlowSlot slot);
 
-  double rate_bps() const override;
   /// Router labels are MKC's signal; DCQCN steers by the ECN echo stream.
   void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
   void on_loss_interval(double p, SimTime now) override;
@@ -78,16 +77,7 @@ class DcqcnController : public CongestionController {
   double target_rate_bps() const;
   std::int32_t recovery_stage() const;
 
-  const DcqcnConfig& config() const { return cfg_; }
-
- private:
-  DcqcnConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  double target_;
-  double alpha_;
-  std::int32_t stage_ = 0;
+  const DcqcnConfig& config() const;
 };
 
 }  // namespace pels

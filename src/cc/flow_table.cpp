@@ -1,6 +1,7 @@
 #include "cc/flow_table.h"
 
 #include <cassert>
+#include <utility>
 
 namespace pels {
 
@@ -15,19 +16,28 @@ const char* cc_kind_name(CcKind kind) {
   return "?";
 }
 
+TableController::TableController(FlowTable& table, FlowSlot slot,
+                                 [[maybe_unused]] CcKind kind)
+    : table_(&table), slot_(slot) {
+  assert(table.is_live(slot) && "a table controller needs an allocated slot");
+  assert(table.kind(slot) == kind && "slot allocated for another controller kind");
+}
+
+TableController::TableController(std::unique_ptr<FlowTable> table, CcKind kind)
+    : table_(table.get()), slot_(table->add_flow(kind)), owned_(std::move(table)) {}
+
+TableController::~TableController() = default;
+
+double TableController::rate_bps() const { return table_->rate_bps(slot_); }
+
 FlowTable::FlowTable(MkcConfig mkc, GammaConfig gamma, CcZooConfig zoo)
     : mkc_(mkc), gamma_cfg_(gamma), zoo_cfg_(zoo) {
-  // Same domain checks as the controllers' constructors; unstable gamma
-  // gains stay allowed on purpose (Figure 5 demonstrates divergence).
-  assert(mkc_.alpha_bps > 0.0);
-  assert(mkc_.beta > 0.0 && mkc_.beta < 2.0 && "MKC is stable only for beta in (0, 2)");
-  assert(mkc_.min_rate_bps > 0.0 && mkc_.min_rate_bps <= mkc_.initial_rate_bps);
-  assert(mkc_.initial_rate_bps <= mkc_.max_rate_bps);
-  assert(gamma_cfg_.p_thr > 0.0 && gamma_cfg_.p_thr <= 1.0);
-  assert(gamma_cfg_.gamma_low >= 0.0 && gamma_cfg_.gamma_low < gamma_cfg_.gamma_high &&
-         gamma_cfg_.gamma_high <= 1.0);
-  assert(gamma_cfg_.initial_gamma >= gamma_cfg_.gamma_low &&
-         gamma_cfg_.initial_gamma <= gamma_cfg_.gamma_high);
+  mkc_.validate();
+  gamma_cfg_.validate();
+  zoo_cfg_.cubic.validate();
+  zoo_cfg_.dcqcn.validate();
+  zoo_cfg_.swift.validate();
+  zoo_cfg_.scream.validate();
 }
 
 void FlowTable::reserve(std::size_t flows) {

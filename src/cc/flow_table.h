@@ -7,13 +7,15 @@
 // scalars in contiguous parallel columns keyed by a dense FlowSlot, so one
 // control tick batch-updates every staged flow with linear scans.
 //
-// Determinism contract: the single-flow operations (apply_feedback /
-// apply_silence / apply_gamma / apply_loss_interval / apply_mark_fraction /
-// apply_control_tick / apply_rtt) and the batch path both call the exact
-// inline kernels the per-object controllers use (mkc_feedback_step,
-// cubic_tick_step, dcqcn_mark_step, swift_tick_step, scream_tick_step, ...),
-// so table-backed control is bit-for-bit identical to per-object control —
-// verified by tests/flow_table_test.cpp and tests/cc_zoo_test.cpp.
+// One storage: the table is the only home of MKC/zoo controller state and of
+// PelsSource's gamma and pacing EWMA. The controllers (cc/table_controller.h)
+// are views on one slot — a standalone one owns a one-slot table — and the
+// single-flow operations (apply_feedback / apply_silence / apply_gamma /
+// apply_loss_interval / apply_mark_fraction / apply_control_tick /
+// apply_rtt) and the staged batch path call the same inline kernels
+// (mkc_feedback_step, cubic_tick_step, dcqcn_mark_step, ...), so single-apply
+// and batch control are bit-for-bit identical — verified by
+// tests/flow_table_test.cpp and tests/cc_zoo_test.cpp.
 //
 // Controller zoo: each slot carries a CcKind; the apply/batch paths dispatch
 // per kind. The zoo columns (CUBIC window state, DCQCN rate machine, RTT
@@ -27,7 +29,7 @@
 // Slot lifecycle: add_flow() reuses freed slots LIFO (like the scheduler's
 // callback pool); remove_flow() returns the slot. Columns never shrink, so a
 // steady-state add/remove churn allocates nothing. Whoever allocates the
-// slot owns its lifetime — PelsSource and the controllers only borrow.
+// slot owns its lifetime — PelsSource and borrowing controllers only view it.
 #pragma once
 
 #include <cassert>
@@ -44,33 +46,20 @@
 
 namespace pels {
 
-inline constexpr FlowSlot kInvalidFlowSlot = 0xffffffffu;
-
-/// Controller kind of a table slot. kMkc is the default and the only kind
-/// that exists before the zoo columns are enabled.
-enum class CcKind : std::uint8_t {
-  kMkc = 0,
-  kCubic = 1,
-  kDcqcn = 2,
-  kSwift = 3,
-  kScream = 4,
-};
-
-const char* cc_kind_name(CcKind kind);
-
 /// Shared per-kind configs for a table's zoo flows (heterogeneous configs
-/// within one kind use several tables or per-object controllers, like MKC).
+/// within one kind use several tables, like MKC).
 struct CcZooConfig {
-  CubicConfig cubic;
-  DcqcnConfig dcqcn;
-  SwiftConfig swift;
-  ScreamLiteConfig scream;
+  CubicConfig cubic{};
+  DcqcnConfig dcqcn{};
+  SwiftConfig swift{};
+  ScreamLiteConfig scream{};
 };
 
 class FlowTable {
  public:
   /// All flows in one table share the MKC and gamma configs (heterogeneous
-  /// populations use several tables or fall back to per-object controllers).
+  /// populations use several tables). Every config is validated here, zoo
+  /// kinds included, so a bad gain throws std::invalid_argument in any build.
   FlowTable(MkcConfig mkc, GammaConfig gamma, CcZooConfig zoo = {});
 
   /// Pre-sizes every column (and the free list) for `flows` concurrent
@@ -129,7 +118,7 @@ class FlowTable {
   std::int32_t dcqcn_stage(FlowSlot slot) const { return zoo_stage_[slot]; }
   SimTime swift_prev_rtt(FlowSlot slot) const { return zoo_t_[slot]; }
 
-  // --- single-flow control (table-backed controllers) --------------------
+  // --- single-flow control (the controllers' views) ----------------------
   void apply_feedback(FlowSlot slot, double p);
   void apply_silence(FlowSlot slot);
   double apply_gamma(FlowSlot slot, double p);

@@ -1,54 +1,42 @@
 #include "cc/mkc.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "cc/flow_table.h"
 
 namespace pels {
 
-MkcController::MkcController(MkcConfig config) : cfg_(config), rate_(config.initial_rate_bps) {
-  assert(cfg_.alpha_bps > 0.0);
-  assert(cfg_.beta > 0.0 && cfg_.beta < 2.0 && "MKC is stable only for beta in (0, 2)");
-  assert(cfg_.min_rate_bps > 0.0 && cfg_.min_rate_bps <= cfg_.initial_rate_bps);
-  assert(cfg_.initial_rate_bps <= cfg_.max_rate_bps);
+void MkcConfig::validate() const {
+  if (!(alpha_bps > 0.0)) throw std::invalid_argument("MkcConfig: alpha_bps must be > 0");
+  if (!(beta > 0.0 && beta < 2.0))
+    throw std::invalid_argument("MkcConfig: beta must be in (0, 2) (Lemma 5 stability)");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "MkcConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= max_rate_bps");
+  if (!(silence_decay > 0.0 && silence_decay <= 1.0))
+    throw std::invalid_argument("MkcConfig: silence_decay must be in (0, 1]");
 }
+
+MkcController::MkcController(MkcConfig config)
+    : TableController(std::make_unique<FlowTable>(config, GammaConfig{}), CcKind::kMkc) {}
 
 MkcController::MkcController(FlowTable& table, FlowSlot slot)
-    : cfg_(table.mkc_config()), table_(&table), slot_(slot), rate_(cfg_.initial_rate_bps) {
-  assert(table.is_live(slot) && "table-backed controller needs an allocated slot");
-}
+    : TableController(table, slot, CcKind::kMkc) {}
 
-double MkcController::rate_bps() const {
-  return table_ != nullptr ? table_->rate_bps(slot_) : rate_;
-}
+const MkcConfig& MkcController::config() const { return table_->mkc_config(); }
 
-std::uint64_t MkcController::updates() const {
-  return table_ != nullptr ? table_->mkc_updates(slot_) : updates_;
-}
+std::uint64_t MkcController::updates() const { return table_->mkc_updates(slot_); }
 
-std::uint64_t MkcController::silence_ticks() const {
-  return table_ != nullptr ? table_->silence_ticks(slot_) : silence_ticks_;
-}
+std::uint64_t MkcController::silence_ticks() const { return table_->silence_ticks(slot_); }
 
-bool MkcController::in_silence() const {
-  return table_ != nullptr ? table_->in_silence(slot_) : silent_;
-}
+bool MkcController::in_silence() const { return table_->in_silence(slot_); }
 
 void MkcController::on_router_feedback(double p, SimTime /*now*/) {
-  if (table_ != nullptr) {
-    table_->apply_feedback(slot_, p);
-    return;
-  }
-  mkc_feedback_step(cfg_, p, rate_, silent_, recovery_left_, updates_);
+  table_->apply_feedback(slot_, p);
 }
 
-void MkcController::on_feedback_silence(SimTime /*now*/) {
-  if (table_ != nullptr) {
-    table_->apply_silence(slot_);
-    return;
-  }
-  mkc_silence_step(cfg_, rate_, silent_, silence_ticks_);
-}
+void MkcController::on_feedback_silence(SimTime /*now*/) { table_->apply_silence(slot_); }
 
 void MkcController::register_metrics(MetricsRegistry& registry, const std::string& prefix) {
   CongestionController::register_metrics(registry, prefix);

@@ -9,20 +9,17 @@
 // does not penalize long-RTT flows (Lemma 6).
 //
 // The update maps live as free inline kernels (mkc_feedback_step /
-// mkc_silence_step) operating on caller-owned scalars: MkcController applies
-// them to its own members, FlowTable applies the same code to its contiguous
-// columns, so the batch path is bit-for-bit identical to per-object control.
+// mkc_silence_step) operating on caller-owned scalars. FlowTable applies them
+// to its contiguous columns, and MkcController is a view on one table slot
+// (cc/table_controller.h), so per-object and batch control share one storage.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "cc/table_controller.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct MkcConfig {
   double alpha_bps = 20e3;    // additive gain per feedback epoch (20 kb/s)
@@ -53,6 +50,10 @@ struct MkcConfig {
   /// controller no longer knows; jumping back at full ramp overshoots it.
   double recovery_growth_factor = 1.5;
   int recovery_updates = 8;
+
+  /// Throws std::invalid_argument naming the first field outside its domain
+  /// (beta outside Lemma 5's stability region (0, 2) included).
+  void validate() const;
 };
 
 /// One MKC feedback update (eq. (8)) on caller-owned state. p < 0
@@ -88,16 +89,14 @@ inline void mkc_silence_step(const MkcConfig& cfg, double& rate, bool& silent,
   rate = std::max(std::min(rate, floor), rate * cfg.silence_decay);
 }
 
-class MkcController : public CongestionController {
+class MkcController : public TableController {
  public:
+  /// Standalone controller on a one-slot table it owns.
   explicit MkcController(MkcConfig config);
-  /// Table-backed controller: all hot state (rate, silence, recovery) lives
-  /// in `table`'s contiguous columns at `slot`; this object is a thin view
-  /// satisfying the CongestionController interface. The table must outlive
-  /// the controller and the slot must stay allocated.
+  /// View on `slot` of `table` (rate, silence and recovery live in its
+  /// columns); the table must outlive the controller.
   MkcController(FlowTable& table, FlowSlot slot);
 
-  double rate_bps() const override;
   void on_router_feedback(double p, SimTime now) override;
   void on_feedback_silence(SimTime now) override;
   const char* name() const override { return "MKC"; }
@@ -110,22 +109,12 @@ class MkcController : public CongestionController {
   /// True between a silence tick and the next fresh feedback.
   bool in_silence() const;
 
-  const MkcConfig& config() const { return cfg_; }
+  const MkcConfig& config() const;
 
   /// Stationary rate of eq. (10): C/N + alpha/beta.
   static double stationary_rate(double capacity_bps, int flows, const MkcConfig& cfg) {
     return capacity_bps / flows + cfg.alpha_bps / cfg.beta;
   }
-
- private:
-  MkcConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  std::uint64_t updates_ = 0;
-  std::uint64_t silence_ticks_ = 0;
-  bool silent_ = false;
-  std::int32_t recovery_left_ = 0;
 };
 
 }  // namespace pels

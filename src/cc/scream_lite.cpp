@@ -1,41 +1,46 @@
 #include "cc/scream_lite.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "cc/flow_table.h"
 
 namespace pels {
 
-ScreamLiteController::ScreamLiteController(ScreamLiteConfig config)
-    : cfg_(config), rate_(config.initial_rate_bps) {
-  assert(cfg_.qdelay_target > 0);
-  assert(cfg_.increase_bps > 0.0);
-  assert(cfg_.decrease_gain > 0.0 && cfg_.decrease_gain <= 1.0);
-  assert(cfg_.loss_beta > 0.0 && cfg_.loss_beta < 1.0);
-  assert(cfg_.mark_beta > 0.0 && cfg_.mark_beta < 1.0);
-  assert(cfg_.max_tick_growth > 1.0);
-  assert(cfg_.min_rate_bps > 0.0 && cfg_.min_rate_bps <= cfg_.initial_rate_bps &&
-         cfg_.initial_rate_bps <= cfg_.max_rate_bps);
+void ScreamLiteConfig::validate() const {
+  if (qdelay_target <= 0)
+    throw std::invalid_argument("ScreamLiteConfig: qdelay_target must be > 0");
+  if (!(increase_bps > 0.0))
+    throw std::invalid_argument("ScreamLiteConfig: increase_bps must be > 0");
+  if (!(decrease_gain > 0.0 && decrease_gain <= 1.0))
+    throw std::invalid_argument("ScreamLiteConfig: decrease_gain must be in (0, 1]");
+  if (!(loss_beta > 0.0 && loss_beta < 1.0))
+    throw std::invalid_argument("ScreamLiteConfig: loss_beta must be in (0, 1)");
+  if (!(mark_beta > 0.0 && mark_beta < 1.0))
+    throw std::invalid_argument("ScreamLiteConfig: mark_beta must be in (0, 1)");
+  if (!(max_tick_growth > 1.0))
+    throw std::invalid_argument("ScreamLiteConfig: max_tick_growth must be > 1");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "ScreamLiteConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= "
+        "max_rate_bps");
 }
+
+ScreamLiteController::ScreamLiteController(ScreamLiteConfig config)
+    : TableController(
+          std::make_unique<FlowTable>(MkcConfig{}, GammaConfig{}, CcZooConfig{.scream = config}),
+          CcKind::kScream) {}
 
 ScreamLiteController::ScreamLiteController(FlowTable& table, FlowSlot slot)
-    : cfg_(table.zoo_config().scream), table_(&table), slot_(slot),
-      rate_(cfg_.initial_rate_bps) {
-  assert(table.is_live(slot) && "table-backed controller needs an allocated slot");
-  assert(table.kind(slot) == CcKind::kScream && "slot must be allocated as kScream");
+    : TableController(table, slot, CcKind::kScream) {}
+
+const ScreamLiteConfig& ScreamLiteController::config() const {
+  return table_->zoo_config().scream;
 }
 
-double ScreamLiteController::rate_bps() const {
-  return table_ != nullptr ? table_->rate_bps(slot_) : rate_;
-}
+SimTime ScreamLiteController::srtt() const { return table_->srtt(slot_); }
 
-SimTime ScreamLiteController::srtt() const {
-  return table_ != nullptr ? table_->srtt(slot_) : srtt_;
-}
-
-SimTime ScreamLiteController::min_rtt() const {
-  return table_ != nullptr ? table_->min_rtt(slot_) : min_rtt_;
-}
+SimTime ScreamLiteController::min_rtt() const { return table_->min_rtt(slot_); }
 
 double ScreamLiteController::cwnd_bytes() const {
   const SimTime rtt = srtt();
@@ -43,40 +48,18 @@ double ScreamLiteController::cwnd_bytes() const {
 }
 
 void ScreamLiteController::on_loss_interval(double p, SimTime now) {
-  if (p <= 0.0) return;
-  if (table_ != nullptr) {
-    table_->apply_loss_interval(slot_, p, now);
-    return;
-  }
-  scream_loss_step(cfg_, p, rate_);
+  table_->apply_loss_interval(slot_, p, now);
 }
 
 void ScreamLiteController::on_mark_fraction(double f, SimTime now) {
-  if (f <= 0.0) return;
-  if (table_ != nullptr) {
-    table_->apply_mark_fraction(slot_, f, now);
-    return;
-  }
-  scream_mark_step(cfg_, f, rate_);
+  table_->apply_mark_fraction(slot_, f, now);
 }
 
 void ScreamLiteController::on_control_tick(SimTime now) {
-  if (table_ != nullptr) {
-    table_->apply_control_tick(slot_, now);
-    return;
-  }
-  scream_tick_step(cfg_, srtt_, min_rtt_, rate_);
+  table_->apply_control_tick(slot_, now);
 }
 
-void ScreamLiteController::set_rtt(SimTime rtt) {
-  if (rtt <= 0) return;
-  if (table_ != nullptr) {
-    table_->apply_rtt(slot_, rtt);
-    return;
-  }
-  srtt_ = rtt;
-  scream_rtt_step(rtt, min_rtt_);
-}
+void ScreamLiteController::set_rtt(SimTime rtt) { table_->apply_rtt(slot_, rtt); }
 
 void ScreamLiteController::register_metrics(MetricsRegistry& registry,
                                             const std::string& prefix) {

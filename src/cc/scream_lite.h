@@ -13,19 +13,16 @@
 // inspection; the PELS pacing layer enforces the rate itself.
 //
 // Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
-// scalars; ScreamLiteController applies them to members, FlowTable to its
-// columns — bit-for-bit identical (tests/cc_zoo_test.cpp).
+// scalars, applied by FlowTable to its columns; ScreamLiteController is a
+// view on one kScream slot (cc/table_controller.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "cc/table_controller.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct ScreamLiteConfig {
   SimTime qdelay_target = from_millis(60);
@@ -37,6 +34,9 @@ struct ScreamLiteConfig {
   double initial_rate_bps = 128e3;
   double min_rate_bps = 1e3;
   double max_rate_bps = 1e9;
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
 /// RTT sample: maintain the propagation-delay baseline.
@@ -75,14 +75,13 @@ inline void scream_tick_step(const ScreamLiteConfig& cfg, SimTime srtt, SimTime 
   }
 }
 
-class ScreamLiteController : public CongestionController {
+class ScreamLiteController : public TableController {
  public:
+  /// Standalone controller on a one-slot table it owns.
   explicit ScreamLiteController(ScreamLiteConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kScream slot.
+  /// View on `slot` of `table`, which must be a kScream slot.
   ScreamLiteController(FlowTable& table, FlowSlot slot);
 
-  double rate_bps() const override;
   /// Router labels are MKC's signal; SCReAM steers by delay/loss/marks.
   void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
   void on_loss_interval(double p, SimTime now) override;
@@ -98,15 +97,7 @@ class ScreamLiteController : public CongestionController {
   /// (bytes in flight); 0 until the first RTT sample.
   double cwnd_bytes() const;
 
-  const ScreamLiteConfig& config() const { return cfg_; }
-
- private:
-  ScreamLiteConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  SimTime srtt_ = 0;
-  SimTime min_rtt_ = 0;
+  const ScreamLiteConfig& config() const;
 };
 
 }  // namespace pels

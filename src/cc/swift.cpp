@@ -1,56 +1,42 @@
 #include "cc/swift.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "cc/flow_table.h"
 
 namespace pels {
 
-SwiftController::SwiftController(SwiftConfig config)
-    : cfg_(config), rate_(config.initial_rate_bps) {
-  assert(cfg_.q_low >= 0 && cfg_.q_low < cfg_.q_high);
-  assert(cfg_.gradient_scale > 0);
-  assert(cfg_.ai_bps > 0.0);
-  assert(cfg_.md_gain > 0.0 && cfg_.md_gain <= 1.0);
-  assert(cfg_.min_rate_bps > 0.0 && cfg_.min_rate_bps <= cfg_.initial_rate_bps &&
-         cfg_.initial_rate_bps <= cfg_.max_rate_bps);
+void SwiftConfig::validate() const {
+  if (!(q_low >= 0 && q_low < q_high))
+    throw std::invalid_argument("SwiftConfig: q_low must satisfy 0 <= q_low < q_high");
+  if (gradient_scale <= 0)
+    throw std::invalid_argument("SwiftConfig: gradient_scale must be > 0");
+  if (!(ai_bps > 0.0)) throw std::invalid_argument("SwiftConfig: ai_bps must be > 0");
+  if (!(md_gain > 0.0 && md_gain <= 1.0))
+    throw std::invalid_argument("SwiftConfig: md_gain must be in (0, 1]");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "SwiftConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= max_rate_bps");
 }
+
+SwiftController::SwiftController(SwiftConfig config)
+    : TableController(
+          std::make_unique<FlowTable>(MkcConfig{}, GammaConfig{}, CcZooConfig{.swift = config}),
+          CcKind::kSwift) {}
 
 SwiftController::SwiftController(FlowTable& table, FlowSlot slot)
-    : cfg_(table.zoo_config().swift), table_(&table), slot_(slot),
-      rate_(cfg_.initial_rate_bps) {
-  assert(table.is_live(slot) && "table-backed controller needs an allocated slot");
-  assert(table.kind(slot) == CcKind::kSwift && "slot must be allocated as kSwift");
-}
+    : TableController(table, slot, CcKind::kSwift) {}
 
-double SwiftController::rate_bps() const {
-  return table_ != nullptr ? table_->rate_bps(slot_) : rate_;
-}
+const SwiftConfig& SwiftController::config() const { return table_->zoo_config().swift; }
 
-SimTime SwiftController::srtt() const {
-  return table_ != nullptr ? table_->srtt(slot_) : srtt_;
-}
+SimTime SwiftController::srtt() const { return table_->srtt(slot_); }
 
-SimTime SwiftController::min_rtt() const {
-  return table_ != nullptr ? table_->min_rtt(slot_) : min_rtt_;
-}
+SimTime SwiftController::min_rtt() const { return table_->min_rtt(slot_); }
 
-void SwiftController::on_control_tick(SimTime now) {
-  if (table_ != nullptr) {
-    table_->apply_control_tick(slot_, now);
-    return;
-  }
-  swift_tick_step(cfg_, srtt_, prev_rtt_, min_rtt_, rate_);
-}
+void SwiftController::on_control_tick(SimTime now) { table_->apply_control_tick(slot_, now); }
 
-void SwiftController::set_rtt(SimTime rtt) {
-  if (rtt <= 0) return;
-  if (table_ != nullptr) {
-    table_->apply_rtt(slot_, rtt);
-    return;
-  }
-  srtt_ = rtt;
-}
+void SwiftController::set_rtt(SimTime rtt) { table_->apply_rtt(slot_, rtt); }
 
 void SwiftController::register_metrics(MetricsRegistry& registry,
                                        const std::string& prefix) {

@@ -10,19 +10,16 @@
 // RTT a decrease proportional to the normalized gradient.
 //
 // Kernel contract (see cc/mkc.h): one free inline kernel on caller-owned
-// scalars, applied per control tick; SwiftController applies it to members,
-// FlowTable to its columns — bit-for-bit identical (tests/cc_zoo_test.cpp).
+// scalars, applied per control tick by FlowTable to its columns;
+// SwiftController is a view on one kSwift slot (cc/table_controller.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/controller.h"
+#include "cc/table_controller.h"
 
 namespace pels {
-
-class FlowTable;
-using FlowSlot = std::uint32_t;
 
 struct SwiftConfig {
   SimTime q_low = from_millis(5);     // qdelay floor: below, always increase
@@ -35,6 +32,9 @@ struct SwiftConfig {
   double initial_rate_bps = 128e3;
   double min_rate_bps = 1e3;
   double max_rate_bps = 1e9;
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
 /// One control tick. Needs two RTT memories: the previous tick's sample (for
@@ -68,14 +68,13 @@ inline void swift_tick_step(const SwiftConfig& cfg, SimTime srtt, SimTime& prev_
   }
 }
 
-class SwiftController : public CongestionController {
+class SwiftController : public TableController {
  public:
+  /// Standalone controller on a one-slot table it owns.
   explicit SwiftController(SwiftConfig config);
-  /// Table-backed controller (see cc/flow_table.h): hot state lives in the
-  /// table's columns at `slot`, which must be a kSwift slot.
+  /// View on `slot` of `table`, which must be a kSwift slot.
   SwiftController(FlowTable& table, FlowSlot slot);
 
-  double rate_bps() const override;
   /// Router labels are MKC's signal; Swift steers purely by delay.
   void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
   void on_control_tick(SimTime now) override;
@@ -86,16 +85,7 @@ class SwiftController : public CongestionController {
   SimTime srtt() const;
   SimTime min_rtt() const;
 
-  const SwiftConfig& config() const { return cfg_; }
-
- private:
-  SwiftConfig cfg_;
-  FlowTable* table_ = nullptr;  // non-null: state lives in the table columns
-  FlowSlot slot_ = 0;
-  double rate_;
-  SimTime srtt_ = 0;
-  SimTime prev_rtt_ = 0;
-  SimTime min_rtt_ = 0;
+  const SwiftConfig& config() const;
 };
 
 }  // namespace pels

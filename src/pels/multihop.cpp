@@ -1,14 +1,26 @@
 #include "pels/multihop.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "queue/drop_tail.h"
 
 namespace pels {
 
+void ParkingLotConfig::validate() const {
+  if (long_flows <= 0) throw std::invalid_argument("ParkingLotConfig: long_flows must be > 0");
+  if (cross_flows_hop1 < 0 || cross_flows_hop2 < 0)
+    throw std::invalid_argument("ParkingLotConfig: cross flow counts must be >= 0");
+  if (!(bottleneck1_bps > 0.0 && bottleneck2_bps > 0.0 && edge_bps > 0.0))
+    throw std::invalid_argument("ParkingLotConfig: bandwidths must be > 0");
+  if (edge_delay < 0 || bottleneck_delay < 0)
+    throw std::invalid_argument("ParkingLotConfig: delays must be >= 0");
+  mkc.validate();
+  source.gamma.validate();
+}
+
 ParkingLotScenario::ParkingLotScenario(ParkingLotConfig config)
     : cfg_(std::move(config)), sim_(cfg_.seed), topo_(sim_), rd_(cfg_.rd) {
-  assert(cfg_.long_flows > 0);
+  cfg_.validate();
 
   Router& r1 = topo_.add_router("R1");
   Router& r2 = topo_.add_router("R2");
@@ -48,6 +60,11 @@ ParkingLotScenario::ParkingLotScenario(ParkingLotConfig config)
     injector.apply(cfg_.faults_hop2, fwd2, rev2, queue2_, hook(queue2_));
   }
 
+  const int total =
+      cfg_.long_flows + cfg_.cross_flows_hop1 + cfg_.cross_flows_hop2;
+  flow_table_ = std::make_unique<FlowTable>(cfg_.mkc, cfg_.source.gamma);
+  flow_table_->reserve(static_cast<std::size_t>(total));
+
   FlowId next_flow = 0;
   auto add_flow = [&](Router& in, Router& out, std::vector<std::unique_ptr<PelsSource>>& srcs,
                       std::vector<std::unique_ptr<PelsSink>>& sinks, SimTime phase) {
@@ -59,15 +76,14 @@ ParkingLotScenario::ParkingLotScenario(ParkingLotConfig config)
     sinks.push_back(std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(),
                                                cfg_.source.video, rd_,
                                                cfg_.source.ack_size_bytes));
-    auto controller = std::make_unique<MkcController>(cfg_.mkc);
-    srcs.push_back(std::make_unique<PelsSource>(sim_, src_host, flow, dst_host.id(),
-                                                std::move(controller), cfg_.source));
+    const FlowSlot slot = flow_table_->add_flow();
+    srcs.push_back(std::make_unique<PelsSource>(
+        sim_, src_host, flow, dst_host.id(),
+        std::make_unique<MkcController>(*flow_table_, slot), *flow_table_, slot, cfg_.source));
     srcs.back()->start(phase);
   };
 
   const SimTime period = cfg_.source.video.frame_period();
-  const int total =
-      cfg_.long_flows + cfg_.cross_flows_hop1 + cfg_.cross_flows_hop2;
   int idx = 0;
   for (int i = 0; i < cfg_.long_flows; ++i)
     add_flow(r1, r3, long_sources_, long_sinks_, (idx++ * period) / total);

@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "cc/flow_table.h"
 #include "cc/mkc.h"
 #include "fault/fault_plan.h"
 #include "net/topology.h"
@@ -48,6 +49,11 @@ struct ParkingLotConfig {
   FaultPlan faults_hop1;
   FaultPlan faults_hop2;
   std::uint64_t seed = 1;
+
+  /// Rejects negative flow counts, a run without long flows, non-positive
+  /// bandwidths, negative delays and invalid MKC/gamma configs with
+  /// std::invalid_argument. Called by the ParkingLotScenario constructor.
+  void validate() const;
 };
 
 class ParkingLotScenario {
@@ -77,6 +83,8 @@ class ParkingLotScenario {
   Simulation sim_;
   Topology topo_;
   RdModel rd_;
+  // Every flow's MKC state, gamma and pacing EWMA; outlives the sources.
+  std::unique_ptr<FlowTable> flow_table_;
   PelsQueue* queue1_ = nullptr;
   PelsQueue* queue2_ = nullptr;
   std::vector<std::unique_ptr<PelsSource>> long_sources_;

@@ -7,17 +7,19 @@ namespace pels {
 
 PelsSource::PelsSource(Simulation& sim, Host& host, FlowId flow, NodeId dst,
                        std::unique_ptr<CongestionController> controller,
-                       PelsSourceConfig config)
+                       FlowTable& table, FlowSlot slot, PelsSourceConfig config)
     : sim_(sim),
       host_(host),
       flow_(flow),
       dst_(dst),
       controller_(std::move(controller)),
+      table_(table),
+      slot_(slot),
       cfg_(std::move(config)),
-      gamma_(cfg_.gamma),
       frame_timer_(sim.scheduler(), cfg_.video.frame_period(), [this] { on_frame_clock(); }),
       control_timer_(sim.scheduler(), cfg_.control_interval, [this] { on_control_clock(); }) {
   assert(controller_ != nullptr);
+  assert(table_.is_live(slot_) && "PelsSource needs an allocated FlowTable slot");
   host_.register_agent(flow_, this);
 }
 
@@ -99,9 +101,7 @@ void PelsSource::pace_next() {
   // hundred packets — slow enough to filter epoch noise, fast enough to
   // track joins and back-offs.
   const double rate = std::max(controller_->rate_bps(), 1.0);
-  double& paced = cfg_.flow_table != nullptr
-                      ? cfg_.flow_table->paced_rate_ref(cfg_.flow_slot)
-                      : paced_rate_;
+  double& paced = table_.paced_rate_ref(slot_);
   paced = paced <= 0.0 ? rate : 0.98 * paced + 0.02 * rate;
   const SimTime spacing = transmission_time(pkt.size_bytes, paced);
   transmit(std::move(pkt));
@@ -231,12 +231,7 @@ void PelsSource::on_control_clock() {
   // While feedback is silent gamma freezes: iterating eq. (4) on a stale
   // sample just walks gamma away from any real operating point.
   if (cfg_.partition && !silent_) {
-    const double p = std::clamp(latest_router_fgs_loss_, 0.0, 1.0);
-    if (cfg_.flow_table != nullptr) {
-      cfg_.flow_table->apply_gamma(cfg_.flow_slot, p);
-    } else {
-      gamma_.update(p);
-    }
+    table_.apply_gamma(slot_, std::clamp(latest_router_fgs_loss_, 0.0, 1.0));
   }
 
   // Receiver-measured FGS loss over the last control interval (sent counter
@@ -280,15 +275,9 @@ void PelsSource::on_control_clock() {
 void PelsSource::register_metrics(MetricsRegistry& registry, const std::string& prefix) {
   controller_->register_metrics(registry, prefix);
   if (cfg_.partition) {
-    if (cfg_.flow_table != nullptr) {
-      // Table-backed gamma: probe the columns, not the idle member object.
-      registry.add_probe(prefix + ".gamma", [this] { return gamma(); });
-      registry.add_probe(prefix + ".gamma_updates", [this] {
-        return static_cast<double>(cfg_.flow_table->gamma_updates(cfg_.flow_slot));
-      });
-    } else {
-      gamma_.register_metrics(registry, prefix);
-    }
+    registry.add_probe(prefix + ".gamma", [this] { return gamma(); });
+    registry.add_probe(prefix + ".gamma_updates",
+                       [this] { return static_cast<double>(table_.gamma_updates(slot_)); });
   }
   registry.add_probe(prefix + ".measured_loss", [this] { return last_measured_loss_; });
   registry.add_probe(prefix + ".router_fgs_loss", [this] { return latest_router_fgs_loss_; });

@@ -4,7 +4,7 @@
 //  * a frame clock generating FGS video frames at the configured rate;
 //  * a pluggable congestion controller (MKC by default) driven by
 //    epoch-filtered router feedback from ACK labels (§5.2 freshness rule);
-//  * the gamma controller (eq. (4)) partitioning each frame's FGS prefix into
+//  * the gamma control law (eq. (4)) partitioning each frame's FGS prefix into
 //    yellow and red segments from receiver-measured FGS loss;
 //  * packet pacing: each frame's packets are spread evenly over the frame
 //    period, so the instantaneous rate matches the controller output.
@@ -35,15 +35,9 @@ namespace pels {
 
 struct PelsSourceConfig {
   VideoConfig video;
+  /// Gamma control law (eq. (4)). The source itself runs the law of its
+  /// FlowTable; scenario builders construct that table from this config.
   GammaConfig gamma;
-  /// Structure-of-arrays backing for the flow's hot control scalars (gamma,
-  /// pacing EWMA): when set, this source reads/writes table columns at
-  /// `flow_slot` instead of its own members, so population-scale scenarios
-  /// keep per-flow state contiguous (see cc/flow_table.h). The slot is
-  /// borrowed — whoever allocated it owns its lifetime. The table's
-  /// GammaConfig must match `gamma` (same control law for either backing).
-  FlowTable* flow_table = nullptr;
-  FlowSlot flow_slot = kInvalidFlowSlot;
   /// Control interval for loss measurement + gamma updates (interval k of
   /// eq. (4)); independent of the router's feedback interval T.
   SimTime control_interval = from_millis(200);
@@ -80,8 +74,12 @@ struct PelsSourceConfig {
 
 class PelsSource : public Agent {
  public:
+  /// The flow's gamma and pacing EWMA live in `table` at `slot` (see
+  /// cc/flow_table.h). Both are borrowed: the table must outlive the source,
+  /// and whoever allocated the slot owns its lifetime.
   PelsSource(Simulation& sim, Host& host, FlowId flow, NodeId dst,
-             std::unique_ptr<CongestionController> controller, PelsSourceConfig config);
+             std::unique_ptr<CongestionController> controller, FlowTable& table,
+             FlowSlot slot, PelsSourceConfig config);
   ~PelsSource() override;
 
   /// Starts the frame and control clocks at sim time `at`.
@@ -92,10 +90,7 @@ class PelsSource : public Agent {
 
   // --- observable state -------------------------------------------------
   double rate_bps() const { return controller_->rate_bps(); }
-  double gamma() const {
-    return cfg_.flow_table != nullptr ? cfg_.flow_table->gamma(cfg_.flow_slot)
-                                      : gamma_.gamma();
-  }
+  double gamma() const { return table_.gamma(slot_); }
   double measured_loss() const { return last_measured_loss_; }
   /// Router id of the most recently consumed feedback label (-1 before any).
   /// Noisy on multi-bottleneck paths (per-epoch loss estimates jitter, so the
@@ -134,7 +129,7 @@ class PelsSource : public Agent {
 
   /// Registers this flow's sender-side instruments under `prefix.` (see
   /// DESIGN.md "Telemetry"): the congestion controller's probes (rate,
-  /// silence-watchdog state), the gamma controller's probes, and the source's
+  /// silence-watchdog state), the flow's gamma probes, and the source's
   /// own loss/feedback/transmission state. Probes only — the packet and
   /// control paths are untouched.
   void register_metrics(MetricsRegistry& registry, const std::string& prefix);
@@ -153,8 +148,9 @@ class PelsSource : public Agent {
   FlowId flow_;
   NodeId dst_;
   std::unique_ptr<CongestionController> controller_;
+  FlowTable& table_;  // gamma and pacing EWMA columns at slot_
+  FlowSlot slot_;
   PelsSourceConfig cfg_;
-  GammaController gamma_;
 
   PeriodicTimer frame_timer_;
   PeriodicTimer control_timer_;
@@ -164,7 +160,6 @@ class PelsSource : public Agent {
   // instead of bursting past the rate within their own period.
   std::deque<Packet> send_buffer_;
   EventId pace_event_ = 0;
-  double paced_rate_ = 0.0;  // EWMA of the controller rate used for spacing
   std::unique_ptr<SrTcmMarker> tcm_marker_;  // set iff cfg_.tcm_marking
 
   std::int64_t next_frame_ = 0;

@@ -31,18 +31,10 @@ void ScenarioConfig::validate() const {
   require(ack_loss >= 0.0 && ack_loss < 1.0, "ack_loss must be in [0, 1)");
   require(wireless_loss >= 0.0 && wireless_loss < 1.0,
           "wireless_loss must be in [0, 1)");
-  require(mkc.alpha_bps > 0.0, "mkc.alpha_bps must be > 0");
-  require(mkc.beta > 0.0 && mkc.beta < 2.0,
-          "mkc.beta must be in (0, 2) — MKC stability region (Lemma 5)");
-  require(mkc.min_rate_bps > 0.0 && mkc.min_rate_bps <= mkc.initial_rate_bps &&
-              mkc.initial_rate_bps <= mkc.max_rate_bps,
-          "mkc rates must satisfy 0 < min <= initial <= max");
-  require(mkc.silence_decay > 0.0 && mkc.silence_decay <= 1.0,
-          "mkc.silence_decay must be in (0, 1]");
-  require(GammaController::is_stable_gain(source.gamma.sigma),
+  mkc.validate();
+  source.gamma.validate();
+  require(is_stable_gain(source.gamma.sigma),
           "gamma.sigma must be in (0, 2) — eq. (4) stability region (Lemma 2)");
-  require(source.gamma.p_thr > 0.0 && source.gamma.p_thr <= 1.0,
-          "gamma.p_thr must be in (0, 1]");
   require(source.control_interval > 0, "source.control_interval must be > 0");
   require(source.feedback_timeout >= 0, "source.feedback_timeout must be >= 0");
   require(sample_interval > 0, "sample_interval must be > 0");
@@ -147,16 +139,12 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   src_cfg.partition = cfg_.bottleneck == BottleneckKind::kPels;
   if (cfg_.rd_aware_scaling) src_cfg.rd_scaling = &rd_;
 
-  // Default MKC flows share a structure-of-arrays FlowTable: controller and
-  // gamma/pacing scalars live in contiguous columns (storage-only — the
-  // table applies the same kernels, so dynamics are bit-for-bit identical).
-  // Custom (make_controller) and REM flows keep per-object state.
-  const bool table_backed = cfg_.use_flow_table && !cfg_.make_controller &&
-                            cfg_.bottleneck != BottleneckKind::kRem;
-  if (table_backed) {
-    flow_table_ = std::make_unique<FlowTable>(cfg_.mkc, src_cfg.gamma);
-    flow_table_->reserve(static_cast<std::size_t>(cfg_.pels_flows));
-  }
+  // Every PELS flow owns a slot of one structure-of-arrays FlowTable: its
+  // gamma and pacing EWMA live there, and so does the state of the default
+  // MKC controller. Custom (make_controller) and REM controllers keep their
+  // own state; their flows use the slot for gamma and pacing only.
+  flow_table_ = std::make_unique<FlowTable>(cfg_.mkc, src_cfg.gamma);
+  flow_table_->reserve(static_cast<std::size_t>(cfg_.pels_flows));
 
   // Per-flow base-RTT diversity: flow k (PELS flows first, then TCP) takes
   // edge_delays[k % size] on both of its private edges.
@@ -173,26 +161,23 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
     topo_.connect(src_host, r1, cfg_.edge_bps, edge_delay, edge_queue);
     topo_.connect(r2, dst_host, cfg_.edge_bps, edge_delay, edge_queue);
 
+    const FlowSlot slot = flow_table_->add_flow();
     std::unique_ptr<CongestionController> controller;
     if (cfg_.make_controller) {
       controller = cfg_.make_controller(i);
     } else if (cfg_.bottleneck == BottleneckKind::kRem) {
       // The REM bottleneck signals through marks, not feedback labels.
       controller = std::make_unique<RemController>(cfg_.rem);
-    } else if (table_backed) {
-      const FlowSlot slot = flow_table_->add_flow();
-      src_cfg.flow_table = flow_table_.get();
-      src_cfg.flow_slot = slot;
-      controller = std::make_unique<MkcController>(*flow_table_, slot);
     } else {
-      controller = std::make_unique<MkcController>(cfg_.mkc);
+      controller = std::make_unique<MkcController>(*flow_table_, slot);
     }
     const auto flow = static_cast<FlowId>(i);
     sinks_.push_back(std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(),
                                                 src_cfg.video, rd_,
                                                 src_cfg.ack_size_bytes));
     sources_.push_back(std::make_unique<PelsSource>(sim_, src_host, flow, dst_host.id(),
-                                                    std::move(controller), src_cfg));
+                                                    std::move(controller), *flow_table_,
+                                                    slot, src_cfg));
   }
 
   for (int i = 0; i < cfg_.tcp_flows; ++i) {

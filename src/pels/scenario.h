@@ -77,7 +77,7 @@ struct ScenarioConfig {
   double wireless_loss = 0.0;
 
   /// Optional custom controller per flow (CC-independence ablation);
-  /// default builds MkcController(mkc).
+  /// default builds an MkcController on the flow's FlowTable slot.
   std::function<std::unique_ptr<CongestionController>(int flow_index)> make_controller;
 
   /// Scripted fault schedule applied to the bottleneck: link flaps and
@@ -94,14 +94,6 @@ struct ScenarioConfig {
   /// byte-identical runs (verified by tests/scheduler_wheel_test.cpp); the
   /// switch exists for that regression test and for A/B benching.
   bool scheduler_wheel = true;
-
-  /// Structure-of-arrays flow state (see cc/flow_table.h): default-built
-  /// flows (no make_controller, non-REM bottleneck) allocate a slot in a
-  /// shared FlowTable and their MkcController/gamma/pacing scalars live in
-  /// its columns. Storage-only change — dynamics are bit-for-bit identical
-  /// to per-object controllers (tests/flow_table_test.cpp). Off = every
-  /// flow keeps private controller state.
-  bool use_flow_table = true;
 
   /// Declarative telemetry switch (see DESIGN.md "Telemetry"): when enabled,
   /// the scenario builds a MetricsRegistry, registers every instrumented
@@ -176,9 +168,10 @@ class DumbbellScenario {
   const RdModel& rd_model() const { return rd_; }
   const ScenarioConfig& config() const { return cfg_; }
 
-  /// Shared SoA flow state; null when config().use_flow_table is false or
-  /// the flows use custom/REM controllers.
-  FlowTable* flow_table() { return flow_table_.get(); }
+  /// Shared SoA flow state (see cc/flow_table.h). Every PELS flow's gamma
+  /// and pacing EWMA live in its slot, and so does the default MKC
+  /// controller's state (custom and REM controllers keep their own).
+  FlowTable& flow_table() { return *flow_table_; }
 
   /// Telemetry views; null unless config().telemetry.enabled. The registry
   /// holds every instrument registered at construction (prefixes:

@@ -1,31 +1,23 @@
 #include "video/gamma_controller.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace pels {
 
-GammaController::GammaController(GammaConfig config)
-    : cfg_(config), gamma_(config.initial_gamma) {
-  assert(cfg_.p_thr > 0.0 && cfg_.p_thr <= 1.0);
-  assert(cfg_.gamma_low >= 0.0 && cfg_.gamma_low < cfg_.gamma_high && cfg_.gamma_high <= 1.0);
-  assert(cfg_.initial_gamma >= cfg_.gamma_low && cfg_.initial_gamma <= cfg_.gamma_high);
-  // Unlike beta/sigma stability asserts elsewhere, unstable gains are allowed
-  // here on purpose: Figure 5 demonstrates divergence at sigma = 3.
+void GammaConfig::validate() const {
+  if (!(p_thr > 0.0 && p_thr <= 1.0))
+    throw std::invalid_argument("GammaConfig: p_thr must be in (0, 1]");
+  if (!(gamma_low >= 0.0 && gamma_low < gamma_high && gamma_high <= 1.0))
+    throw std::invalid_argument(
+        "GammaConfig: gamma bounds must satisfy 0 <= gamma_low < gamma_high <= 1");
+  if (!(initial_gamma >= gamma_low && initial_gamma <= gamma_high))
+    throw std::invalid_argument(
+        "GammaConfig: initial_gamma must be in [gamma_low, gamma_high]");
 }
 
-double GammaController::update(double p) {
-  return gamma_update_step(cfg_, p, gamma_, updates_);
-}
-
-void GammaController::register_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  registry.add_probe(prefix + ".gamma", [this] { return gamma_; });
-  registry.add_probe(prefix + ".gamma_updates",
-                     [this] { return static_cast<double>(updates_); });
-}
-
-double GammaController::stationary_gamma(double p) const {
-  return std::clamp(p / cfg_.p_thr, cfg_.gamma_low, cfg_.gamma_high);
+double stationary_gamma(const GammaConfig& cfg, double p) {
+  return std::clamp(p / cfg.p_thr, cfg.gamma_low, cfg.gamma_high);
 }
 
 }  // namespace pels

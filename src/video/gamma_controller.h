@@ -13,9 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#include "telemetry/metrics.h"
 
 namespace pels {
 
@@ -25,35 +22,18 @@ struct GammaConfig {
   double initial_gamma = 0.5;
   double gamma_low = 0.05;   // probing floor (§6.2: flows keep probing)
   double gamma_high = 0.95;
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  /// sigma is exempt on purpose: Figure 5 demonstrates divergence at
+  /// sigma = 3 (see is_stable_gain for the Lemma 2 region).
+  void validate() const;
 };
 
-class GammaController {
- public:
-  explicit GammaController(GammaConfig config);
+/// Lemma 2/3 stability predicate for a candidate gain.
+constexpr bool is_stable_gain(double sigma) { return sigma > 0.0 && sigma < 2.0; }
 
-  /// Applies one control step with measured FGS-layer loss `p` in [0, 1].
-  /// Returns the new gamma.
-  double update(double p);
-
-  double gamma() const { return gamma_; }
-  std::uint64_t updates() const { return updates_; }
-  const GammaConfig& config() const { return cfg_; }
-
-  /// Fixed point for stationary loss p: gamma* = p / p_thr (clamped).
-  double stationary_gamma(double p) const;
-
-  /// Lemma 2/3 stability predicate for a candidate gain.
-  static bool is_stable_gain(double sigma) { return sigma > 0.0 && sigma < 2.0; }
-
-  /// Registers pull probes under `prefix.`: the current partition gamma and
-  /// the cumulative update count (see DESIGN.md "Telemetry").
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix);
-
- private:
-  GammaConfig cfg_;
-  double gamma_;
-  std::uint64_t updates_ = 0;
-};
+/// Fixed point for stationary loss p: gamma* = p / p_thr (clamped).
+double stationary_gamma(const GammaConfig& cfg, double p);
 
 /// Pure iterate map of eq. (4) without clamping, for stability analysis and
 /// Figure 5: gamma' = gamma + sigma * (p/p_thr - gamma).
@@ -62,9 +42,9 @@ constexpr double gamma_iterate(double gamma, double p, double sigma, double p_th
 }
 
 /// One full gamma control step (clamp p, iterate eq. (4), clamp gamma) on
-/// caller-owned state. GammaController applies it to its members and
-/// FlowTable to its contiguous columns, so batch updates are bit-for-bit
-/// identical to per-object control. Returns the new gamma.
+/// caller-owned state. FlowTable applies it to its gamma column — the only
+/// home of a flow's gamma — on the single-flow and batch paths alike.
+/// Returns the new gamma.
 inline double gamma_update_step(const GammaConfig& cfg, double p, double& gamma,
                                 std::uint64_t& updates) {
   p = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);

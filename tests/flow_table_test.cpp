@@ -1,14 +1,13 @@
-// FlowTable unit tests: slot lifecycle and the bit-for-bit equivalence of
-// table-backed control against the per-object controllers (the determinism
-// contract stated in cc/flow_table.h).
+// FlowTable unit tests: slot lifecycle, config validation, and the
+// bit-for-bit equivalence of single-flow and staged batch control (the
+// determinism contract stated in cc/flow_table.h).
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <stdexcept>
 
 #include "cc/flow_table.h"
 #include "cc/mkc.h"
 #include "util/rng.h"
-#include "video/gamma_controller.h"
 
 namespace pels {
 namespace {
@@ -71,15 +70,16 @@ TEST(FlowTableTest, ReserveKeepsColumnsStable) {
 }
 
 // The core contract: any interleaving of feedback / silence / gamma inputs
-// produces exactly the same doubles through (a) the standalone controllers,
-// (b) the table's single-flow operations, and (c) the staged batch path.
+// produces exactly the same doubles through (a) a standalone controller's
+// calls (single-flow apply on its own one-slot table) and (b) the staged
+// batch path of a second table.
 TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
   const MkcConfig mkc = mkc_config();
   const GammaConfig gc = gamma_config();
   MkcController ctrl(mkc);
-  GammaController gamma(gc);
-  FlowTable table(mkc, gc);
-  const FlowSlot slot = table.add_flow();
+  FlowTable& applied = ctrl.table();
+  FlowTable batched(mkc, gc);
+  const FlowSlot slot = batched.add_flow();
 
   Rng rng(7, 0xF10);
   for (int step = 0; step < 2000; ++step) {
@@ -87,22 +87,23 @@ TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
     if (op == 0) {
       const double p = rng.uniform(-2.0, 0.9);
       ctrl.on_router_feedback(p, 0);
-      table.apply_feedback(slot, p);
+      batched.stage_feedback(slot, p);
     } else if (op == 1) {
       ctrl.on_feedback_silence(0);
-      table.apply_silence(slot);
+      batched.stage_silence(slot);
     } else {
       const double p_fgs = rng.uniform(-0.2, 1.2);
-      gamma.update(p_fgs);
-      table.apply_gamma(slot, p_fgs);
+      applied.apply_gamma(ctrl.slot(), p_fgs);
+      batched.stage_gamma(slot, p_fgs);
     }
-    ASSERT_EQ(ctrl.rate_bps(), table.rate_bps(slot)) << "step " << step;
-    ASSERT_EQ(ctrl.in_silence(), table.in_silence(slot)) << "step " << step;
-    ASSERT_EQ(gamma.gamma(), table.gamma(slot)) << "step " << step;
+    batched.batch_control_tick();
+    ASSERT_EQ(ctrl.rate_bps(), batched.rate_bps(slot)) << "step " << step;
+    ASSERT_EQ(ctrl.in_silence(), batched.in_silence(slot)) << "step " << step;
+    ASSERT_EQ(applied.gamma(ctrl.slot()), batched.gamma(slot)) << "step " << step;
   }
-  EXPECT_EQ(ctrl.updates(), table.mkc_updates(slot));
-  EXPECT_EQ(ctrl.silence_ticks(), table.silence_ticks(slot));
-  EXPECT_EQ(gamma.updates(), table.gamma_updates(slot));
+  EXPECT_EQ(ctrl.updates(), batched.mkc_updates(slot));
+  EXPECT_EQ(ctrl.silence_ticks(), batched.silence_ticks(slot));
+  EXPECT_EQ(applied.gamma_updates(ctrl.slot()), batched.gamma_updates(slot));
 }
 
 TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
@@ -110,13 +111,13 @@ TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
   const GammaConfig gc = gamma_config();
   constexpr int kFlows = 17;
 
-  std::vector<MkcController> ctrls;
-  std::vector<GammaController> gammas;
-  FlowTable table(mkc, gc);
+  // Same population in two tables: one updated per flow through the
+  // single-apply calls, one through staged batch ticks.
+  FlowTable applied(mkc, gc);
+  FlowTable batched(mkc, gc);
   for (int i = 0; i < kFlows; ++i) {
-    ctrls.emplace_back(mkc);
-    gammas.emplace_back(gc);
-    table.add_flow();
+    applied.add_flow();
+    batched.add_flow();
   }
 
   Rng rng(11, 0xBA7C);
@@ -129,31 +130,30 @@ TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
       const int op = static_cast<int>(rng.uniform_int(0, 3));  // 3 = idle
       if (op == 0) {
         const double p = rng.uniform(-2.0, 0.9);
-        ctrls[static_cast<std::size_t>(i)].on_router_feedback(p, 0);
-        table.stage_feedback(slot, p);
+        applied.apply_feedback(slot, p);
+        batched.stage_feedback(slot, p);
         ++feedbacks;
       } else if (op == 1) {
-        ctrls[static_cast<std::size_t>(i)].on_feedback_silence(0);
-        table.stage_silence(slot);
+        applied.apply_silence(slot);
+        batched.stage_silence(slot);
         ++silences;
       }
       if (op != 3 && rng.bernoulli(0.5)) {
         const double p_fgs = rng.uniform(0.0, 1.0);
-        gammas[static_cast<std::size_t>(i)].update(p_fgs);
-        table.stage_gamma(slot, p_fgs);
+        applied.apply_gamma(slot, p_fgs);
+        batched.stage_gamma(slot, p_fgs);
         ++gamma_updates;
       }
     }
-    const FlowTable::BatchStats stats = table.batch_control_tick();
+    const FlowTable::BatchStats stats = batched.batch_control_tick();
     ASSERT_EQ(stats.feedback_applied, feedbacks);
     ASSERT_EQ(stats.silences, silences);
     ASSERT_EQ(stats.gamma_updates, gamma_updates);
     for (int i = 0; i < kFlows; ++i) {
       const auto slot = static_cast<FlowSlot>(i);
-      ASSERT_EQ(ctrls[static_cast<std::size_t>(i)].rate_bps(), table.rate_bps(slot))
+      ASSERT_EQ(applied.rate_bps(slot), batched.rate_bps(slot))
           << "tick " << tick << " flow " << i;
-      ASSERT_EQ(gammas[static_cast<std::size_t>(i)].gamma(), table.gamma(slot))
-          << "tick " << tick << " flow " << i;
+      ASSERT_EQ(applied.gamma(slot), batched.gamma(slot)) << "tick " << tick << " flow " << i;
     }
   }
 }
@@ -225,6 +225,65 @@ TEST(FlowTableTest, TableBackedControllerRoutesThroughTable) {
   EXPECT_TRUE(routed.in_silence());
   EXPECT_TRUE(table.in_silence(slot));
   EXPECT_EQ(routed.silence_ticks(), 1u);
+}
+
+// Every config the table holds is validated at construction, in any build
+// type: a bad gain throws instead of slipping past a compiled-out assert.
+TEST(FlowTableTest, DefaultConfigsAreAccepted) {
+  EXPECT_NO_THROW(MkcConfig{}.validate());
+  EXPECT_NO_THROW(GammaConfig{}.validate());
+  EXPECT_NO_THROW(CubicConfig{}.validate());
+  EXPECT_NO_THROW(DcqcnConfig{}.validate());
+  EXPECT_NO_THROW(SwiftConfig{}.validate());
+  EXPECT_NO_THROW(ScreamLiteConfig{}.validate());
+  EXPECT_NO_THROW(FlowTable(MkcConfig{}, GammaConfig{}, CcZooConfig{}));
+}
+
+TEST(FlowTableTest, MkcConfigRejectsUnstableBeta) {
+  MkcConfig cfg;
+  cfg.beta = 2.0;  // outside Lemma 5's stability region
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(FlowTable(cfg, GammaConfig{}), std::invalid_argument);
+  EXPECT_THROW(MkcController{cfg}, std::invalid_argument);
+}
+
+TEST(FlowTableTest, GammaConfigRejectsBadThresholdButNotUnstableSigma) {
+  GammaConfig cfg;
+  cfg.p_thr = 0.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(FlowTable(MkcConfig{}, cfg), std::invalid_argument);
+  GammaConfig divergent;
+  divergent.sigma = 3.0;  // Figure 5 runs this gain on purpose
+  EXPECT_NO_THROW(divergent.validate());
+}
+
+TEST(FlowTableTest, CubicConfigRejectsBetaAboveOne) {
+  CcZooConfig zoo;
+  zoo.cubic.beta = 1.5;
+  EXPECT_THROW(zoo.cubic.validate(), std::invalid_argument);
+  EXPECT_THROW(FlowTable(MkcConfig{}, GammaConfig{}, zoo), std::invalid_argument);
+  EXPECT_THROW(CubicController{zoo.cubic}, std::invalid_argument);
+}
+
+TEST(FlowTableTest, DcqcnConfigRejectsZeroGain) {
+  CcZooConfig zoo;
+  zoo.dcqcn.alpha_g = 0.0;
+  EXPECT_THROW(zoo.dcqcn.validate(), std::invalid_argument);
+  EXPECT_THROW(FlowTable(MkcConfig{}, GammaConfig{}, zoo), std::invalid_argument);
+}
+
+TEST(FlowTableTest, SwiftConfigRejectsInvertedDelayBand) {
+  CcZooConfig zoo;
+  zoo.swift.q_low = zoo.swift.q_high;
+  EXPECT_THROW(zoo.swift.validate(), std::invalid_argument);
+  EXPECT_THROW(FlowTable(MkcConfig{}, GammaConfig{}, zoo), std::invalid_argument);
+}
+
+TEST(FlowTableTest, ScreamLiteConfigRejectsNonGrowingRamp) {
+  CcZooConfig zoo;
+  zoo.scream.max_tick_growth = 1.0;
+  EXPECT_THROW(zoo.scream.validate(), std::invalid_argument);
+  EXPECT_THROW(FlowTable(MkcConfig{}, GammaConfig{}, zoo), std::invalid_argument);
 }
 
 }  // namespace

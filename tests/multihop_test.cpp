@@ -2,6 +2,8 @@
 // most-congested-router feedback semantics of paper §5.2.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "analysis/stability.h"
 #include "pels/multihop.h"
 #include "util/stats.h"
@@ -124,6 +126,23 @@ TEST(ParkingLotTest, Deterministic) {
                      s.bottleneck2().counters().total_drops()};
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(ParkingLotTest, ConfigValidationFailsFast) {
+  EXPECT_NO_THROW(base_config().validate());
+  const auto rejects = [](auto mutate) {
+    ParkingLotConfig cfg = base_config();
+    mutate(cfg);
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    EXPECT_THROW(ParkingLotScenario{cfg}, std::invalid_argument);
+  };
+  rejects([](ParkingLotConfig& c) { c.long_flows = 0; });
+  rejects([](ParkingLotConfig& c) { c.cross_flows_hop1 = -1; });
+  rejects([](ParkingLotConfig& c) { c.cross_flows_hop2 = -1; });
+  rejects([](ParkingLotConfig& c) { c.bottleneck2_bps = 0.0; });
+  rejects([](ParkingLotConfig& c) { c.edge_bps = -1.0; });
+  rejects([](ParkingLotConfig& c) { c.bottleneck_delay = -1; });
+  rejects([](ParkingLotConfig& c) { c.mkc.beta = 2.5; });
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Tests for src/video: frame planning, packetization, the gamma controller
-// (eq. (4)), the synthetic R-D model, and the consecutive-prefix decoder.
+// Tests for src/video: frame planning, packetization, the gamma control law
+// (eq. (4), run on a FlowTable slot), the synthetic R-D model, and the
+// consecutive-prefix decoder.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "cc/flow_table.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "video/decoder.h"
@@ -137,57 +139,63 @@ TEST(PacketizeTest, EmptyFgsProducesOnlyBasePackets) {
   for (const auto& p : pkts) EXPECT_EQ(p.color, Color::kGreen);
 }
 
-// -------------------------------------------------------- GammaController
+// ------------------------------------------ gamma control (eq. (4))
+// A flow's gamma lives in a FlowTable slot; apply_gamma runs one eq. (4) step.
 
 TEST(GammaControllerTest, ConvergesToFixedPoint) {
   GammaConfig cfg;
   cfg.sigma = 0.5;
   cfg.p_thr = 0.75;
-  GammaController g(cfg);
-  for (int i = 0; i < 100; ++i) g.update(0.15);
-  EXPECT_NEAR(g.gamma(), 0.15 / 0.75, 1e-6);
+  FlowTable t(MkcConfig{}, cfg);
+  const FlowSlot g = t.add_flow();
+  for (int i = 0; i < 100; ++i) t.apply_gamma(g, 0.15);
+  EXPECT_NEAR(t.gamma(g), 0.15 / 0.75, 1e-6);
 }
 
 TEST(GammaControllerTest, FixedPointMakesRedLossEqualThreshold) {
   // At gamma* = p/p_thr, red loss p/gamma* = p_thr (Lemma 4).
   GammaConfig cfg;
-  GammaController g(cfg);
+  FlowTable t(MkcConfig{}, cfg);
+  const FlowSlot g = t.add_flow();
   const double p = 0.3;
-  for (int i = 0; i < 200; ++i) g.update(p);
-  EXPECT_NEAR(p / g.gamma(), cfg.p_thr, 1e-6);
+  for (int i = 0; i < 200; ++i) t.apply_gamma(g, p);
+  EXPECT_NEAR(p / t.gamma(g), cfg.p_thr, 1e-6);
 }
 
 TEST(GammaControllerTest, DropsToFloorWithoutLoss) {
   GammaConfig cfg;
   cfg.gamma_low = 0.05;
-  GammaController g(cfg);
-  for (int i = 0; i < 100; ++i) g.update(0.0);
-  EXPECT_DOUBLE_EQ(g.gamma(), 0.05);
+  FlowTable t(MkcConfig{}, cfg);
+  const FlowSlot g = t.add_flow();
+  for (int i = 0; i < 100; ++i) t.apply_gamma(g, 0.0);
+  EXPECT_DOUBLE_EQ(t.gamma(g), 0.05);
 }
 
 TEST(GammaControllerTest, ClampsAtCeiling) {
   GammaConfig cfg;
   cfg.gamma_high = 0.95;
-  GammaController g(cfg);
-  for (int i = 0; i < 100; ++i) g.update(1.0);  // p/p_thr = 1.33 > ceiling
-  EXPECT_DOUBLE_EQ(g.gamma(), 0.95);
+  FlowTable t(MkcConfig{}, cfg);
+  const FlowSlot g = t.add_flow();
+  for (int i = 0; i < 100; ++i) t.apply_gamma(g, 1.0);  // p/p_thr = 1.33 > ceiling
+  EXPECT_DOUBLE_EQ(t.gamma(g), 0.95);
 }
 
 TEST(GammaControllerTest, TracksLossChanges) {
-  GammaController g(GammaConfig{});
-  for (int i = 0; i < 100; ++i) g.update(0.07);
-  const double low = g.gamma();
-  for (int i = 0; i < 100; ++i) g.update(0.14);
-  EXPECT_NEAR(g.gamma(), 2.0 * low, 1e-3);
+  FlowTable t(MkcConfig{}, GammaConfig{});
+  const FlowSlot g = t.add_flow();
+  for (int i = 0; i < 100; ++i) t.apply_gamma(g, 0.07);
+  const double low = t.gamma(g);
+  for (int i = 0; i < 100; ++i) t.apply_gamma(g, 0.14);
+  EXPECT_NEAR(t.gamma(g), 2.0 * low, 1e-3);
 }
 
 TEST(GammaControllerTest, StabilityPredicate) {
-  EXPECT_FALSE(GammaController::is_stable_gain(0.0));
-  EXPECT_TRUE(GammaController::is_stable_gain(0.5));
-  EXPECT_TRUE(GammaController::is_stable_gain(1.99));
-  EXPECT_FALSE(GammaController::is_stable_gain(2.0));
-  EXPECT_FALSE(GammaController::is_stable_gain(3.0));
-  EXPECT_FALSE(GammaController::is_stable_gain(-0.5));
+  EXPECT_FALSE(is_stable_gain(0.0));
+  EXPECT_TRUE(is_stable_gain(0.5));
+  EXPECT_TRUE(is_stable_gain(1.99));
+  EXPECT_FALSE(is_stable_gain(2.0));
+  EXPECT_FALSE(is_stable_gain(3.0));
+  EXPECT_FALSE(is_stable_gain(-0.5));
 }
 
 TEST(GammaControllerTest, PureIterateMatchesLemma) {
@@ -199,10 +207,9 @@ TEST(GammaControllerTest, StationaryGammaClamped) {
   GammaConfig cfg;
   cfg.gamma_low = 0.05;
   cfg.gamma_high = 0.95;
-  GammaController g(cfg);
-  EXPECT_DOUBLE_EQ(g.stationary_gamma(0.0), 0.05);
-  EXPECT_NEAR(g.stationary_gamma(0.15), 0.2, 1e-9);
-  EXPECT_DOUBLE_EQ(g.stationary_gamma(0.9), 0.95);
+  EXPECT_DOUBLE_EQ(stationary_gamma(cfg, 0.0), 0.05);
+  EXPECT_NEAR(stationary_gamma(cfg, 0.15), 0.2, 1e-9);
+  EXPECT_DOUBLE_EQ(stationary_gamma(cfg, 0.9), 0.95);
 }
 
 // ---------------------------------------------------------------- RdModel

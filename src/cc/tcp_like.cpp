@@ -150,9 +150,9 @@ void TcpSink::on_packet(const Packet& pkt) {
   if (pkt.seq == cum_ack_) {
     ++cum_ack_;
     // Absorb any buffered out-of-order segments that are now in order.
-    while (out_of_order_.erase(cum_ack_) > 0) ++cum_ack_;
+    while (out_of_order_count_ > 0 && take_out_of_order(cum_ack_)) ++cum_ack_;
   } else if (pkt.seq > cum_ack_) {
-    out_of_order_.insert(pkt.seq);
+    mark_out_of_order(pkt.seq);
   }
   Packet ack;
   ack.uid = pkt.uid | (1ULL << 63);
@@ -167,6 +167,42 @@ void TcpSink::on_packet(const Packet& pkt) {
   ack.ack->acked_seq = cum_ack_;
   ack.ack->recv_marked = recv_marked_;
   host_.send(std::move(ack));
+}
+
+void TcpSink::mark_out_of_order(std::uint64_t seq) {
+  const std::uint64_t span = seq - cum_ack_;
+  if (span >= 64 * out_of_order_.size()) {
+    std::size_t words = out_of_order_.empty() ? 1 : out_of_order_.size();
+    while (span >= 64 * words) words *= 2;
+    // Re-home the set bits: their positions depend on the bitmap width.
+    std::vector<std::uint64_t> grown(words, 0);
+    const std::uint64_t old_bits = 64 * out_of_order_.size();
+    for (std::uint64_t s = cum_ack_ + 1; s < cum_ack_ + old_bits; ++s) {
+      const std::uint64_t i = s & (old_bits - 1);
+      if ((out_of_order_[i / 64] >> (i % 64)) & 1) {
+        const std::uint64_t j = s & (64 * words - 1);
+        grown[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+    out_of_order_.swap(grown);
+  }
+  const std::uint64_t i = seq & (64 * out_of_order_.size() - 1);
+  std::uint64_t& word = out_of_order_[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if ((word & bit) == 0) {
+    word |= bit;
+    ++out_of_order_count_;
+  }
+}
+
+bool TcpSink::take_out_of_order(std::uint64_t seq) {
+  const std::uint64_t i = seq & (64 * out_of_order_.size() - 1);
+  std::uint64_t& word = out_of_order_[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if ((word & bit) == 0) return false;
+  word &= ~bit;
+  --out_of_order_count_;
+  return true;
 }
 
 }  // namespace pels

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "net/host.h"
 #include "sim/simulation.h"
@@ -92,12 +92,22 @@ class TcpSink : public Agent {
   std::uint64_t marked_received() const { return recv_marked_; }
 
  private:
+  /// Records `seq` (> cum_ack_) as received out of order.
+  void mark_out_of_order(std::uint64_t seq);
+  /// Clears `seq`'s out-of-order bit; returns whether it was set.
+  bool take_out_of_order(std::uint64_t seq);
+
   Host& host_;
   FlowId flow_;
   NodeId src_node_;
   TcpConfig cfg_;
   std::uint64_t cum_ack_ = 0;  // next expected in-order sequence
-  std::unordered_set<std::uint64_t> out_of_order_;
+  // Segments received above cum_ack_, as a circular bitmap: seq s lives at
+  // bit s mod (64 * size()) for s in (cum_ack_, cum_ack_ + 64 * size()). The
+  // word count is a power of two that grows to the widest reorder span seen
+  // and never shrinks, so steady-state reordering allocates nothing.
+  std::vector<std::uint64_t> out_of_order_;
+  std::size_t out_of_order_count_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t recv_marked_ = 0;
 };

@@ -119,8 +119,8 @@ FairnessCellResult run_fairness_cell(const FairnessCellConfig& cfg) {
   // Green-band one-way delay distribution, pooled across video flows.
   SampleSet green;
   for (int i = 0; i < scen.pels_flows; ++i) {
-    for (const double d : s.sink(i).delay_samples(Color::kGreen).samples())
-      green.add(d);
+    for (const TimeSeries::Point& p : s.sink(i).delay_series(Color::kGreen).points())
+      green.add(p.value);
   }
   if (green.count() > 0) {
     out.delay_p50_ms = green.quantile(0.50) * 1e3;

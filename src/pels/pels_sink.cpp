@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 namespace pels {
 
 namespace {
-// Frames older than this many frame periods behind the newest are decoded
-// and closed. Must exceed the worst red-band queueing delay (seconds, by
-// design — red packets wait behind the starved band), or late red chunks
-// would re-open already-scored frames. Doubles as the playback deadline:
-// packets later than this are treated as lost, as a real decoder would.
-constexpr std::int64_t kFinalizeLagFrames = 40;
+/// Resets a recycled reception record for a new frame, keeping the chunk
+/// vector's capacity.
+void start_reception(FrameReception& rx, std::int64_t frame_id, std::int64_t base_bytes) {
+  rx.frame_id = frame_id;
+  rx.base_bytes_expected = base_bytes;
+  rx.base_bytes_received = 0;
+  rx.fgs_chunks.clear();
+  rx.completed_at = 0;
+}
 }  // namespace
 
 PelsSink::PelsSink(Simulation& sim, Host& host, FlowId flow, NodeId src_node,
@@ -48,8 +52,9 @@ void PelsSink::on_packet(const Packet& pkt) {
     // are idempotent for the sender — but contributes nothing to counters,
     // delay samples, or the reception record.
     if (unwrapped > last_finalized_) {
-      auto dup = open_frames_.find(unwrapped);
-      if (dup != open_frames_.end() && dup->second.uids.count(pkt.uid) > 0) {
+      const OpenFrame& open = slot_for(unwrapped);
+      if (open.id == unwrapped &&
+          std::find(open.uids.begin(), open.uids.end(), pkt.uid) != open.uids.end()) {
         ++duplicates_ignored_;
         send_ack(pkt);
         return;
@@ -61,45 +66,68 @@ void PelsSink::on_packet(const Packet& pkt) {
   ++recv_[c];
   data_bytes_ += static_cast<std::uint64_t>(pkt.size_bytes);
   if (pkt.ecn_marked) ++recv_marked_;
-  const double delay_s = to_seconds(sim_.now() - pkt.created_at);
-  delays_[c].add(delay_s);
-  delay_series_[c].add(sim_.now(), delay_s);
+  delay_series_[c].add(sim_.now(), to_seconds(sim_.now() - pkt.created_at));
 
-  if (pkt.frame_id >= 0) {
-    if (unwrapped > last_finalized_) {  // else: past its deadline — lost
-      if (pkt.color == Color::kYellow || pkt.color == Color::kRed) {
-        recv_fgs_bytes_ += static_cast<std::uint64_t>(pkt.size_bytes);
-      }
-      OpenFrame& frame = open_frames_[unwrapped];
-      frame.uids.insert(pkt.uid);
-      FrameReception& rx = frame.rx;
-      if (rx.frame_id < 0) {
-        rx.frame_id = pkt.frame_id;
-        rx.base_bytes_expected = video_.base_layer_bytes;
-      }
-      // Classify by frame position, not colour: markers (TCM) may recolour
-      // packets, but a negative frame offset always means base-layer data.
-      if (pkt.frame_offset < 0) {
-        rx.base_bytes_received += pkt.size_bytes;
-        rx.completed_at = std::max(rx.completed_at, sim_.now());
-      } else {
-        rx.fgs_chunks.emplace_back(pkt.frame_offset, pkt.size_bytes);
-        if (pkt.color != Color::kRed)
-          rx.completed_at = std::max(rx.completed_at, sim_.now());
-      }
-      max_frame_seen_ = std::max(max_frame_seen_, unwrapped);
-      // Finalize frames that have passed their deadline.
-      while (!open_frames_.empty() &&
-             open_frames_.begin()->first <= max_frame_seen_ - kFinalizeLagFrames) {
-        auto node = open_frames_.extract(open_frames_.begin());
-        finalize_frame(node.key(), std::move(node.mapped().rx));
-      }
+  if (pkt.frame_id >= 0 && unwrapped > last_finalized_) {  // else: past its deadline — lost
+    if (pkt.color == Color::kYellow || pkt.color == Color::kRed) {
+      recv_fgs_bytes_ += static_cast<std::uint64_t>(pkt.size_bytes);
     }
+    // A newer frame pushes older ones past their deadline: finalize those
+    // first, which also frees this frame's ring slot. A packet of a frame
+    // already past the deadline of the newest one is scored on its own.
+    const bool late = unwrapped <= max_frame_seen_ - kFinalizeLagFrames;
+    if (unwrapped > max_frame_seen_) {
+      finalize_through(unwrapped - kFinalizeLagFrames);
+      max_frame_seen_ = unwrapped;
+    }
+    FrameReception* rx = &late_rx_;
+    if (late) {
+      start_reception(late_rx_, pkt.frame_id, video_.base_layer_bytes);
+    } else {
+      OpenFrame& frame = open_frame(unwrapped, pkt.frame_id);
+      frame.uids.push_back(pkt.uid);
+      rx = &frame.rx;
+    }
+    // Classify by frame position, not colour: markers (TCM) may recolour
+    // packets, but a negative frame offset always means base-layer data.
+    if (pkt.frame_offset < 0) {
+      rx->base_bytes_received += pkt.size_bytes;
+      rx->completed_at = std::max(rx->completed_at, sim_.now());
+    } else {
+      rx->fgs_chunks.emplace_back(pkt.frame_offset, pkt.size_bytes);
+      if (pkt.color != Color::kRed)
+        rx->completed_at = std::max(rx->completed_at, sim_.now());
+    }
+    if (late) finalize_frame(unwrapped, late_rx_);
   }
   send_ack(pkt);
 }
 
-void PelsSink::finalize_frame(std::int64_t unwrapped_id, FrameReception rx) {
+PelsSink::OpenFrame& PelsSink::open_frame(std::int64_t unwrapped, std::int64_t raw_id) {
+  OpenFrame& slot = slot_for(unwrapped);
+  if (slot.id == unwrapped) return slot;
+  assert(slot.id < 0 && "ring slot still holds an unfinalized frame");
+  slot.id = unwrapped;
+  start_reception(slot.rx, raw_id, video_.base_layer_bytes);
+  slot.uids.clear();
+  return slot;
+}
+
+void PelsSink::finalize_through(std::int64_t last) {
+  // Open frames lie in (max_frame_seen_ - kFinalizeLagFrames, max_frame_seen_]
+  // and above last_finalized_, so this visits at most one lap of the ring.
+  const std::int64_t first =
+      std::max(last_finalized_ + 1, max_frame_seen_ - kFinalizeLagFrames + 1);
+  last = std::min(last, max_frame_seen_);
+  for (std::int64_t id = first; id <= last; ++id) {
+    OpenFrame& slot = slot_for(id);
+    if (slot.id != id) continue;
+    finalize_frame(id, slot.rx);
+    slot.id = -1;
+  }
+}
+
+void PelsSink::finalize_frame(std::int64_t unwrapped_id, const FrameReception& rx) {
   last_finalized_ = std::max(last_finalized_, unwrapped_id);
   qualities_.push_back(decoder_.decode(rx));
   const FrameQuality& q = qualities_.back();
@@ -138,10 +166,7 @@ void PelsSink::register_metrics(MetricsRegistry& registry, const std::string& pr
                      [this] { return static_cast<double>(duplicates_ignored_); });
 }
 
-void PelsSink::finalize_all() {
-  for (auto& [id, frame] : open_frames_) finalize_frame(id, std::move(frame.rx));
-  open_frames_.clear();
-}
+void PelsSink::finalize_all() { finalize_through(max_frame_seen_); }
 
 void PelsSink::send_ack(const Packet& data) {
   Packet ack;
@@ -165,6 +190,12 @@ void PelsSink::send_ack(const Packet& data) {
   info.recv_marked = recv_marked_;
   ack.ack = std::move(info);
   host_.send(std::move(ack));
+}
+
+SampleSet PelsSink::delay_samples(Color c) const {
+  SampleSet out;
+  for (const TimeSeries::Point& p : delay_series(c).points()) out.add(p.value);
+  return out;
 }
 
 std::vector<FrameQuality> PelsSink::quality_for_frames(std::int64_t first,

@@ -11,9 +11,8 @@
 // the red band size) and scored through the FGS decoder + R-D model.
 #pragma once
 
-#include <map>
+#include <array>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "net/host.h"
@@ -28,6 +27,13 @@ namespace pels {
 
 class PelsSink : public Agent {
  public:
+  /// Frames older than this many frame periods behind the newest are decoded
+  /// and closed. Must exceed the worst red-band queueing delay (seconds, by
+  /// design — red packets wait behind the starved band), or late red chunks
+  /// would re-open already-scored frames. Doubles as the playback deadline:
+  /// packets later than this are treated as lost, as a real decoder would.
+  static constexpr std::int64_t kFinalizeLagFrames = 40;
+
   /// `rd` is borrowed and must outlive the sink.
   PelsSink(Simulation& sim, Host& host, FlowId flow, NodeId src_node, VideoConfig video,
            const RdModel& rd, std::int32_t ack_size_bytes = 40);
@@ -47,8 +53,9 @@ class PelsSink : public Agent {
   /// Data packets that arrived carrying an ECN congestion-experienced mark.
   std::uint64_t marked_received() const { return recv_marked_; }
 
-  /// One-way delay samples per colour, seconds.
-  const SampleSet& delay_samples(Color c) const { return delays_[static_cast<std::size_t>(c)]; }
+  /// One-way delay samples per colour, seconds: the values of delay_series,
+  /// copied out for quantiles (one record per packet, not two).
+  SampleSet delay_samples(Color c) const;
   /// (time, delay-seconds) series per colour for trajectory plots.
   const TimeSeries& delay_series(Color c) const {
     return delay_series_[static_cast<std::size_t>(c)];
@@ -81,8 +88,26 @@ class PelsSink : public Agent {
   void register_metrics(MetricsRegistry& registry, const std::string& prefix);
 
  private:
+  /// A frame being assembled plus the uids already absorbed into it, so a
+  /// duplicated packet (link retransmission, fault injection) cannot inflate
+  /// the reception record. Slots are recycled, never freed: reopening one
+  /// clears its chunk and uid vectors but keeps their capacity.
+  struct OpenFrame {
+    std::int64_t id = -1;  // unwrapped frame id; -1 = slot free
+    FrameReception rx;
+    std::vector<std::uint64_t> uids;
+  };
+
   void send_ack(const Packet& data);
-  void finalize_frame(std::int64_t frame_id, FrameReception rx);
+  /// Ring slot of frame `unwrapped`; it holds that frame iff its id matches.
+  OpenFrame& slot_for(std::int64_t unwrapped) {
+    return open_frames_[static_cast<std::size_t>(unwrapped % kFinalizeLagFrames)];
+  }
+  /// The open frame `unwrapped`, opening it in its (free) slot if needed.
+  OpenFrame& open_frame(std::int64_t unwrapped, std::int64_t raw_id);
+  /// Finalizes every open frame with id <= `last`, in id order.
+  void finalize_through(std::int64_t last);
+  void finalize_frame(std::int64_t frame_id, const FrameReception& rx);
 
   Simulation& sim_;
   Host& host_;
@@ -96,18 +121,14 @@ class PelsSink : public Agent {
   std::uint64_t recv_fgs_bytes_ = 0;
   std::uint64_t data_bytes_ = 0;
   std::uint64_t recv_marked_ = 0;
-  SampleSet delays_[kNumColors];
   TimeSeries delay_series_[kNumColors];
 
-  /// A frame being assembled plus the uids already absorbed into it, so a
-  /// duplicated packet (link retransmission, fault injection) cannot inflate
-  /// the reception record. The set dies with the frame, bounding memory.
-  struct OpenFrame {
-    FrameReception rx;
-    std::unordered_set<std::uint64_t> uids;
-  };
-
-  std::map<std::int64_t, OpenFrame> open_frames_;  // keyed by unwrapped id
+  // Open frames always lie within kFinalizeLagFrames of the newest one, so a
+  // ring indexed by unwrapped id modulo the lag holds them without collision.
+  // A packet of an older, not yet finalized frame is scored alone in
+  // late_rx_ instead (its ring slot may belong to a newer open frame).
+  std::array<OpenFrame, kFinalizeLagFrames> open_frames_;
+  FrameReception late_rx_;
   std::int64_t max_frame_seen_ = -1;
   std::int64_t last_finalized_ = -1;
   std::uint64_t duplicates_ignored_ = 0;

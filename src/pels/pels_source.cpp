@@ -75,10 +75,10 @@ void PelsSource::on_frame_clock() {
                       cfg_.partition, cap);
   }
   ++next_frame_;
-  std::vector<Packet> pkts = packetize(cfg_.video, plan);
-  if (pkts.empty()) return;
+  packetize_into(cfg_.video, plan, frame_packets_);
+  if (frame_packets_.empty()) return;
 
-  for (auto& pkt : pkts) {
+  for (auto& pkt : frame_packets_) {
     pkt.flow = flow_;
     pkt.seq = next_seq_++;
     pkt.src = host_.id();
@@ -92,8 +92,7 @@ void PelsSource::on_frame_clock() {
 void PelsSource::pace_next() {
   pace_event_ = 0;
   if (send_buffer_.empty()) return;
-  Packet pkt = std::move(send_buffer_.front());
-  send_buffer_.pop_front();
+  Packet pkt = send_buffer_.pop_front();
   // Space packets at a lightly smoothed controller rate: the raw rate
   // carries per-epoch measurement noise, and pacing that follows it beat-
   // for-beat makes the arrival process bursty at the bottleneck (extra
@@ -128,10 +127,10 @@ void PelsSource::transmit(Packet pkt) {
   ++sent_[static_cast<std::size_t>(pkt.color)];
   if (pkt.color == Color::kYellow || pkt.color == Color::kRed) {
     sent_fgs_bytes_ += static_cast<std::uint64_t>(pkt.size_bytes);
-    send_history_.emplace_back(sim_.now(), sent_fgs_bytes_);
+    send_history_.push_back({sim_.now(), sent_fgs_bytes_});
     // Keep a few seconds of history: lookups go back at most one RTT.
     const SimTime horizon = sim_.now() - 5 * kSecond;
-    while (send_history_.size() > 1 && send_history_[1].first <= horizon)
+    while (send_history_.size() > 1 && send_history_.at(1).first <= horizon)
       send_history_.pop_front();
   }
   host_.send(std::move(pkt));
@@ -168,7 +167,9 @@ void PelsSource::handle_ack(const AckInfo& ack) {
   // the filter re-anchors at the reborn router's epoch instead of staying
   // deaf until it counts past the pre-restart value.
   if (ack.echoed.valid) {
-    auto& last = epoch_seen_[ack.echoed.router_id];
+    const auto router = static_cast<std::size_t>(ack.echoed.router_id);
+    if (router >= epoch_seen_.size()) epoch_seen_.resize(router + 1, 0);
+    std::uint64_t& last = epoch_seen_[router];
     if (epoch_is_fresh(last, ack.echoed.epoch)) {
       last = ack.echoed.epoch;
       controller_->on_router_feedback(ack.echoed.loss, sim_.now());
@@ -199,13 +200,16 @@ std::int32_t PelsSource::governing_router() const {
 }
 
 std::uint64_t PelsSource::sent_fgs_bytes_at(SimTime t) const {
-  // Last history entry with timestamp <= t (entries are time-ordered).
-  std::uint64_t bytes = 0;
-  auto it = std::upper_bound(
-      send_history_.begin(), send_history_.end(), t,
-      [](SimTime value, const auto& entry) { return value < entry.first; });
-  if (it != send_history_.begin()) bytes = std::prev(it)->second;
-  return bytes;
+  // Last history entry with timestamp <= t (entries are time-ordered):
+  // binary search for the first entry after t.
+  std::size_t lo = 0;
+  std::size_t hi = send_history_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (send_history_.at(mid).first <= t) lo = mid + 1;
+    else hi = mid;
+  }
+  return lo == 0 ? 0 : send_history_.at(lo - 1).second;
 }
 
 void PelsSource::on_control_clock() {

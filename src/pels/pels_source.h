@@ -14,7 +14,6 @@
 // is sent unpartitioned (yellow) and gamma stays out of the loop.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "net/tcm.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
+#include "util/ring_buffer.h"
 #include "util/stats.h"
 #include "video/fgs.h"
 #include "video/frame_size.h"
@@ -158,7 +158,8 @@ class PelsSource : public Agent {
   // controller rate. With constant scaling each frame exactly fills its
   // period; with R-D scaling large frames borrow time from small ones
   // instead of bursting past the rate within their own period.
-  std::deque<Packet> send_buffer_;
+  RingBuffer<Packet> send_buffer_;
+  std::vector<Packet> frame_packets_;  // packetize_into scratch, reused per frame
   EventId pace_event_ = 0;
   std::unique_ptr<SrTcmMarker> tcm_marker_;  // set iff cfg_.tcm_marking
 
@@ -166,10 +167,14 @@ class PelsSource : public Agent {
   std::uint64_t next_seq_ = 0;
   std::uint64_t sent_[kNumColors] = {};
   std::uint64_t sent_fgs_bytes_ = 0;
-  std::deque<std::pair<SimTime, std::uint64_t>> send_history_;  // (t, cum fgs bytes)
+  RingBuffer<std::pair<SimTime, std::uint64_t>> send_history_;  // (t, cum fgs bytes)
 
-  std::unordered_map<std::int32_t, std::uint64_t> epoch_seen_;  // per router
-  std::unordered_map<std::int32_t, std::uint64_t> consumed_;    // labels per router
+  // Last consumed epoch per router, indexed by router id (FeedbackMeter
+  // rejects negative ids; ids are small and dense); 0 = none yet.
+  std::vector<std::uint64_t> epoch_seen_;
+  // Labels consumed per router. A map, not a flat vector: its iteration
+  // order breaks governing_router() ties.
+  std::unordered_map<std::int32_t, std::uint64_t> consumed_;
   double latest_router_fgs_loss_ = 0.0;  // from the freshest consumed label
   std::int32_t last_feedback_router_ = -1;
   SimTime last_label_at_ = 0;   // watchdog anchor; reset at start()

@@ -1,14 +1,14 @@
 #include "queue/drop_tail.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace pels {
 
 DropTailQueue::DropTailQueue(std::size_t limit_packets, std::int64_t limit_bytes)
     : limit_packets_(limit_packets), limit_bytes_(limit_bytes) {
-  assert(limit_packets_ > 0);
-  assert(limit_bytes_ > 0);
-  if (limit_packets_ != kUnlimitedPackets) fifo_.reserve(limit_packets_);
+  if (limit_packets_ == 0)
+    throw std::invalid_argument("DropTailQueue: limit_packets must be >= 1");
+  if (limit_bytes_ <= 0) throw std::invalid_argument("DropTailQueue: limit_bytes must be > 0");
 }
 
 bool DropTailQueue::enqueue(Packet pkt) {

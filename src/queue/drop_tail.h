@@ -2,7 +2,9 @@
 //
 // Backed by a RingBuffer, not std::deque: deque block churn costs roughly
 // one allocation per 4-5 packets, which would be the last remaining heap
-// traffic on the steady-state packet path (see util/ring_buffer.h).
+// traffic on the steady-state packet path (see util/ring_buffer.h). The ring
+// grows to the queue's high-water mark, not its limit, so a mostly empty
+// queue stays cache-resident.
 #pragma once
 
 #include <limits>
@@ -16,6 +18,8 @@ class DropTailQueue : public QueueDisc {
  public:
   /// Limits are inclusive; a packet is dropped if admitting it would exceed
   /// either the packet or the byte limit. Pass kUnlimited to disable one.
+  /// Throws std::invalid_argument on a zero packet limit or a byte limit
+  /// <= 0 (either would silently drop every packet).
   static constexpr std::size_t kUnlimitedPackets = std::numeric_limits<std::size_t>::max();
   static constexpr std::int64_t kUnlimitedBytes = std::numeric_limits<std::int64_t>::max();
 

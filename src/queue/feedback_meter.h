@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "net/packet.h"
 #include "util/time.h"
@@ -41,7 +42,10 @@ class FeedbackMeter {
         interval_(interval),
         loss_floor_(loss_floor),
         loss_ceiling_(loss_ceiling),
-        rate_ewma_(rate_ewma) {}
+        rate_ewma_(rate_ewma) {
+    // Sources index their per-router epoch filter by id.
+    if (router_id < 0) throw std::invalid_argument("FeedbackMeter: router_id must be >= 0");
+  }
 
   /// Accumulates arriving demand (call for every video-class arrival).
   /// `is_fgs` marks yellow/red enhancement-layer packets.

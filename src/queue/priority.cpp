@@ -1,19 +1,20 @@
 #include "queue/priority.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace pels {
 
 StrictPriorityQueue::StrictPriorityQueue(std::vector<std::size_t> band_limits,
                                          Classifier classify)
     : limits_(std::move(band_limits)), classify_(std::move(classify)), bands_(limits_.size()) {
-  assert(!limits_.empty());
-  assert(classify_ != nullptr);
-  for (std::size_t i = 0; i < limits_.size(); ++i) {
-    assert(limits_[i] > 0);
-    // Limits are enforced on enqueue, so a band reserved to its limit never
-    // grows again: the queue is allocation-free after construction.
-    bands_[i].reserve(limits_[i]);
+  if (limits_.empty())
+    throw std::invalid_argument("StrictPriorityQueue: band_limits must not be empty");
+  if (classify_ == nullptr)
+    throw std::invalid_argument("StrictPriorityQueue: classify must not be null");
+  for (const std::size_t limit : limits_) {
+    if (limit == 0)
+      throw std::invalid_argument("StrictPriorityQueue: band_limits must be >= 1 packet");
   }
 }
 

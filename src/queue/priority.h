@@ -20,7 +20,9 @@ class StrictPriorityQueue : public QueueDisc {
   /// Maps a packet to its band in [0, bands). Must be pure.
   using Classifier = std::function<std::size_t(const Packet&)>;
 
-  /// `band_limits[i]` is the packet capacity of band i.
+  /// `band_limits[i]` is the packet capacity of band i. Throws
+  /// std::invalid_argument on an empty band list, a zero band limit or a
+  /// null classifier.
   StrictPriorityQueue(std::vector<std::size_t> band_limits, Classifier classify);
 
   bool enqueue(Packet pkt) override;
@@ -40,11 +42,12 @@ class StrictPriorityQueue : public QueueDisc {
  private:
   std::vector<std::size_t> limits_;
   Classifier classify_;
-  // Rings, not std::deque: each band is reserved to its (fixed) packet limit
-  // at construction, so the steady-state enqueue/dequeue path never touches
-  // the heap. A deque allocates/frees a block for every ~4 Packets that pass
-  // through (see util/ring_buffer.h), which at population scale dominates
-  // the per-packet cost (bench/many_flows asserts 0 allocs/packet).
+  // Rings, not std::deque: a deque allocates/frees a block for every ~4
+  // Packets that pass through (see util/ring_buffer.h), which at population
+  // scale dominates the per-packet cost (bench/many_flows asserts 0
+  // allocs/packet). Each band grows to its high-water mark, not its limit,
+  // and never shrinks: steady state never touches the heap, and a band
+  // holding a few packets stays a few cache lines wide.
   std::vector<RingBuffer<Packet>> bands_;
   std::size_t total_packets_ = 0;
   std::int64_t total_bytes_ = 0;

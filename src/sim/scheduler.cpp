@@ -159,15 +159,16 @@ void Scheduler::load_run(std::size_t pos, std::uint64_t abs_idx) {
 
 void Scheduler::cascade(int level, std::size_t pos) {
   Bucket& b = wheel_[level].buckets[pos];
-  // Swap out before re-placing: entries land in other buckets (strictly
-  // lower levels — the cascaded bucket contains the new frontier, so the
-  // XOR level rule cannot pick `level` again) or on the heap for the
-  // already-drained window.
-  assert(cascade_buf_.empty());
-  std::swap(b.entries, cascade_buf_);
+  // Re-placed entries land in strictly lower levels (the cascaded bucket
+  // contains the new frontier, so the XOR level rule cannot pick `level`
+  // again) or on the heap for the already-drained window — never back in
+  // this bucket, so it is walked in place and keeps its storage, exactly
+  // like a drained level-0 bucket. Swapping it out instead would hand every
+  // cascaded bucket some other bucket's storage, and the ones left short
+  // would regrow on every period.
   wheel_[level].occupancy[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
   const std::uint64_t f0 = frontier_idx0();
-  for (const Entry& e : cascade_buf_) {
+  for (const Entry& e : b.entries) {
     // The common path is slot-free: entries re-place on (t, seq) alone, and
     // cancelled ones ride along until the level-0 purge. Only the rare heap
     // fallback (an entry behind the drain frontier) checks the generation,
@@ -185,12 +186,11 @@ void Scheduler::cascade(int level, std::size_t pos) {
       sift_up(heap_.size() - 1);
     }
   }
-  cascade_buf_.clear();
+  b.entries.clear();
   // A concentrated bucket's big storage (taken over from the spare pool in
-  // place_in_wheel) leaves through here when the bucket cascades: park the
-  // scratch back into the pool so it circulates to the next concentrated
-  // bucket instead of stranding in the cascade scratch.
-  park_into_pool(cascade_buf_);
+  // place_in_wheel) leaves through here when the bucket cascades: park it
+  // back into the pool so it circulates to the next concentrated bucket.
+  if (b.entries.capacity() > bucket_keep_capacity()) park_into_pool(b.entries);
   ++cascades_;
 }
 

@@ -84,7 +84,7 @@ class Scheduler {
     std::size_t wheel_capacity = 0;   // sum of bucket capacities (growth probe)
     std::size_t run_capacity = 0;     // run buffer capacity (growth probe)
     // Breakdown of wheel_capacity for diagnosing which tier grew: per-level
-    // bucket sums plus the pooled scratch/spare storage that circulates
+    // bucket sums plus the pooled spare storage that circulates
     // between buckets (wheel_capacity = sum of levels + pool).
     std::array<std::size_t, 3> wheel_level_capacity{};
     std::size_t wheel_pool_capacity = 0;
@@ -209,10 +209,9 @@ class Scheduler {
         s.wheel_level_capacity[l] += b.entries.capacity();
       s.wheel_capacity += s.wheel_level_capacity[l];
     }
-    // Storage swaps between buckets, the cascade scratch, and the spare pool,
-    // so all of it counts toward the pooled wheel capacity (otherwise a swap
-    // reads as spurious growth/shrink on the probe).
-    s.wheel_pool_capacity = cascade_buf_.capacity();
+    // Storage swaps between buckets and the spare pool, so both count toward
+    // the pooled wheel capacity (otherwise a swap reads as spurious
+    // growth/shrink on the probe).
     for (const std::vector<Entry>& sp : spares_) s.wheel_pool_capacity += sp.capacity();
     s.wheel_capacity += s.wheel_pool_capacity;
     s.run_capacity = run_.capacity();
@@ -238,7 +237,6 @@ class Scheduler {
     for (WheelLevel& level : wheel_) {
       for (Bucket& b : level.buckets) b.entries.reserve(per_bucket);
     }
-    cascade_buf_.reserve(per_bucket * 8);
     // Concentration spares: the even-spread assumption fails whenever the
     // pacing horizon crosses a level's bucket width — the single insertion
     // bucket at now + gap then collects ~the whole pending population, far
@@ -284,11 +282,11 @@ class Scheduler {
   static constexpr int kWheelShift = 17;  // log2(level-0 bucket width in ns)
   static constexpr std::uint32_t kNotInWheel = 0xffffffffu;
   static constexpr std::uint32_t kInWheel = 0;
-  /// Parked spare buffers circulating between concentrated buckets and the
-  /// cascade scratch. Sized for the worst concurrent demand observed in
-  /// practice (filling horizon bucket + waiting predecessor + period spill,
-  /// per busy level) with headroom; the pool is tiny next to the buffers it
-  /// holds, so generosity is cheap.
+  /// Parked spare buffers circulating between concentrated buckets. Sized
+  /// for the worst concurrent demand observed in practice (filling horizon
+  /// bucket + waiting predecessor + period spill, per busy level) with
+  /// headroom; the pool is tiny next to the buffers it holds, so generosity
+  /// is cheap.
   static constexpr std::size_t kSpareBuffers = 8;
 
   struct Bucket {
@@ -473,7 +471,6 @@ class Scheduler {
   std::vector<Entry> run_;           // drained bucket, sorted by (t, seq)
   std::size_t run_pos_ = 0;          // consumption cursor into run_
   std::array<WheelLevel, kWheelLevels> wheel_;
-  std::vector<Entry> cascade_buf_;   // scratch for cascade() (reused)
   // Parked storage pool for concentrated buckets (see place_in_wheel and
   // reserve()). Several buffers because several buckets can need big storage
   // concurrently; extra slots beyond the pre-parked three let organically

@@ -4,9 +4,12 @@
 // roughly every 4-5 Packets that pass through, which keeps a per-packet
 // allocation on the hot path even after the scheduler and callbacks are
 // allocation-free. A ring over a flat vector reaches a steady state after
-// warm-up and never touches the heap again; Link's in-flight pipeline and
-// DropTailQueue both sit on this. Indexing is mask-based, so capacity is
-// always a power of two.
+// warm-up and never touches the heap again; Link's in-flight pipeline, the
+// DropTailQueue FIFO and the StrictPriorityQueue bands all sit on this.
+// Capacity grows on demand to the high-water mark and never shrinks; queues
+// deliberately do not reserve their limit, because a ring far wider than its
+// occupancy walks its head through cold slots on every push. Indexing is
+// mask-based, so capacity is always a power of two.
 #pragma once
 
 #include <cassert>

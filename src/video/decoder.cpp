@@ -1,16 +1,24 @@
 #include "video/decoder.h"
 
-#include <algorithm>
-
 namespace pels {
 
 std::int64_t FgsDecoder::useful_prefix(
-    std::vector<std::pair<std::int32_t, std::int32_t>> chunks) {
-  std::sort(chunks.begin(), chunks.end());
+    const std::vector<std::pair<std::int32_t, std::int32_t>>& chunks) {
+  // Extend the covered prefix by every chunk starting inside it until a pass
+  // adds nothing; a chunk past the first gap never qualifies. Equivalent to
+  // sorting by offset and stopping at the first gap, without copying the
+  // list: chunks arrive nearly in offset order (yellow before red, ascending
+  // within each), so this settles in two passes unless packets reorder.
   std::int64_t covered = 0;
-  for (const auto& [offset, length] : chunks) {
-    if (offset > covered) break;  // gap: everything after is undecodable
-    covered = std::max<std::int64_t>(covered, offset + length);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [offset, length] : chunks) {
+      const std::int64_t end = std::int64_t{offset} + length;
+      if (offset <= covered && end > covered) {
+        covered = end;
+        grew = true;
+      }
+    }
   }
   return covered;
 }

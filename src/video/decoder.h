@@ -50,7 +50,7 @@ class FgsDecoder {
   /// (retransmission-free PELS never produces them, but the decoder is
   /// defensive) are tolerated.
   static std::int64_t useful_prefix(
-      std::vector<std::pair<std::int32_t, std::int32_t>> chunks);
+      const std::vector<std::pair<std::int32_t, std::int32_t>>& chunks);
 
  private:
   const RdModel* rd_;

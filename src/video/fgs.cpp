@@ -65,13 +65,18 @@ void emit_segment(const VideoConfig& cfg, const FramePlan& plan, Color color,
 }  // namespace
 
 std::vector<Packet> packetize(const VideoConfig& cfg, const FramePlan& plan) {
-  assert(cfg.packet_size_bytes > 0);
   std::vector<Packet> out;
+  packetize_into(cfg, plan, out);
+  return out;
+}
+
+void packetize_into(const VideoConfig& cfg, const FramePlan& plan, std::vector<Packet>& out) {
+  assert(cfg.packet_size_bytes > 0);
+  out.clear();
   out.reserve(static_cast<std::size_t>(plan.total_bytes() / cfg.packet_size_bytes + 3));
   emit_segment(cfg, plan, Color::kGreen, plan.base_bytes, 0, out);
   emit_segment(cfg, plan, Color::kYellow, plan.yellow_bytes, 0, out);
   emit_segment(cfg, plan, Color::kRed, plan.red_bytes, plan.yellow_bytes, out);
-  return out;
 }
 
 }  // namespace pels

@@ -77,4 +77,9 @@ FramePlan plan_frame_bytes(const VideoConfig& cfg, std::int64_t frame_id,
 /// and timestamps are filled by the caller.
 std::vector<Packet> packetize(const VideoConfig& cfg, const FramePlan& plan);
 
+/// packetize() into a caller-owned buffer: `out` is cleared and refilled, so
+/// a buffer reused frame after frame stops allocating once it has held the
+/// largest frame.
+void packetize_into(const VideoConfig& cfg, const FramePlan& plan, std::vector<Packet>& out);
+
 }  // namespace pels

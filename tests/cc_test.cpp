@@ -277,6 +277,41 @@ TEST(TcpLikeTest, DeliversDataInOrder) {
   EXPECT_GT(h.source->highest_acked(), h.sink->cumulative_ack() - 50);
 }
 
+TEST(TcpLikeTest, SinkAbsorbsReorderedSegments) {
+  TcpHarness h;
+  auto data = [](std::uint64_t seq) {
+    Packet p;
+    p.flow = 1;
+    p.uid = seq;
+    p.seq = seq;
+    p.size_bytes = 1000;
+    p.color = Color::kInternet;
+    return p;
+  };
+  TcpSink& sink = *h.sink;
+  sink.on_packet(data(0));
+  EXPECT_EQ(sink.cumulative_ack(), 1u);
+  for (const std::uint64_t seq : {2, 3, 5}) sink.on_packet(data(seq));
+  EXPECT_EQ(sink.cumulative_ack(), 1u);
+  // Far above the buffered range: the reorder window widens without losing
+  // the segments already held.
+  sink.on_packet(data(300));
+  sink.on_packet(data(3));  // duplicate
+  sink.on_packet(data(1));
+  EXPECT_EQ(sink.cumulative_ack(), 4u);
+  sink.on_packet(data(4));
+  EXPECT_EQ(sink.cumulative_ack(), 6u);
+  for (std::uint64_t seq = 6; seq < 300; ++seq) sink.on_packet(data(seq));
+  EXPECT_EQ(sink.cumulative_ack(), 301u);
+  sink.on_packet(data(7));  // old retransmission
+  EXPECT_EQ(sink.cumulative_ack(), 301u);
+  // Past the wrap of the widened window, reordering still resolves.
+  sink.on_packet(data(302));
+  sink.on_packet(data(301));
+  EXPECT_EQ(sink.cumulative_ack(), 303u);
+  EXPECT_EQ(sink.packets_received(), 305u);
+}
+
 TEST(TcpLikeTest, SaturatesBottleneck) {
   TcpHarness h(4e6);
   h.source->start(0);

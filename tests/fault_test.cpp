@@ -3,8 +3,10 @@
 // blackouts). Scenario-level degradation behavior lives in robustness_test.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -340,6 +342,153 @@ TEST(SinkFaultTest, ReorderedPacketsOfOpenFramesStillAssemble) {
     EXPECT_TRUE(q.base_ok);
     EXPECT_EQ(q.received_fgs_bytes, 500);
   }
+}
+
+// ------------------------------------------------------ sink frame window
+//
+// PelsSink keeps its open frames in a ring recycled over the finalize window.
+// These cases pin which frames it finalizes, in what order and with what
+// FrameQuality, across the window's edge cases; the expected strings were
+// recorded from the earlier map-plus-hash-set implementation.
+
+class SinkWindowTest : public ::testing::Test {
+ protected:
+  // Delivers one packet at `t_ms` (the clock only moves forward).
+  void deliver(double t_ms, std::uint64_t uid, std::int64_t frame, std::int32_t offset,
+               std::int32_t size, Color color) {
+    sim_.run_until(from_seconds(t_ms / 1e3));
+    Packet p;
+    p.flow = 0;
+    p.uid = uid;
+    p.seq = uid;
+    p.size_bytes = size;
+    p.color = color;
+    p.frame_id = frame;
+    p.frame_offset = offset;
+    p.created_at = sim_.now() - from_millis(5);
+    sink_.on_packet(p);
+  }
+
+  // A whole base layer plus `yellow` yellow and `red` red 500-byte FGS
+  // packets of `frame`, the red ones 30 ms behind the rest.
+  void frame(double t_ms, std::int64_t frame, int yellow, int red) {
+    deliver(t_ms, next_uid_++, frame, -1, static_cast<std::int32_t>(video_.base_layer_bytes),
+            Color::kGreen);
+    for (int i = 0; i < yellow; ++i)
+      deliver(t_ms, next_uid_++, frame, 500 * i, 500, Color::kYellow);
+    for (int i = 0; i < red; ++i)
+      deliver(t_ms + 30, next_uid_++, frame, 500 * (yellow + i), 500, Color::kRed);
+  }
+
+  // One line per finalized frame: id, base_ok, useful and received FGS
+  // bytes, PSNR (exact) and completion time.
+  std::string finalized() const {
+    std::string out;
+    char line[160];
+    for (const FrameQuality& q : sink_.frame_qualities()) {
+      std::snprintf(line, sizeof line, "%lld %d %lld %lld %.17g %lld\n",
+                    static_cast<long long>(q.frame_id), q.base_ok ? 1 : 0,
+                    static_cast<long long>(q.useful_fgs_bytes),
+                    static_cast<long long>(q.received_fgs_bytes), q.psnr_db,
+                    static_cast<long long>(q.completed_at));
+      out += line;
+    }
+    return out;
+  }
+
+  Simulation sim_;
+  Host host_{1, "sink-host"};
+  VideoConfig video_;
+  RdModel rd_{RdModelConfig{}};
+  PelsSink sink_{sim_, host_, /*flow=*/0, /*src_node=*/2, video_, rd_};
+  std::uint64_t next_uid_ = 1;
+};
+
+TEST_F(SinkWindowTest, BlackoutJumpFinalizesSkippedFramesInOrder) {
+  for (std::int64_t f = 0; f < 6; ++f) frame(100.0 * static_cast<double>(f), f, 3, 2);
+  // A chunk past a gap: frame 5's useful prefix stops before it.
+  deliver(650, next_uid_++, 5, 3500, 500, Color::kYellow);
+  // Blackout: the next frame seen is far more than the finalize lag ahead,
+  // which closes every open frame at once.
+  frame(9000, 5 + PelsSink::kFinalizeLagFrames + 20, 2, 1);
+  EXPECT_EQ(sink_.frame_qualities().size(), 6u);
+  // An older frame past the new deadline is scored on its own, at once (its
+  // base packet; the yellow one behind it is then already too late)...
+  frame(9100, 20, 1, 0);
+  EXPECT_EQ(sink_.frame_qualities().size(), 7u);
+  // ...while one inside the window stays open for more packets.
+  frame(9200, 50, 1, 1);
+  deliver(9300, next_uid_++, 50, -1, 100, Color::kGreen);
+  EXPECT_EQ(sink_.frame_qualities().size(), 7u);
+  sink_.finalize_all();
+  EXPECT_EQ(finalized(), R"(0 1 2500 2500 31.071732677229353 0
+1 1 2500 2500 31.232416133515823 100000000
+2 1 2500 2500 31.502317503992106 200000000
+3 1 2500 2500 31.803072316893537 300000000
+4 1 2500 2500 31.032715222892442 400000000
+5 1 2500 3000 31.195936480954547 650000000
+20 1 0 0 29.666442413326529 9100000000
+50 1 1000 1000 29.072622932714623 9300000000
+65 1 1500 1500 30.247088218499758 9000000000
+)");
+}
+
+TEST_F(SinkWindowTest, SequenceWrapKeepsPassesApart) {
+  // The source loops its 400-frame sequence: frame 0 of the second pass is
+  // unwrapped past 399, and late red chunks of 398/399 still land in their
+  // own first-pass frames.
+  for (std::int64_t f = 390; f < 400; ++f)
+    frame(100.0 * static_cast<double>(f - 390), f, 2, 2);
+  for (std::int64_t f = 0; f < 6; ++f) {
+    frame(1000.0 + 100.0 * static_cast<double>(f), f, 1 + f % 3, 1);
+    if (f == 3) {
+      deliver(1340, next_uid_++, 398, 2000, 500, Color::kRed);
+      deliver(1340, next_uid_++, 399, 1500, 500, Color::kRed);
+    }
+  }
+  // Pushes the first pass past the deadline; the rest close at the end.
+  frame(1600, 32, 1, 0);
+  EXPECT_EQ(sink_.frame_qualities().size(), 3u);
+  sink_.finalize_all();
+  EXPECT_EQ(sink_.frame_qualities().size(), 17u);
+  EXPECT_EQ(finalized(), R"(390 1 2000 2000 29.760162842465238 0
+391 1 2000 2000 29.095607226946726 100000000
+392 1 2000 2000 29.888567156745584 200000000
+393 1 2000 2000 30.112911099532667 300000000
+394 1 2000 2000 29.667975332739633 400000000
+395 1 2000 2000 29.116864158666726 500000000
+396 1 2000 2000 30.307132792219878 600000000
+397 1 2000 2000 28.732975670388161 700000000
+398 1 2500 2500 30.641059910198472 800000000
+399 1 2000 2500 29.288239246652044 900000000
+0 1 1000 1000 30.004812743226921 1000000000
+1 1 1500 1500 30.551043386591545 1100000000
+2 1 2000 2000 31.174902759283 1200000000
+3 1 1000 1000 30.729068754630806 1300000000
+4 1 1500 1500 30.346848706052175 1400000000
+5 1 2000 2000 30.866381545899163 1500000000
+32 1 500 500 28.806720954365773 1600000000
+)");
+}
+
+TEST_F(SinkWindowTest, UidReusedInRecycledSlotIsNotADuplicate) {
+  // Frame 0 and frame kFinalizeLagFrames share a ring slot. A uid absorbed
+  // by frame 0 and seen again in the later frame (a misbehaving source; uids
+  // are only unique while a frame is open) must count, not be dropped.
+  deliver(0, 7, 0, -1, static_cast<std::int32_t>(video_.base_layer_bytes), Color::kGreen);
+  deliver(0, 8, 0, 0, 500, Color::kYellow);
+  deliver(0, 8, 0, 0, 500, Color::kYellow);  // a real duplicate
+  EXPECT_EQ(sink_.duplicates_ignored(), 1u);
+  frame(4000, PelsSink::kFinalizeLagFrames, 1, 0);
+  EXPECT_EQ(sink_.frame_qualities().size(), 1u);  // frame 0 closed, slot free
+  deliver(4100, 8, PelsSink::kFinalizeLagFrames, 500, 500, Color::kYellow);
+  EXPECT_EQ(sink_.duplicates_ignored(), 1u);
+  deliver(4100, 8, PelsSink::kFinalizeLagFrames, 500, 500, Color::kYellow);
+  EXPECT_EQ(sink_.duplicates_ignored(), 2u);
+  sink_.finalize_all();
+  EXPECT_EQ(finalized(), R"(0 1 500 500 29.577731045702297 0
+40 1 1000 1000 29.545651733016062 4100000000
+)");
 }
 
 }  // namespace

@@ -43,6 +43,12 @@ TEST(FeedbackMeterTest, ComputesLossFromOverload) {
   EXPECT_EQ(m.epoch(), 1u);
 }
 
+TEST(FeedbackMeterTest, RejectsNegativeRouterId) {
+  // Sources index their per-router epoch filter by id.
+  EXPECT_THROW(FeedbackMeter(-1, 2e6, from_millis(100)), std::invalid_argument);
+  EXPECT_NO_THROW(FeedbackMeter(0, 2e6, from_millis(100)));
+}
+
 TEST(FeedbackMeterTest, NegativeLossWhenUnderutilized) {
   FeedbackMeter m(1, 2e6, from_millis(100));
   // 12,500 bytes in 100 ms = 1 mb/s against 2 mb/s: p = -1.

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "queue/bernoulli.h"
@@ -99,6 +100,31 @@ TEST(DropTailTest, PerColorCounters) {
   EXPECT_EQ(c.drops[static_cast<std::size_t>(Color::kGreen)], 0u);
   q.dequeue();
   EXPECT_EQ(c.departures[static_cast<std::size_t>(Color::kGreen)], 1u);
+}
+
+TEST(DropTailTest, RejectsLimitsThatDropEverything) {
+  EXPECT_THROW(DropTailQueue(0), std::invalid_argument);
+  EXPECT_THROW(DropTailQueue(10, 0), std::invalid_argument);
+  EXPECT_THROW(DropTailQueue(10, -1), std::invalid_argument);
+  EXPECT_NO_THROW(DropTailQueue(1, 1));
+}
+
+TEST(DropTailTest, FullLimitFromEmptyThenFifoAcrossTheWrap) {
+  // The FIFO grows on demand instead of reserving its limit: filling it from
+  // empty must still admit exactly `limit` packets, and refilling after a
+  // partial drain (the live range wraps the slot array) must stay FIFO.
+  DropTailQueue q(1000);
+  for (std::uint64_t i = 0; i < 1000; ++i)
+    ASSERT_TRUE(q.enqueue(make_packet(100, Color::kGreen, i)));
+  EXPECT_FALSE(q.enqueue(make_packet(100, Color::kGreen, 1000)));  // packet 1001
+  EXPECT_EQ(q.packet_count(), 1000u);
+  for (std::uint64_t i = 0; i < 600; ++i) ASSERT_EQ(q.dequeue()->seq, i);
+  for (std::uint64_t i = 1000; i < 1600; ++i)
+    ASSERT_TRUE(q.enqueue(make_packet(100, Color::kGreen, i)));
+  EXPECT_FALSE(q.enqueue(make_packet(100, Color::kGreen, 1600)));
+  for (std::uint64_t i = 600; i < 1600; ++i) ASSERT_EQ(q.dequeue()->seq, i);
+  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_EQ(q.byte_count(), 0);
 }
 
 // -------------------------------------------------------------- Bernoulli
@@ -255,6 +281,13 @@ TEST(PriorityTest, RedStarvedWhileGreenBacklogged) {
     q.enqueue(make_packet(100, Color::kGreen));
   }
   EXPECT_EQ(q.band_packet_count(2), 1u);
+}
+
+TEST(PriorityTest, RejectsInvalidConstruction) {
+  const auto classify = &StrictPriorityQueue::classify_by_color;
+  EXPECT_THROW(StrictPriorityQueue({}, classify), std::invalid_argument);
+  EXPECT_THROW(StrictPriorityQueue({4, 0, 4}, classify), std::invalid_argument);
+  EXPECT_THROW(StrictPriorityQueue({4, 4, 4}, nullptr), std::invalid_argument);
 }
 
 TEST(PriorityTest, PerBandLimits) {

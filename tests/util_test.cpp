@@ -1,5 +1,6 @@
 // Tests for src/util: time conversion, RNG determinism and distribution
-// sanity, statistics accumulators, table rendering, fixed-capacity callables.
+// sanity, statistics accumulators, table rendering, fixed-capacity callables,
+// the ring-buffer FIFO.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +11,10 @@
 #include <utility>
 #include <vector>
 
+#include "net/packet.h"
 #include "util/arena.h"
 #include "util/inplace_function.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -433,6 +436,81 @@ TEST(ScratchArenaTest, ResetRetainsCapacityAndReusesMemory) {
   arena.alloc_array<std::uint64_t>(1024);
   arena.reset();
   EXPECT_EQ(arena.capacity(), after_reset);
+}
+
+// -------------------------------------------------------------- RingBuffer
+
+TEST(RingBufferTest, FifoOrderSurvivesGrowthWhileHeadIsWrapped) {
+  RingBuffer<int> ring;
+  int next_in = 0;
+  int next_out = 0;
+  for (int i = 0; i < 8; ++i) ring.push_back(next_in++);
+  ASSERT_EQ(ring.capacity(), 8u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ring.pop_front(), next_out++);
+  // Refill past the end of the slot array: the live range now wraps.
+  for (int i = 0; i < 5; ++i) ring.push_back(next_in++);
+  ASSERT_EQ(ring.size(), ring.capacity());
+  // Growing here must unroll the wrapped range in order.
+  for (int i = 0; i < 20; ++i) ring.push_back(next_in++);
+  EXPECT_EQ(ring.capacity(), 32u);
+  EXPECT_EQ(ring.front(), next_out);
+  EXPECT_EQ(ring.back(), next_in - 1);
+  for (std::size_t i = 0; i < ring.size(); ++i) EXPECT_EQ(ring.at(i), next_out + static_cast<int>(i));
+  while (!ring.empty()) EXPECT_EQ(ring.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(RingBufferTest, ReserveRoundsUpToPowerOfTwoAndNeverShrinks) {
+  RingBuffer<int> ring;
+  ring.reserve(100);
+  EXPECT_EQ(ring.capacity(), 128u);
+  ring.reserve(10);
+  EXPECT_EQ(ring.capacity(), 128u);
+  ring.reserve(129);
+  EXPECT_EQ(ring.capacity(), 256u);
+  // Reserving keeps the contents and their order.
+  RingBuffer<int> filled;
+  for (int i = 0; i < 6; ++i) filled.push_back(int{i});
+  filled.pop_front();
+  filled.reserve(1000);
+  EXPECT_EQ(filled.capacity(), 1024u);
+  for (int i = 1; i < 6; ++i) EXPECT_EQ(filled.pop_front(), i);
+}
+
+TEST(RingBufferTest, CapacityStaysAtHighWaterMarkAfterDrain) {
+  RingBuffer<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);  // nothing reserved up front
+  for (int i = 0; i < 40; ++i) ring.push_back(int{i});
+  EXPECT_EQ(ring.capacity(), 64u);
+  while (!ring.empty()) ring.pop_front();
+  EXPECT_EQ(ring.capacity(), 64u);
+  // Steady traffic below the mark cycles through the same slots.
+  for (int i = 0; i < 1000; ++i) {
+    ring.push_back(int{i});
+    ring.push_back(int{i});
+    ring.pop_front();
+    ring.pop_front();
+  }
+  EXPECT_EQ(ring.capacity(), 64u);
+  ring.clear();
+  EXPECT_EQ(ring.capacity(), 64u);
+}
+
+TEST(RingBufferTest, ClearReleasesBoxedAcks) {
+  // AckInfo blocks recycle through a LIFO freelist, so the block a cleared
+  // slot released is the very next one handed out. A slot that kept its
+  // packet until overwritten would still own it, and the next ack would get
+  // a different block.
+  RingBuffer<Packet> ring;
+  Packet pkt;
+  pkt.ack = AckInfo{};
+  const AckInfo* held = &*pkt.ack;
+  ring.push_back(std::move(pkt));
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  Packet next;
+  next.ack = AckInfo{};
+  EXPECT_EQ(&*next.ack, held);
 }
 
 }  // namespace

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -37,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_cli.h"
 #include "exp/domain_runner.h"
 #include "exp/journal.h"
 #include "exp/sweep.h"
@@ -397,19 +397,15 @@ ResumeResult run_resume_check(SweepRunner& runner, SimTime duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  int schedules = 0;
-  std::string json_path = "BENCH_chaos.json";
-  std::string label = "now";
-  std::string repro_path = "chaos_repro.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--schedules") == 0 && i + 1 < argc) schedules = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
-    else if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc) repro_path = argv[++i];
-  }
-  if (schedules <= 0) schedules = smoke ? 24 : 200;
+  constexpr const char* kUsage =
+      "usage: chaos_sweep [--smoke] [--schedules N] [--json PATH] [--label NAME] [--repro PATH]";
+  const BenchCli cli(argc, argv, {"smoke"}, {"schedules", "json", "label", "repro"});
+  const bool smoke = cli.has("smoke");
+  const int schedules = static_cast<int>(cli.get_int_at_least("schedules", smoke ? 24 : 200, 1));
+  const std::string json_path = cli.get_string("json", "BENCH_chaos.json");
+  const std::string label = cli.get_string("label", "now");
+  const std::string repro_path = cli.get_string("repro", "chaos_repro.json");
+  if (cli.reject("chaos_sweep", kUsage)) return 2;
   const std::uint64_t campaign_seed = 0xC405;
   const ChaosLimits limits = campaign_limits(smoke);
   SweepRunner runner;

@@ -4,20 +4,20 @@
 // Runs the committed scenario set — per-pair coexistence against MKC, RTT
 // diversity (~10-200 ms base RTTs), asymmetric class ratios, TCP cross
 // traffic — and writes BENCH_fairness.json (schema v1, gated in CI by
-// tools/bench_compare.py --fairness-current). Domain violations (Jain index
-// outside [0, 1], shares not summing to 1, non-monotone delay percentiles,
-// zero frames decoded) are hard failures here, in the binary: a broken run
-// must not produce a plausible-looking JSON for the gate to bless.
+// tools/bench_compare.py). Domain violations (Jain index outside [0, 1],
+// shares not summing to 1, non-monotone delay percentiles, zero frames
+// decoded) are hard failures here, in the binary: a broken run must not
+// produce a plausible-looking JSON for the gate to bless.
 //
 // Usage: fairness_matrix [--smoke] [--json PATH] [--label NAME]
 //   --smoke runs the 3-cell short-duration subset for CI.
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_cli.h"
 #include "exp/fairness.h"
 #include "exp/sweep.h"
 #include "util/table.h"
@@ -62,18 +62,12 @@ void json_doubles(std::ofstream& json, const std::vector<double>& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_fairness.json";
-  std::string label = "now";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
-    else {
-      std::cerr << "unknown argument: " << argv[i] << "\n";
-      return 2;
-    }
-  }
+  constexpr const char* kUsage = "usage: fairness_matrix [--smoke] [--json PATH] [--label NAME]";
+  const BenchCli cli(argc, argv, {"smoke"}, {"json", "label"});
+  const bool smoke = cli.has("smoke");
+  const std::string json_path = cli.get_string("json", "BENCH_fairness.json");
+  const std::string label = cli.get_string("label", "now");
+  if (cli.reject("fairness_matrix", kUsage)) return 2;
 
   const std::vector<FairnessCellConfig> cells = default_fairness_matrix(smoke);
   print_banner(std::cout, smoke ? "Fairness matrix (smoke subset)"

@@ -3,7 +3,7 @@
 // heap-only baseline, and sharded-driver scaling under DomainRunner.
 //
 // Three measurements, written to BENCH_manyflows.json (schema v1, gated in
-// CI by tools/bench_compare.py --manyflows-current):
+// CI by tools/bench_compare.py):
 //   1. scheduler tiers: steady-state timer churn (pop one event, schedule a
 //      replacement over a spread horizon — the shape N paced flows produce)
 //      with the wheel on and off. The spread horizon matters: a same-time
@@ -39,7 +39,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -47,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_cli.h"
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
 #include "sim/scheduler.h"
@@ -416,14 +416,12 @@ ShardedRun run_sharded(unsigned threads, const ShardedMix& mix_size, SimTime war
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_manyflows.json";
-  std::string label = "now";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
-  }
+  constexpr const char* kUsage = "usage: many_flows [--smoke] [--json PATH] [--label NAME]";
+  const BenchCli cli(argc, argv, {"smoke"}, {"json", "label"});
+  const bool smoke = cli.has("smoke");
+  const std::string json_path = cli.get_string("json", "BENCH_manyflows.json");
+  const std::string label = cli.get_string("label", "now");
+  if (cli.reject("many_flows", kUsage)) return 2;
 
   print_banner(std::cout, "scheduler tiers: steady-state churn, wheel vs heap");
   const std::uint64_t churn_ops = smoke ? 300'000 : 2'000'000;
@@ -517,7 +515,7 @@ int main(int argc, char** argv) {
             << (sharded_byte_identical ? "yes" : "NO") << " (hw=" << hardware << ", "
             << "requested 8 clamps to min(threads, domains, hw))\n";
 
-  // Schema v1 (tools/bench_compare.py --manyflows-* gates on it):
+  // Schema v1 (tools/bench_compare.py gates on it):
   // scheduler_tiers[].{pending,heap_ev_per_sec,wheel_ev_per_sec,speedup} and
   // many_flows.{small,large,cost_ratio}. Additions are fine; renames or
   // removals bump the version and bench_compare.py together.

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -30,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_cli.h"
 #include "exp/domain_runner.h"
 #include "exp/sweep.h"
 #include "net/topology.h"
@@ -343,14 +343,12 @@ ParallelDesResult run_parallel_des(SimTime duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_pipeline.json";
-  std::string label = "now";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) label = argv[++i];
-  }
+  constexpr const char* kUsage = "usage: micro_pipeline [--smoke] [--json PATH] [--label NAME]";
+  const BenchCli cli(argc, argv, {"smoke"}, {"json", "label"});
+  const bool smoke = cli.has("smoke");
+  const std::string json_path = cli.get_string("json", "BENCH_pipeline.json");
+  const std::string label = cli.get_string("label", "now");
+  if (cli.reject("micro_pipeline", kUsage)) return 2;
   const SimTime pipeline_duration = (smoke ? 2 : 30) * kSecond;
   const SimTime sweep_duration = (smoke ? 1 : 10) * kSecond;
   const int reps = smoke ? 1 : 5;

@@ -21,7 +21,9 @@
 //      Fabric::reserve_runtime (heap interposition + Scheduler::Stats
 //      capacity probes, spare-pool circulation included), and the driver's
 //      per-flow footprint (driver_memory_bytes / flow_count) must stay
-//      within the stated bytes/flow budget.
+//      within the stated bytes/flow budget. The scheduler's own share
+//      (pending events x (slot + queue entry) / flows) is reported beside it
+//      and gated separately by bench_compare.py.
 //   3. sharded fat tree: the same driver sharded one-per-pod over a
 //      domain_per_pod fabric, run under DomainRunner at 1 / 2 / 8 threads.
 //      The end-state fingerprint must be byte-identical across thread
@@ -212,6 +214,9 @@ struct ManyFlowsResult {
   std::size_t run_capacity_growth = 0;
   std::size_t driver_bytes = 0;  // ManyFlowDriver::driver_memory_bytes()
   double bytes_per_flow = 0.0;
+  // Pending events at the window's end times (slot + queue entry) per flow:
+  // the scheduler's share of per-flow memory, beside the driver's.
+  double scheduler_bytes_per_flow = 0.0;
 };
 
 /// Load shape for one population size. The 1k and 100k populations share one
@@ -315,6 +320,9 @@ ManyFlowsResult run_many_flows(const ManyFlowsLoad& load, SimTime warmup, SimTim
   r.run_capacity_growth = stats1.run_capacity - stats0.run_capacity;
   r.driver_bytes = driver.driver_memory_bytes();
   r.bytes_per_flow = static_cast<double>(r.driver_bytes) / static_cast<double>(n_flows);
+  r.scheduler_bytes_per_flow =
+      static_cast<double>(stats1.pending * (stats1.slot_bytes + stats1.entry_bytes)) /
+      static_cast<double>(n_flows);
   return r;
 }
 
@@ -327,7 +335,8 @@ void print_many_flows(const char* tag, const ManyFlowsResult& r) {
             << "/packet), pool growth +" << r.heap_capacity_growth << " heap +"
             << r.slot_capacity_growth << " slot +" << r.wheel_capacity_growth << " wheel +"
             << r.run_capacity_growth << " run, "
-            << TablePrinter::fmt(r.bytes_per_flow, 1) << " driver bytes/flow\n";
+            << TablePrinter::fmt(r.bytes_per_flow, 1) << " driver + "
+            << TablePrinter::fmt(r.scheduler_bytes_per_flow, 1) << " scheduler bytes/flow\n";
 }
 
 void json_many_flows(std::ofstream& json, const char* key, const ManyFlowsResult& r,
@@ -346,7 +355,8 @@ void json_many_flows(std::ofstream& json, const char* key, const ManyFlowsResult
        << "      \"scheduler_wheel_capacity_growth\": " << r.wheel_capacity_growth << ",\n"
        << "      \"scheduler_run_capacity_growth\": " << r.run_capacity_growth << ",\n"
        << "      \"driver_bytes\": " << r.driver_bytes << ",\n"
-       << "      \"bytes_per_flow\": " << r.bytes_per_flow << "\n"
+       << "      \"bytes_per_flow\": " << r.bytes_per_flow << ",\n"
+       << "      \"scheduler_bytes_per_flow\": " << r.scheduler_bytes_per_flow << "\n"
        << "    }" << (trailing_comma ? "," : "") << "\n";
 }
 

@@ -7,8 +7,11 @@
 // bottleneck (max-min), and the FGS prefix survives two priority AQMs in
 // series.
 //
-// Run: ./build/examples/multihop_streaming [--hop1 N] [--hop2 N] [--seconds S]
+// Run: ./build/examples/multihop_streaming [--hop1 N] [--hop2 N] [--seed N] [--seconds S]
+#include <climits>
+#include <cmath>
 #include <iostream>
+#include <string>
 
 #include "analysis/stability.h"
 #include "pels/multihop.h"
@@ -17,14 +20,47 @@
 
 using namespace pels;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: multihop_streaming [--hop1 N] [--hop2 N] [--seed N] [--seconds S]\n"
+    "  --hop1/--hop2: cross flows on each hop (>= 1), --seconds: simulated time (> 0)\n";
+
+/// Bad command line: the message, the usage line, exit status 2.
+int usage_error(const std::string& what) {
+  std::cerr << "multihop_streaming: " << what << "\n" << kUsage;
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  if (!args.positional().empty())
+    return usage_error("unexpected argument '" + args.positional().front() + "'");
+  for (const std::string& name : args.flag_names()) {
+    if (name != "hop1" && name != "hop2" && name != "seed" && name != "seconds")
+      return usage_error("unknown flag --" + name);
+    if (args.get_string(name, "").empty()) return usage_error("--" + name + " needs a value");
+  }
+  const long long hop1 = args.get_int("hop1", 1);
+  const long long hop2 = args.get_int("hop2", 3);
+  const long long seed = args.get_int("seed", 11);
+  const double seconds = args.get_double("seconds", 40.0);
+  if (!args.parse_errors().empty()) return usage_error(args.parse_errors().front());
+  // The report below reads cross flow 0 of each hop.
+  if (hop1 < 1 || hop1 > INT_MAX || hop2 < 1 || hop2 > INT_MAX)
+    return usage_error("--hop1 and --hop2 must be integers from 1 to " +
+                       std::to_string(INT_MAX));
+  if (seed < 0) return usage_error("--seed must be non-negative");
+  if (!(std::isfinite(seconds) && seconds > 0.0))
+    return usage_error("--seconds must be a positive number");
+
   ParkingLotConfig cfg;
   cfg.long_flows = 1;
-  cfg.cross_flows_hop1 = static_cast<int>(args.get_int("hop1", 1));
-  cfg.cross_flows_hop2 = static_cast<int>(args.get_int("hop2", 3));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
-  const double seconds = args.get_double("seconds", 40.0);
+  cfg.cross_flows_hop1 = static_cast<int>(hop1);
+  cfg.cross_flows_hop2 = static_cast<int>(hop2);
+  cfg.seed = static_cast<std::uint64_t>(seed);
 
   ParkingLotScenario s(cfg);
   const SimTime duration = from_seconds(seconds);

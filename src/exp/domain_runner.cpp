@@ -5,15 +5,15 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "net/node.h"
-
 namespace pels {
 
-// The barrier injection captures a moved Packet plus a node reference into a
-// scheduler callback; pin the budget the same way net/link.cpp does.
-static_assert(Scheduler::Callback::capacity() >= sizeof(Packet) + 2 * sizeof(void*),
-              "kSchedulerCallbackCapacity (sim/scheduler.h) must fit a moved "
-              "Packet capture plus housekeeping pointers");
+// Barrier injection lands packets in Topology's per-link inboxes and
+// schedules `[topology, link]` arrival events; pin the budget that design
+// keeps (see net/link.cpp for the same contract from the pipeline's side).
+static_assert(kSchedulerCallbackCapacity == 32,
+              "scheduler callbacks capture [this, index]-sized state: 32 bytes");
+static_assert(Scheduler::slot_bytes() <= 64,
+              "a Scheduler::Slot must stay within 64 bytes");
 
 namespace {
 
@@ -144,22 +144,18 @@ void DomainRunner::run_until(SimTime t_end) {
       throw std::runtime_error(msg.str());
     }
 
-    // Barrier: inject cross-domain arrivals, iterating boundary links in
-    // creation order and each mailbox FIFO. This order — not completion or
-    // thread order — decides scheduler tie-break sequence numbers in the
-    // destination, which is what makes the run byte-identical at any
-    // thread count.
-    const auto& boundary = topo_.boundary_links();
-    for (std::size_t i = 0; i < boundary.size(); ++i) {
+    // Barrier: hand cross-domain arrivals to their destination domains,
+    // iterating boundary links in creation order and each mailbox FIFO. This
+    // order — not completion or thread order — decides scheduler tie-break
+    // sequence numbers in the destination, which is what makes the run
+    // byte-identical at any thread count. The packets move on into the
+    // topology's per-link inboxes, so the mailboxes are free for the next
+    // window's workers.
+    for (std::size_t i = 0; i < mail_.size(); ++i) {
       std::vector<Handoff>& box = mail_[i];
-      if (box.empty()) continue;
-      Simulation& dst_sim = topo_.domain_sim(boundary[i].to_domain);
-      Node& dst = topo_.node(boundary[i].dst);
       for (Handoff& h : box) {
         assert(h.deliver_at >= end && "handoff arrived inside the lookahead window");
-        dst_sim.at(h.deliver_at, [&dst, pkt = std::move(h.pkt)]() mutable {
-          dst.receive(std::move(pkt));
-        });
+        topo_.hand_off(i, std::move(h.pkt), h.deliver_at);
       }
       handoffs_ += box.size();
       box.clear();

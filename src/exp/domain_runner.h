@@ -15,9 +15,13 @@
 //   2. run every domain's scheduler to the window end, one domain per
 //      SweepRunner worker;
 //   3. barrier: drain the boundary-link mailboxes in deterministic order
-//      (link creation order, FIFO within a link) and schedule each packet's
-//      arrival into the destination domain at its precomputed deliver_at,
-//      which the lookahead guarantees is never in the destination's past.
+//      (link creation order, FIFO within a link) into the topology's
+//      per-link inboxes (Topology::hand_off), scheduling one `[topology,
+//      link]` arrival event per packet in the destination domain at its
+//      precomputed deliver_at, which the lookahead guarantees is never in
+//      the destination's past. The event pops its link's inbox head, so no
+//      packet rides a scheduler callback and pending arrivals outlive the
+//      runner.
 //
 // Determinism contract (same as SweepRunner's, DESIGN.md "Parallel
 // experiments"): a run at threads=N is byte-identical to threads=1. Window

@@ -5,8 +5,8 @@
 // class driven by one controller from the zoo: MKC, CUBIC, DCQCN, Swift,
 // SCReAM-lite), optional greedy TCP cross traffic, optional per-flow base-RTT
 // diversity, and ECN threshold marking at the PELS AQM. The cell reports the
-// coexistence metrics the fairness gate checks (tools/bench_compare.py
-// --fairness-current):
+// coexistence metrics the fairness gate checks (the "fairness_matrix" rules
+// in tools/bench_compare.py):
 //   * Jain's fairness index over per-video-flow goodput,
 //   * per-class throughput shares (class A / class B / TCP),
 //   * base-layer protection: the worst per-flow fraction of frames whose

@@ -68,19 +68,20 @@ void FaultInjector::inject_flap(Link& link, FaultPlan::LinkFlap flap) {
 }
 
 void FaultInjector::inject_brownout(Link& link, FaultPlan::Brownout brownout,
-                                    BandwidthHook on_change) {
+                                    PelsQueue* queue) {
   Link* l = &link;
-  Simulation* sim = &sim_;
-  sim_.at(brownout.at, [l, sim, brownout, on_change = std::move(on_change)] {
+  const SimTime until = brownout.until;
+  const double factor = brownout.factor;
+  sim_.at(brownout.at, [l, q = queue, until, factor] {
     // Capture the rate at the window edge (not at plan time): an earlier
     // capacity change or overlapping fault must be restored, not overwritten.
     const double prior = l->bandwidth_bps();
-    const double degraded = prior * brownout.factor;
+    const double degraded = prior * factor;
     l->set_bandwidth_bps(degraded);
-    if (on_change) on_change(degraded);
-    sim->at(brownout.until, [l, prior, on_change] {
+    if (q != nullptr) q->set_link_bandwidth(degraded);
+    l->sim().at(until, [l, q, prior] {
       l->set_bandwidth_bps(prior);
-      if (on_change) on_change(prior);
+      if (q != nullptr) q->set_link_bandwidth(prior);
     });
   });
 }
@@ -105,11 +106,10 @@ void FaultInjector::inject_burst_corruption(Link& link, GilbertElliottConfig con
 }
 
 void FaultInjector::apply(const FaultPlan& plan, Link& forward, Link& reverse,
-                          PelsQueue* queue, BandwidthHook on_bandwidth_change) {
+                          PelsQueue* queue) {
   assert(queue != nullptr || plan.router_restarts.empty());
   for (const FaultPlan::LinkFlap& f : plan.link_flaps) inject_flap(forward, f);
-  for (const FaultPlan::Brownout& b : plan.brownouts)
-    inject_brownout(forward, b, on_bandwidth_change);
+  for (const FaultPlan::Brownout& b : plan.brownouts) inject_brownout(forward, b, queue);
   for (const FaultPlan::RouterRestart& r : plan.router_restarts)
     inject_restart(*queue, r);
   inject_blackouts(reverse, plan.ack_blackouts);

@@ -8,14 +8,13 @@
 // same plan replay bit-for-bit (tested in robustness_test).
 //
 // The injector drives *any* Link: flaps use Link::set_up, brown-outs scale
-// Link bandwidth for the window (an optional hook lets capacity-derived AQMs
-// resize their share, e.g. PelsQueue::set_link_bandwidth), restarts call
+// Link bandwidth for the window (and, given the link's PelsQueue, resize its
+// capacity share with PelsQueue::set_link_bandwidth), restarts call
 // PelsQueue::restart() (FeedbackMeter epoch/counter reset — the failure mode
 // the epoch-restart tolerance in FeedbackLabel/PelsSource exists for), and
 // blackouts/burst corruption install loss processes on the wire.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -85,15 +84,16 @@ struct FaultPlan {
 /// so the injector itself may be destroyed after wiring.
 class FaultInjector {
  public:
-  /// Called with the new link rate after a brown-out edge, so capacity-aware
-  /// AQMs can re-derive their share.
-  using BandwidthHook = std::function<void(double bandwidth_bps)>;
-
   explicit FaultInjector(Simulation& sim) : sim_(sim) {}
 
   void inject_flap(Link& link, FaultPlan::LinkFlap flap);
-  void inject_brownout(Link& link, FaultPlan::Brownout brownout,
-                       BandwidthHook on_change = {});
+  /// Scales `link`'s rate by the brown-out factor at `at` and restores, at
+  /// `until`, the rate it had at `at`. A non-null `queue` (the link's PELS
+  /// queue) re-derives its capacity share at both edges. Windows on one link
+  /// may nest or be disjoint (FaultPlan::validate rejects overlap within a
+  /// plan); each restores what its own start edge saw, so nested windows
+  /// unwind to the original rate.
+  void inject_brownout(Link& link, FaultPlan::Brownout brownout, PelsQueue* queue = nullptr);
   void inject_restart(PelsQueue& queue, FaultPlan::RouterRestart restart);
   /// Installs a blackout loss process on `reverse` covering all `windows`.
   void inject_blackouts(Link& reverse, const std::vector<FaultPlan::Window>& windows);
@@ -101,10 +101,10 @@ class FaultInjector {
   void inject_burst_corruption(Link& link, GilbertElliottConfig config, Rng rng);
 
   /// Convenience: applies every entry of `plan` with `forward` as the data
-  /// wire, `reverse` as the ACK wire, and `queue` as the restartable AQM
-  /// (may be null when the plan holds no restarts).
-  void apply(const FaultPlan& plan, Link& forward, Link& reverse,
-             PelsQueue* queue, BandwidthHook on_bandwidth_change = {});
+  /// wire, `reverse` as the ACK wire, and `queue` as the forward wire's
+  /// restartable, brown-out-resized AQM (may be null when the plan holds no
+  /// restarts; brown-outs then scale the wire alone).
+  void apply(const FaultPlan& plan, Link& forward, Link& reverse, PelsQueue* queue);
 
  private:
   Simulation& sim_;

@@ -5,14 +5,14 @@
 
 namespace pels {
 
-// The whole point of the inplace-callback change is that a lambda moving a
-// Packet fits the scheduler's inline budget. Pin the relationship so a Packet
-// growth that would silently re-introduce per-event heap traffic fails the
-// build here instead. (The pipeline itself only ever schedules a bare
-// [this] capture; this guards the rest of the tree.)
-static_assert(Scheduler::Callback::capacity() >= sizeof(Packet) + 2 * sizeof(void*),
-              "kSchedulerCallbackCapacity (sim/scheduler.h) must fit a moved "
-              "Packet capture plus housekeeping pointers");
+// The pipeline keeps every in-flight packet in its ring and schedules only a
+// bare [this] capture, which is what lets the scheduler's callback budget be
+// four words and a slot 64 bytes. Pin that contract: a budget or slot growth
+// must be a deliberate change to these lines, not a drift.
+static_assert(kSchedulerCallbackCapacity == 32,
+              "scheduler callbacks capture [this, index]-sized state: 32 bytes");
+static_assert(Scheduler::slot_bytes() <= 64,
+              "a Scheduler::Slot must stay within 64 bytes");
 
 Link::Link(Simulation& sim, Node& dst, double bandwidth_bps, SimTime prop_delay,
            std::unique_ptr<QueueDisc> queue)

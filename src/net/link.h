@@ -53,6 +53,9 @@ class Link {
   double bandwidth_bps() const { return bandwidth_bps_; }
   SimTime prop_delay() const { return prop_delay_; }
   NodeId dst_id() const { return dst_.id(); }
+  /// The simulation that executes this link's events (its source node's
+  /// domain), for callers that schedule link-scoped events of their own.
+  Simulation& sim() const { return sim_; }
 
   /// Changes the link rate; takes effect at the next serialization start
   /// (the packet currently on the wire finishes at the old rate). Models

@@ -57,8 +57,24 @@ Link& Topology::add_link(Node& from, Node& to, double bandwidth_bps, SimTime pro
   edges_.push_back(Edge{from.id(), to.id(), &ref});
   if (from_domain != to_domain) {
     boundary_links_.push_back(BoundaryLink{&ref, from_domain, to_domain, to.id()});
+    inboxes_.emplace_back();
   }
   return ref;
+}
+
+void Topology::hand_off(std::size_t i, Packet&& pkt, SimTime deliver_at) {
+  Inbox& inbox = inboxes_[i];
+  assert(deliver_at >= inbox.last_deliver_at &&
+         "boundary-link handoffs must arrive in FIFO order");
+  inbox.last_deliver_at = deliver_at;
+  inbox.packets.push_back(std::move(pkt));
+  domain_sims_[static_cast<std::size_t>(boundary_links_[i].to_domain)]->at(
+      deliver_at, [this, i] { arrive(i); });
+}
+
+void Topology::arrive(std::size_t i) {
+  Packet pkt = inboxes_[i].packets.pop_front();
+  nodes_[static_cast<std::size_t>(boundary_links_[i].dst)]->receive(std::move(pkt));
 }
 
 SimTime Topology::min_boundary_delay() const {

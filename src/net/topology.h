@@ -15,6 +15,7 @@
 #include "net/link.h"
 #include "net/router.h"
 #include "sim/simulation.h"
+#include "util/ring_buffer.h"
 
 namespace pels {
 
@@ -64,6 +65,19 @@ class Topology {
     NodeId dst;
   };
   const std::vector<BoundaryLink>& boundary_links() const { return boundary_links_; }
+
+  /// Hands a packet that left boundary link `i` (index into
+  /// boundary_links()) to the destination domain: the packet waits in the
+  /// link's inbox, a ring the topology owns, and one `[this, i]` event at
+  /// `deliver_at` in the destination domain's scheduler pops it and delivers
+  /// it to the link's dst node. A link's deliver_at never decreases and
+  /// equal-time events run in schedule order, so each event pops exactly
+  /// the packet it was scheduled for. The inbox lives as long as the
+  /// topology — which every pending arrival already references through its
+  /// dst node — so a runner driving the handoffs may be destroyed with
+  /// arrivals still pending. Call from the thread that owns the destination
+  /// domain's scheduler (DomainRunner: the coordinator, at the barrier).
+  void hand_off(std::size_t i, Packet&& pkt, SimTime deliver_at);
 
   /// Minimum propagation delay across boundary links — the lookahead bound
   /// for conservative parallel execution. kTimeNever when the domains never
@@ -117,10 +131,20 @@ class Topology {
     Link* link;
   };
 
+  /// Handed-off packets of one boundary link awaiting their arrival event.
+  struct Inbox {
+    RingBuffer<Packet> packets;
+    SimTime last_deliver_at = 0;  // FIFO precondition check
+  };
+
+  /// Arrival event of boundary link `i`: delivers the inbox head.
+  void arrive(std::size_t i);
+
   Simulation& sim_;
   std::vector<Simulation*> domain_sims_;
   std::vector<int> node_domains_;  // parallel to nodes_
   std::vector<BoundaryLink> boundary_links_;
+  std::vector<Inbox> inboxes_;  // parallel to boundary_links_
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Edge> edges_;

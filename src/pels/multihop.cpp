@@ -53,11 +53,8 @@ ParkingLotScenario::ParkingLotScenario(ParkingLotConfig config)
   cfg_.faults_hop2.validate();
   if (!cfg_.faults_hop1.empty() || !cfg_.faults_hop2.empty()) {
     FaultInjector injector(sim_);
-    const auto hook = [](PelsQueue* q) {
-      return [q](double bw) { q->set_link_bandwidth(bw); };
-    };
-    injector.apply(cfg_.faults_hop1, fwd1, rev1, queue1_, hook(queue1_));
-    injector.apply(cfg_.faults_hop2, fwd2, rev2, queue2_, hook(queue2_));
+    injector.apply(cfg_.faults_hop1, fwd1, rev1, queue1_);
+    injector.apply(cfg_.faults_hop2, fwd2, rev2, queue2_);
   }
 
   const int total =

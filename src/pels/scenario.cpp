@@ -126,12 +126,7 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   // the comparator queues keep their construction-time capacity, matching
   // set_bottleneck_bandwidth.
   if (!cfg_.faults.empty()) {
-    FaultInjector injector(sim_);
-    FaultInjector::BandwidthHook hook;
-    if (PelsQueue* q = pels_queue_) {
-      hook = [q](double bw) { q->set_link_bandwidth(bw); };
-    }
-    injector.apply(cfg_.faults, forward, reverse, pels_queue_, std::move(hook));
+    FaultInjector(sim_).apply(cfg_.faults, forward, reverse, pels_queue_);
   }
 
   // The comparator source sends the whole FGS prefix unpartitioned.

@@ -20,9 +20,12 @@
 //     drained by sorting it once into a run buffer; higher-level buckets
 //     cascade downward as the frontier reaches them. Per-level occupancy
 //     bitmaps make "find the earliest non-empty bucket" four ctz scans.
-//   * Callbacks are fixed-capacity InplaceFunctions, not std::functions:
-//     packet-carrying captures (112-byte Packet moves) stay inside the slot
-//     instead of costing a heap allocation per event.
+//   * Callbacks are fixed-capacity InplaceFunctions, not std::functions,
+//     with a 32-byte capture budget: every event captures `[this, index]`-
+//     sized state, so a slot is 64 bytes (one cache line's worth) and 10^6
+//     pending timers cost 64 MB of slots, not 176. Nothing rides an event by
+//     value; packets wait in their owner's ring (link in-flight ring,
+//     boundary-link inbox) and the event names only the owner.
 //   * Cancellation is generation-tagged: an EventId packs (slot, generation)
 //     and cancel() just bumps the slot's generation — O(1) in both tiers
 //     (wheel residents additionally flip the slot's residency flag and drop
@@ -50,12 +53,14 @@ namespace pels {
 /// slot generation). Generations start at 1, so 0 is never a valid id.
 using EventId = std::uint64_t;
 
-/// Inline capture budget for scheduler callbacks. Sized so a lambda moving a
-/// whole Packet (112 bytes, see net/packet.h) plus a couple of pointers fits
-/// without touching the heap; net/link.cpp pins the relationship with a
-/// static_assert so a Packet growth that would silently re-introduce
-/// per-event allocations fails the build instead.
-inline constexpr std::size_t kSchedulerCallbackCapacity = 144;
+/// Inline capture budget for scheduler callbacks: four words, enough for
+/// `[this, index]` or `[link, queue, until, factor]`. A capture that does not
+/// fit is a compile error (tests/compile_fail pins that), never a heap box:
+/// state larger than this belongs in a pool or ring its owner keeps, with
+/// the event naming the owner. With the 16-byte vtable header and the slot's
+/// generation/residency words, the budget makes Scheduler::Slot exactly 64
+/// bytes; net/link.cpp and exp/domain_runner.cpp pin both.
+inline constexpr std::size_t kSchedulerCallbackCapacity = 32;
 
 class Scheduler {
  public:
@@ -88,6 +93,11 @@ class Scheduler {
     // between buckets (wheel_capacity = sum of levels + pool).
     std::array<std::size_t, 3> wheel_level_capacity{};
     std::size_t wheel_pool_capacity = 0;
+    // Resident cost of one pending event: its pooled slot plus its queue
+    // entry (heap or wheel bucket). pending * (slot_bytes + entry_bytes) is
+    // the scheduler's share of per-flow memory in timer-per-flow drivers.
+    std::size_t slot_bytes = 0;
+    std::size_t entry_bytes = 0;
   };
 
   /// Current simulation time. Starts at 0.
@@ -188,6 +198,11 @@ class Scheduler {
   void set_wheel_enabled(bool enabled) { wheel_enabled_ = enabled; }
   bool wheel_enabled() const { return wheel_enabled_; }
 
+  /// Bytes of one pooled callback slot and of one queue entry, at compile
+  /// time so layout contracts can be static_asserted.
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
+  static constexpr std::size_t entry_bytes() { return sizeof(Entry); }
+
   /// Snapshot of scheduler counters.
   Stats stats() const {
     Stats s;
@@ -215,6 +230,8 @@ class Scheduler {
     for (const std::vector<Entry>& sp : spares_) s.wheel_pool_capacity += sp.capacity();
     s.wheel_capacity += s.wheel_pool_capacity;
     s.run_capacity = run_.capacity();
+    s.slot_bytes = slot_bytes();
+    s.entry_bytes = entry_bytes();
     return s;
   }
 

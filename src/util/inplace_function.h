@@ -1,18 +1,19 @@
 // Fixed-capacity, move-only callable: std::function without the heap.
 //
 // The scheduler's hot path moves one callback per event through the pooled
-// slot vector; with std::function, any capture beyond the ~16-byte SBO (a
-// Packet is 112 bytes) costs a heap allocation and free *per event*. An
-// InplaceFunction stores the callable in an inline buffer of fixed Capacity,
-// so scheduling is allocation-free no matter what the lambda captures — and
-// a capture that outgrows the buffer fails at compile time, loudly, instead
-// of silently regressing the steady state to one malloc per packet.
+// slot vector; with std::function, any capture beyond the ~16-byte SBO costs
+// a heap allocation and free *per event*. An InplaceFunction stores the
+// callable in an inline buffer of fixed Capacity, so scheduling is
+// allocation-free for every capture that fits — and a capture that outgrows
+// the buffer fails at compile time, loudly, instead of silently regressing
+// the steady state to one malloc per event. The scheduler's budget is 32
+// bytes (sim/scheduler.h): events capture `[this, index]`, never a Packet.
 //
 // Design notes:
 //   * One pointer to a static per-type vtable {invoke, relocate, destroy};
 //     an empty function is vtable == nullptr. No virtual bases, no RTTI.
 //   * Move-only. The scheduler never copies callbacks, and requiring
-//     copyability would reject move-only captures (packets own a Box).
+//     copyability would reject move-only captures (a unique_ptr, say).
 //   * Moves must be noexcept: slots live in std::vector, and a throwing
 //     relocation would tear the event pool. Enforced per wrapped type.
 #pragma once
@@ -43,9 +44,9 @@ class InplaceFunction<R(Args...), Capacity, Align> {
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InplaceFunction(F&& f) : vtable_(&Ops<D>::vtable) {  // NOLINT(runtime/explicit)
     static_assert(sizeof(D) <= Capacity,
-                  "callable capture too large for this InplaceFunction — grow "
-                  "the capacity constant or box the capture (see "
-                  "sim/scheduler.h kSchedulerCallbackCapacity)");
+                  "callable capture too large for this InplaceFunction — keep "
+                  "large state with its owner and capture a pointer or index "
+                  "(see sim/scheduler.h kSchedulerCallbackCapacity)");
     static_assert(alignof(D) <= Align,
                   "callable over-aligned for this InplaceFunction buffer");
     static_assert(std::is_nothrow_move_constructible_v<D>,

@@ -15,6 +15,7 @@
 #include "net/node.h"
 #include "pels/pels_sink.h"
 #include "queue/drop_tail.h"
+#include "queue/pels_queue.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "video/rd_model.h"
@@ -212,21 +213,64 @@ TEST(LinkFaultTest, FlapLosesWirePacketAndResumesOnRecovery) {
   EXPECT_EQ(dst.arrivals[0].first, from_millis(11));  // restarted at 10, 1 ms wire
 }
 
+/// A link whose queue is a real PelsQueue: 4 mb/s, half of it the PELS
+/// group's capacity share.
+struct PelsLink {
+  explicit PelsLink(Simulation& sim) : dst(0, sim) {
+    PelsQueueConfig cfg;
+    cfg.link_bandwidth_bps = 4e6;
+    auto q = std::make_unique<PelsQueue>(sim.scheduler(), cfg);
+    queue = q.get();
+    link = std::make_unique<Link>(sim, dst, 4e6, 0, std::move(q));
+  }
+  RecordingNode dst;
+  PelsQueue* queue = nullptr;
+  std::unique_ptr<Link> link;
+};
+
 TEST(LinkFaultTest, BrownoutScalesBandwidthAndRestores) {
   Simulation sim;
-  RecordingNode dst(0, sim);
-  Link link(sim, dst, 4e6, 0, std::make_unique<DropTailQueue>(16));
+  PelsLink p(sim);
+  ASSERT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 2e6);
   FaultInjector injector(sim);
-  std::vector<double> hook_rates;
-  injector.inject_brownout(link, {from_millis(1), from_millis(10), 0.25},
-                           [&](double bw) { hook_rates.push_back(bw); });
+  injector.inject_brownout(*p.link, {from_millis(1), from_millis(10), 0.25}, p.queue);
   sim.run_until(from_millis(5));
-  EXPECT_DOUBLE_EQ(link.bandwidth_bps(), 1e6);
+  EXPECT_DOUBLE_EQ(p.link->bandwidth_bps(), 1e6);
+  EXPECT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 0.5e6);  // the share follows the wire
   sim.run_until(from_millis(11));
-  EXPECT_DOUBLE_EQ(link.bandwidth_bps(), 4e6);
-  ASSERT_EQ(hook_rates.size(), 2u);
-  EXPECT_DOUBLE_EQ(hook_rates[0], 1e6);
-  EXPECT_DOUBLE_EQ(hook_rates[1], 4e6);
+  EXPECT_DOUBLE_EQ(p.link->bandwidth_bps(), 4e6);
+  EXPECT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 2e6);
+}
+
+TEST(LinkFaultTest, BrownoutWithoutQueueScalesTheWireAlone) {
+  Simulation sim;
+  PelsLink p(sim);
+  FaultInjector(sim).inject_brownout(*p.link, {from_millis(1), from_millis(10), 0.25});
+  sim.run_until(from_millis(5));
+  EXPECT_DOUBLE_EQ(p.link->bandwidth_bps(), 1e6);
+  EXPECT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 2e6);
+}
+
+TEST(LinkFaultTest, NestedBrownoutsUnwindToTheOriginalRate) {
+  // Each window restores the rate its own start edge saw, so an inner window
+  // hands back the outer window's rate and the outer one the original. The
+  // injector is gone before the first edge: the edges carry their own state.
+  Simulation sim;
+  PelsLink p(sim);
+  {
+    FaultInjector injector(sim);
+    injector.inject_brownout(*p.link, {from_millis(1), from_millis(20), 0.5}, p.queue);
+    injector.inject_brownout(*p.link, {from_millis(5), from_millis(10), 0.5}, p.queue);
+  }
+  sim.run_until(from_millis(7));
+  EXPECT_DOUBLE_EQ(p.link->bandwidth_bps(), 1e6);
+  EXPECT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 0.5e6);
+  sim.run_until(from_millis(15));
+  EXPECT_DOUBLE_EQ(p.link->bandwidth_bps(), 2e6);
+  EXPECT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 1e6);
+  sim.run_until(from_millis(25));
+  EXPECT_DOUBLE_EQ(p.link->bandwidth_bps(), 4e6);
+  EXPECT_DOUBLE_EQ(p.queue->pels_capacity_bps(), 2e6);
 }
 
 TEST(LinkFaultTest, BlackoutWindowDropsEveryWirePacket) {

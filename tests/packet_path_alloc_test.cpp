@@ -5,7 +5,9 @@
 // then on. What remains in the timed window is the amortised growth of
 // append-only result logs (per-packet delay series, frame qualities,
 // control-interval trajectories), which double a few times per run, not per
-// packet, plus the last wheel buckets meeting a new high-water mark.
+// packet, plus the last wheel buckets meeting a new high-water mark. A
+// second case holds cross-domain handoffs (DomainRunner mailboxes and the
+// topology's boundary-link inboxes) to zero allocations once warm.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -13,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/domain_runner.h"
+#include "net/topology.h"
 #include "pels/scenario.h"
+#include "queue/drop_tail.h"
+#include "sim/timer.h"
 
 // ---------------------------------------------------------------------------
 // Heap interposition (this test binary only): replacing operator new in one
@@ -98,6 +104,69 @@ TEST(PacketPathAllocTest, DumbbellWindowAllocatesUnderOneHundredthPerPacket) {
                            << " delivered PELS packets";
   EXPECT_GT(s.pels_queue()->pels_group_counters().drops[2], 0u)
       << "the window should exercise the congested (red-drop) path";
+}
+
+/// Counts arrivals without logging them: the sink must not allocate either.
+struct CountingAgent : public Agent {
+  void on_packet(const Packet&) override { ++arrivals; }
+  std::uint64_t arrivals = 0;
+};
+
+TEST(PacketPathAllocTest, WarmDomainHandoffsAllocateNothing) {
+  // A two-domain chain a - r1 ===boundary=== r2 - b with traffic both ways:
+  // every packet crosses the boundary through a mailbox at the barrier and
+  // the destination link's inbox after it. Once the mailboxes and inboxes
+  // reach their high-water marks, a handoff touches no heap. The schedulers
+  // run heap-only: wheel buckets keep meeting new high-water marks for
+  // minutes (the dumbbell test above budgets for that), while the heap tier
+  // is pre-sized, so any allocation left in the window is the handoff's.
+  Simulation near(3);
+  Simulation far(3);
+  near.scheduler().set_wheel_enabled(false);
+  far.scheduler().set_wheel_enabled(false);
+  Topology topo(near);
+  const int d = topo.add_domain(far);
+  const QueueFactory drop_tail = [](double) { return std::make_unique<DropTailQueue>(64); };
+  Host& a = topo.add_host("a");
+  Router& r1 = topo.add_router("r1");
+  Router& r2 = topo.add_router("r2", d);
+  Host& b = topo.add_host("b", d);
+  topo.connect(a, r1, 10e6, kMillisecond, drop_tail);
+  topo.connect(r1, r2, 8e6, 10 * kMillisecond, drop_tail);
+  topo.connect(r2, b, 10e6, kMillisecond, drop_tail);
+  topo.compute_routes();
+  topo.reserve_runtime(2);
+  CountingAgent at_a;
+  CountingAgent at_b;
+  b.register_agent(1, &at_b);
+  a.register_agent(2, &at_a);
+  const auto pace = [](Scheduler& sched, Host& src, NodeId dst, FlowId flow, double pps) {
+    return std::make_unique<PeriodicTimer>(sched, from_seconds(1.0 / pps), [&src, dst, flow] {
+      Packet pkt;
+      pkt.flow = flow;
+      pkt.size_bytes = 500;
+      pkt.src = src.id();
+      pkt.dst = dst;
+      src.send(std::move(pkt));
+    });
+  };
+  auto forward = pace(near.scheduler(), a, b.id(), 1, 1500.0);
+  auto reverse = pace(far.scheduler(), b, a.id(), 2, 700.0);
+  forward->start();
+  reverse->start();
+
+  DomainRunner runner(topo, 2);
+  runner.run_until(5 * kSecond);
+  const std::uint64_t handoffs0 = runner.stats().handoffs;
+  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  runner.run_until(15 * kSecond);
+  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  const std::uint64_t handoffs = runner.stats().handoffs - handoffs0;
+
+  ASSERT_GT(handoffs, 8000u);
+  EXPECT_GT(at_a.arrivals, 0u);
+  EXPECT_GT(at_b.arrivals, 0u);
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations for " << handoffs << " handoffs";
 }
 
 }  // namespace

@@ -237,6 +237,95 @@ TEST(DomainRunnerTest, SingleDomainTopologyFallsBackToSequentialRun) {
   EXPECT_GT(s.sink_b->arrivals(), 0u);
 }
 
+// ------------------------------------------------------- arrival inboxes
+
+/// Two boundary links a1 -> b and a2 -> b from domain 0 into domain 1. At a
+/// rate high enough that serialization rounds to 0 ns, every packet of a
+/// burst on either link is handed off with the same deliver_at, so the only
+/// thing ordering their arrivals is the scheduler's tie-break: the barrier's
+/// schedule order, which the inbox events must preserve.
+struct TwoLinkFanIn {
+  static constexpr SimTime kDelay = 5 * kMillisecond;
+
+  TwoLinkFanIn() : near(3), far(3), topo(near) {
+    const int d = topo.add_domain(far);
+    Host& a1 = topo.add_host("a1");
+    Host& a2 = topo.add_host("a2");
+    Host& b = topo.add_host("b", d);
+    topo.add_link(a1, b, 1e13, kDelay, kDropTail);  // boundary link 0
+    topo.add_link(a2, b, 1e13, kDelay, kDropTail);  // boundary link 1
+    topo.compute_routes();
+    sink = std::make_unique<RecordingAgent>(far);
+    b.register_agent(1, sink.get());
+    b.register_agent(2, sink.get());
+    // The second link's burst is sent first: send order must not matter,
+    // link creation order must.
+    near.at(kMillisecond, [this, &a1, &a2, &b] {
+      burst(a2, b.id(), 2);
+      burst(a1, b.id(), 1);
+    });
+  }
+
+  static void burst(Host& src, NodeId dst, FlowId flow) {
+    for (std::uint32_t seq = 1; seq <= 3; ++seq) {
+      Packet pkt;
+      pkt.uid = flow * 100 + seq;
+      pkt.flow = flow;
+      pkt.seq = seq;
+      pkt.size_bytes = 100;
+      pkt.src = src.id();
+      pkt.dst = dst;
+      src.send(std::move(pkt));
+    }
+  }
+
+  Simulation near;
+  Simulation far;
+  Topology topo;
+  std::unique_ptr<RecordingAgent> sink;
+};
+
+TEST(DomainRunnerTest, InboxesDeliverInLinkOrderThenFifoAtAnyThreadCount) {
+  const std::string expected = [] {
+    const std::string t = std::to_string(kMillisecond + TwoLinkFanIn::kDelay);
+    return t + ":101;" + t + ":102;" + t + ":103;" + t + ":201;" + t + ":202;" + t + ":203;";
+  }();
+  for (unsigned threads : {1u, 2u, 8u}) {
+    TwoLinkFanIn s;
+    DomainRunner runner(s.topo, threads);
+    runner.run_until(20 * kMillisecond);
+    EXPECT_EQ(runner.stats().handoffs, 6u);
+    EXPECT_EQ(s.sink->serialize(), expected) << "threads=" << threads;
+  }
+}
+
+TEST(DomainRunnerTest, PendingArrivalsOutliveTheRunner) {
+  // Handoffs still in their inbox when the runner goes away arrive when the
+  // destination domain is stepped on its own, exactly as they would have
+  // under the runner: every arrival before t1 + lookahead was handed off at
+  // or before the barrier at t1.
+  const SimTime t1 = kSecond;
+  const SimTime t2 = t1 + ChainScenario::kBoundaryDelay - 1;
+  ChainScenario whole(/*partitioned=*/true);
+  DomainRunner(*whole.topo, 2).run_until(t2);
+
+  ChainScenario cut(/*partitioned=*/true);
+  std::size_t arrived_at_cut = 0;
+  {
+    DomainRunner runner(*cut.topo, 2);
+    runner.run_until(t1);
+    arrived_at_cut = cut.sink_b->arrivals();
+  }
+  cut.sims[1]->run_until(t2);
+  EXPECT_GT(cut.sink_b->arrivals(), arrived_at_cut) << "no arrival was pending at the cut";
+  EXPECT_EQ(cut.sink_b->serialize(), whole.sink_b->serialize());
+  // The source domain keeps running too; its boundary links fell back to
+  // local delivery when the runner detached them.
+  cut.sims[0]->run_until(t2);
+  EXPECT_EQ(cut.sims[0]->now(), t2);
+  EXPECT_EQ(cut.sims[1]->now(), t2);
+}
+
 // ------------------------------------------------------------ validation
 
 TEST(DomainRunnerTest, ZeroDelayBoundaryLinkIsRejected) {

@@ -10,7 +10,7 @@
 
 #include "analysis/stability.h"
 #include "exp/sweep.h"
-#include "pels/multihop.h"
+#include "pels/scenario.h"
 #include "util/table.h"
 
 using namespace pels;
@@ -28,26 +28,24 @@ int main() {
   std::vector<std::function<SweepOutput()>> tasks;
   for (const Case c : {Case{1, 3}, Case{3, 1}, Case{2, 2}, Case{1, 7}}) {
     tasks.push_back([c] {
-      ParkingLotConfig cfg;
-      cfg.cross_flows_hop1 = c.x1;
-      cfg.cross_flows_hop2 = c.x2;
+      // Flow 0 is the long flow, flow 1 the first hop-1 cross flow, flow
+      // 1 + x1 the first hop-2 cross flow.
+      ScenarioConfig cfg = parking_lot_config(1, c.x1, c.x2);
       cfg.seed = 11;
-      ParkingLotScenario s(cfg);
+      DumbbellScenario s(cfg);
       const SimTime duration = 40 * kSecond;
       s.run_until(duration);
       s.finish();
 
-      const double r_long = s.long_flow(0).rate_series().mean_in(20 * kSecond, duration);
-      const double r_x2 =
-          s.cross_flow_hop2(0).rate_series().mean_in(20 * kSecond, duration);
-      const double r_x1 =
-          s.cross_flow_hop1(0).rate_series().mean_in(20 * kSecond, duration);
+      const double r_long = s.source(0).rate_series().mean_in(20 * kSecond, duration);
+      const double r_x2 = s.source(1 + c.x1).rate_series().mean_in(20 * kSecond, duration);
+      const double r_x1 = s.source(1).rate_series().mean_in(20 * kSecond, duration);
       SweepOutput out;
       out.rows.push_back({std::to_string(c.x1) + " / " + std::to_string(c.x2),
-                          "R" + std::to_string(s.long_flow(0).governing_router()),
+                          "R" + std::to_string(s.source(0).governing_router()),
                           TablePrinter::fmt(r_long / 1e3, 0), TablePrinter::fmt(r_x2 / 1e3, 0),
                           TablePrinter::fmt(r_x1 / 1e3, 0),
-                          TablePrinter::fmt(s.long_sink(0).mean_utility(), 3)});
+                          TablePrinter::fmt(s.sink(0).mean_utility(), 3)});
       return out;
     });
   }

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_cli.h"
 #include "exp/domain_runner.h"
 #include "exp/journal.h"
 #include "exp/sweep.h"
@@ -46,6 +45,7 @@
 #include "queue/drop_tail.h"
 #include "sim/invariants.h"
 #include "sim/timer.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 using namespace pels;
@@ -399,7 +399,7 @@ ResumeResult run_resume_check(SweepRunner& runner, SimTime duration) {
 int main(int argc, char** argv) {
   constexpr const char* kUsage =
       "usage: chaos_sweep [--smoke] [--schedules N] [--json PATH] [--label NAME] [--repro PATH]";
-  const BenchCli cli(argc, argv, {"smoke"}, {"schedules", "json", "label", "repro"});
+  const StrictCliArgs cli(argc, argv, {"smoke"}, {"schedules", "json", "label", "repro"});
   const bool smoke = cli.has("smoke");
   const int schedules = static_cast<int>(cli.get_int_at_least("schedules", smoke ? 24 : 200, 1));
   const std::string json_path = cli.get_string("json", "BENCH_chaos.json");

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_cli.h"
 #include "exp/fairness.h"
 #include "exp/sweep.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 using namespace pels;
@@ -63,7 +63,7 @@ void json_doubles(std::ofstream& json, const std::vector<double>& v) {
 
 int main(int argc, char** argv) {
   constexpr const char* kUsage = "usage: fairness_matrix [--smoke] [--json PATH] [--label NAME]";
-  const BenchCli cli(argc, argv, {"smoke"}, {"json", "label"});
+  const StrictCliArgs cli(argc, argv, {"smoke"}, {"json", "label"});
   const bool smoke = cli.has("smoke");
   const std::string json_path = cli.get_string("json", "BENCH_fairness.json");
   const std::string label = cli.get_string("label", "now");

@@ -48,10 +48,10 @@
 #include <thread>
 #include <vector>
 
-#include "bench_cli.h"
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
 #include "sim/scheduler.h"
+#include "util/cli.h"
 #include "util/table.h"
 #include "util/time.h"
 
@@ -427,7 +427,7 @@ ShardedRun run_sharded(unsigned threads, const ShardedMix& mix_size, SimTime war
 
 int main(int argc, char** argv) {
   constexpr const char* kUsage = "usage: many_flows [--smoke] [--json PATH] [--label NAME]";
-  const BenchCli cli(argc, argv, {"smoke"}, {"json", "label"});
+  const StrictCliArgs cli(argc, argv, {"smoke"}, {"json", "label"});
   const bool smoke = cli.has("smoke");
   const std::string json_path = cli.get_string("json", "BENCH_manyflows.json");
   const std::string label = cli.get_string("label", "now");

@@ -29,13 +29,13 @@
 #include <string>
 #include <vector>
 
-#include "bench_cli.h"
 #include "exp/domain_runner.h"
 #include "exp/sweep.h"
 #include "net/topology.h"
 #include "pels/scenario.h"
 #include "queue/drop_tail.h"
 #include "sim/timer.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 // ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ ParallelDesResult run_parallel_des(SimTime duration) {
 
 int main(int argc, char** argv) {
   constexpr const char* kUsage = "usage: micro_pipeline [--smoke] [--json PATH] [--label NAME]";
-  const BenchCli cli(argc, argv, {"smoke"}, {"json", "label"});
+  const StrictCliArgs cli(argc, argv, {"smoke"}, {"json", "label"});
   const bool smoke = cli.has("smoke");
   const std::string json_path = cli.get_string("json", "BENCH_pipeline.json");
   const std::string label = cli.get_string("label", "now");

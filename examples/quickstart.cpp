@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "pels/metrics.h"
 #include "pels/scenario.h"
@@ -52,7 +53,8 @@ bool parse_double(const std::string& s, double& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const std::vector<std::string> valued = {"seed", "tcp", "csv", "telemetry-csv", "telemetry-json"};
+  const StrictCliArgs args(argc, argv, {"rd-scaling"}, valued, /*max_positional=*/2);
   const auto& pos = args.positional();
   int flows = 1;
   double seconds = 30.0;
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
   cfg.pels_flows = flows;
   cfg.tcp_flows = static_cast<int>(args.get_int("tcp", 1));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.rd_aware_scaling = args.get_bool("rd-scaling", false);
+  cfg.rd_aware_scaling = args.has("rd-scaling");
 
   // Declarative telemetry (DESIGN.md "Telemetry"): asking for an export file
   // flips the scenario switch; everything else is wired by the scenario.
@@ -78,7 +80,8 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(from_seconds(seconds) / cfg.telemetry.period) + 16;
   }
 
-  if (!args.parse_errors().empty()) return usage_error(args.parse_errors().front());
+  const std::string csv = args.get_string("csv", "");
+  if (args.reject("quickstart", kUsage)) return 2;
 
   std::optional<DumbbellScenario> scenario;
   try {
@@ -118,7 +121,7 @@ int main(int argc, char** argv) {
   std::cout << "\nmean FGS utility (useful/received): " << s.sink(0).mean_utility() << "\n"
             << "frames decoded: " << s.sink(0).frame_qualities().size() << "\n";
 
-  if (const std::string csv = args.get_string("csv", ""); !csv.empty()) {
+  if (!csv.empty()) {
     if (write_metrics_csv(s, csv)) {
       std::cout << "metrics written to " << csv << "\n";
     } else {

@@ -1,8 +1,9 @@
 // Multi-bottleneck fabric generator + mixed-traffic driver (ROADMAP
 // "Million-flow scale-out").
 //
-// The dumbbell scenario in src/pels/scenario.h is the paper's topology; this
-// file builds the larger fabrics needed to exercise population-scale control:
+// DumbbellScenario in src/pels/scenario.h is the paper's topology and, with
+// chained PELS hops, its per-flow PelsSource parking lot; this file builds the
+// larger fabrics needed to exercise population-scale control:
 //
 //   * parking-lot chains — N bottleneck routers in a row, a host hanging off
 //     each end and each junction, so long flows cross every bottleneck while

@@ -8,6 +8,18 @@
 // §6.1). The scenario wires topology, agents, and periodic samplers for the
 // per-colour loss rates at the bottleneck, and exposes everything the bench
 // harnesses need.
+//
+// `downstream_bps` chains further PELS hops R2 ==> R3 ==> ... after the
+// first, and `hop_spans` says which hops each video flow crosses. That is the
+// parking lot of paper §5.2 (see parking_lot_config):
+//
+//   long flows:   L  -> R1 ==hop 0==> R2 ==hop 1==> R3 -> sink
+//   cross hop 1:  X1 -> R1 ==hop 0==> R2 -> sink
+//   cross hop 2:  X2 -> R2 ==hop 1==> R3 -> sink
+//
+// Each router overrides the in-band label only with a larger loss, so a flow
+// crossing several hops follows the most congested one (max-min) and
+// re-binds when the bottleneck moves.
 #pragma once
 
 #include <functional>
@@ -46,6 +58,19 @@ struct ScenarioConfig {
   int tcp_flows = 1;
 
   double bottleneck_bps = 4e6;  // §6.1
+  /// Rates of further PELS hops chained after R1 -> R2: entry h-1 is hop h,
+  /// R(h+1) -> R(h+2), whose queue stamps router id pels_queue.router_id + h.
+  /// Each has bottleneck_delay and a plain reverse FIFO; TCP flows, `faults`,
+  /// ack_loss and wireless_loss stay on hop 0. Empty (default) = the
+  /// single-bottleneck bar-bell.
+  std::vector<double> downstream_bps;
+  /// Hops PELS flow k crosses, first to last inclusive: entry k % size(), the
+  /// way edge_delays is read. Empty (default) = every hop.
+  struct HopSpan {
+    int first_hop = 0;
+    int last_hop = 0;
+  };
+  std::vector<HopSpan> hop_spans;
   double edge_bps = 10e6;
   SimTime edge_delay = from_millis(2);
   /// Per-flow edge propagation delay (RTT diversity, fairness-matrix cells):
@@ -112,9 +137,14 @@ struct ScenarioConfig {
   /// turn it on.
   InvariantConfig invariants;
 
+  /// Number of bottleneck hops: 1 + downstream_bps.size().
+  int hops() const { return 1 + static_cast<int>(downstream_bps.size()); }
+
   /// Rejects nonsensical parameters (probabilities outside [0,1), gains
   /// outside their stability regions, non-positive bandwidths/intervals,
-  /// restarts without a PELS bottleneck) with std::invalid_argument. Called
+  /// restarts without a PELS bottleneck, hop spans outside the hops,
+  /// downstream hops behind a comparator bottleneck) with
+  /// std::invalid_argument. Called
   /// by the DumbbellScenario constructor — a bad config fails fast instead
   /// of producing a silently absurd simulation.
   void validate() const;
@@ -123,6 +153,12 @@ struct ScenarioConfig {
 /// Convenience: start times 0, t, 2t, ... for a staircase join pattern
 /// (two flows per step is Fig. 8/9's "two new flows every 50 seconds").
 std::vector<SimTime> staircase_starts(int flows, int per_step, SimTime step);
+
+/// The §5.2 parking lot: two 4 mb/s PELS hops (router ids 1 and 2), PELS
+/// flows ordered long (both hops), then cross flows on hop 1, then on hop 2;
+/// 20 mb/s edges with 2000-packet queues and no TCP. Throws
+/// std::invalid_argument on a negative count.
+ScenarioConfig parking_lot_config(int long_flows, int cross_hop1, int cross_hop2);
 
 class DumbbellScenario {
  public:
@@ -135,8 +171,9 @@ class DumbbellScenario {
 
   Simulation& sim() { return sim_; }
   /// The underlying graph — link 0 is the forward bottleneck, link 1 the
-  /// reverse (ACK) direction. Exposed for invariant checks and fault tooling
-  /// that need per-link counters.
+  /// reverse (ACK) direction, then each downstream hop's forward and reverse
+  /// link. Exposed for invariant checks and fault tooling that need per-link
+  /// counters.
   Topology& topology() { return topo_; }
   int pels_flow_count() const { return cfg_.pels_flows; }
   PelsSource& source(int i) { return *sources_.at(static_cast<std::size_t>(i)); }
@@ -144,7 +181,8 @@ class DumbbellScenario {
   TcpLikeSource& tcp_source(int i) { return *tcp_sources_.at(static_cast<std::size_t>(i)); }
 
   /// Bottleneck queue views (exactly one is non-null, per `bottleneck`).
-  PelsQueue* pels_queue() { return pels_queue_; }
+  /// pels_queue(h) is hop h's PELS queue; downstream hops are always PELS.
+  PelsQueue* pels_queue(int hop = 0) { return pels_queues_.at(static_cast<std::size_t>(hop)); }
   BestEffortQueue* best_effort_queue() { return best_effort_queue_; }
   RemQueue* rem_queue() { return rem_queue_; }
   QueueDisc& bottleneck_queue();
@@ -175,7 +213,8 @@ class DumbbellScenario {
 
   /// Telemetry views; null unless config().telemetry.enabled. The registry
   /// holds every instrument registered at construction (prefixes:
-  /// "bottleneck", "bottleneck.link", "flowN", "sinkN"); the sampler snapshots
+  /// "bottleneck", "bottleneck.link", "flowN", "sinkN", and "bottleneckH" /
+  /// "bottleneckH.link" for downstream hop H-1 >= 1); the sampler snapshots
   /// them every telemetry.period of simulated time.
   MetricsRegistry* metrics() { return metrics_.get(); }
   TimeSeriesSampler* telemetry_sampler() { return telemetry_.get(); }
@@ -189,6 +228,7 @@ class DumbbellScenario {
 
  private:
   void sample_losses();
+  QueueFactory pels_queue_factory(int hop);
   void setup_telemetry();
   void setup_invariants();
 
@@ -198,12 +238,13 @@ class DumbbellScenario {
   RdModel rd_;
   std::unique_ptr<FlowTable> flow_table_;
 
-  PelsQueue* pels_queue_ = nullptr;
+  // Per hop: the PELS queue (hop 0's is null behind a comparator) and the
+  // forward link. Hop 0's forward link is the bottleneck.
+  std::vector<PelsQueue*> pels_queues_;
+  std::vector<Link*> hop_links_;
   BestEffortQueue* best_effort_queue_ = nullptr;
   RemQueue* rem_queue_ = nullptr;
   QueueDisc* bottleneck_ = nullptr;
-  Link* bottleneck_link_ = nullptr;
-  Link* reverse_link_ = nullptr;
 
   std::vector<std::unique_ptr<PelsSource>> sources_;
   std::vector<std::unique_ptr<PelsSink>> sinks_;

@@ -1,6 +1,9 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
+#include <utility>
 
 namespace pels {
 
@@ -72,6 +75,56 @@ std::vector<std::string> CliArgs::flag_names() const {
   names.reserve(flags_.size());
   for (const auto& [name, value] : flags_) names.push_back(name);
   return names;
+}
+
+namespace {
+
+bool listed(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+}  // namespace
+
+StrictCliArgs::StrictCliArgs(int argc, const char* const* argv, std::vector<std::string> switches,
+                             std::vector<std::string> valued, std::size_t max_positional)
+    : CliArgs(argc, argv),
+      switches_(std::move(switches)),
+      valued_(std::move(valued)),
+      max_positional_(max_positional) {}
+
+long long StrictCliArgs::get_int_at_least(const std::string& name, long long def,
+                                          long long min) const {
+  const std::size_t malformed = parse_errors().size();
+  const long long v = get_int(name, def);
+  if (has(name) && parse_errors().size() == malformed && v < min)
+    range_errors_.push_back("--" + name + " must be at least " + std::to_string(min));
+  return v;
+}
+
+std::vector<std::string> StrictCliArgs::errors() const {
+  std::vector<std::string> out;
+  for (std::size_t i = max_positional_; i < positional().size(); ++i)
+    out.push_back("unexpected argument '" + positional()[i] + "'");
+  for (const std::string& name : flag_names()) {
+    const bool has_value = !get_string(name, "").empty();
+    if (listed(valued_, name)) {
+      if (!has_value) out.push_back("--" + name + " needs a value");
+    } else if (!listed(switches_, name)) {
+      out.push_back("unknown flag --" + name);
+    } else if (has_value) {
+      out.push_back("--" + name + " takes no value");
+    }
+  }
+  out.insert(out.end(), parse_errors().begin(), parse_errors().end());
+  out.insert(out.end(), range_errors_.begin(), range_errors_.end());
+  return out;
+}
+
+bool StrictCliArgs::reject(const std::string& program, const std::string& usage) const {
+  const std::vector<std::string> errs = errors();
+  for (const std::string& e : errs) std::cerr << program << ": " << e << "\n";
+  if (!errs.empty()) std::cerr << usage << "\n";
+  return !errs.empty();
 }
 
 }  // namespace pels

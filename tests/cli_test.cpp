@@ -81,5 +81,30 @@ TEST(CliArgsTest, LastOccurrenceWins) {
   EXPECT_EQ(args.get_int("flows", 0), 9);
 }
 
+std::vector<std::string> strict_errors(std::initializer_list<const char*> args) {
+  std::vector<const char*> argv = {"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  const int argc = static_cast<int>(argv.size());
+  const StrictCliArgs cli(argc, argv.data(), {"smoke"}, {"json", "count"}, /*max_positional=*/1);
+  cli.get_int_at_least("count", 1, 1);
+  return cli.errors();
+}
+
+TEST(StrictCliArgsTest, AcceptsTheAllowList) {
+  EXPECT_TRUE(strict_errors({"first", "--smoke", "--json", "x.json", "--count=3"}).empty());
+}
+
+TEST(StrictCliArgsTest, ReportsEveryMistake) {
+  const std::vector<std::string> errs =
+      strict_errors({"first", "second", "--smoke=1", "--json", "--smoek", "--count", "0"});
+  // Positionals first, then flags in name order, then value errors.
+  const std::vector<std::string> expected = {
+      "unexpected argument 'second'", "--json needs a value", "unknown flag --smoek",
+      "--smoke takes no value", "--count must be at least 1"};
+  EXPECT_EQ(errs, expected);
+  EXPECT_EQ(strict_errors({"--count", "abc"}),
+            std::vector<std::string>{"--count: not an integer: abc"});
+}
+
 }  // namespace
 }  // namespace pels

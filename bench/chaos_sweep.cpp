@@ -1,6 +1,6 @@
 // Chaos campaign driver: randomized fault schedules vs. runtime invariants.
 //
-// Five measurements, written to BENCH_chaos.json (schema v1, gated in CI by
+// Four measurements, written to BENCH_chaos.json (schema v1, gated in CI by
 // tools/bench_compare.py) and EXPERIMENTS.md:
 //   1. campaign: N seeded fault schedules (ChaosPlanGenerator) each run
 //      through a monitored dumbbell scenario with abort_on_violation set.
@@ -18,9 +18,6 @@
 //   4. monitor overhead: interleaved A/B dumbbell runs with the invariant
 //      monitor off/on; overhead budget ≤ 3% (DESIGN.md §9), and the monitor
 //      must observe without perturbing delivery.
-//   5. resume: a journaled sweep is truncated mid-file (simulated crash,
-//      torn tail included) and resumed; the resumed CSV must be
-//      byte-identical to an uninterrupted run.
 //
 // Usage: chaos_sweep [--smoke] [--schedules N] [--json PATH] [--label NAME]
 //                    [--repro PATH]
@@ -28,16 +25,13 @@
 //   afford it; --repro sets where the selftest/violation repro JSON goes.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/domain_runner.h"
-#include "exp/journal.h"
 #include "exp/sweep.h"
 #include "fault/chaos.h"
 #include "net/topology.h"
@@ -306,94 +300,6 @@ OverheadRun run_overhead_probe(SimTime duration, bool monitored) {
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Crash-safe resume: truncate a journal mid-file (torn tail included) and
-// check the resumed table is byte-identical to the uninterrupted one.
-// ---------------------------------------------------------------------------
-
-std::vector<std::function<SweepOutput()>> resume_tasks(int n, SimTime duration) {
-  std::vector<std::function<SweepOutput()>> tasks;
-  for (int k = 0; k < n; ++k) {
-    const std::uint64_t seed = static_cast<std::uint64_t>(k) + 1;
-    tasks.push_back([seed, duration] {
-      ScenarioConfig cfg;
-      cfg.pels_flows = 2;
-      cfg.tcp_flows = 1;
-      cfg.seed = seed;
-      DumbbellScenario s(cfg);
-      s.run_until(duration);
-      s.finish();
-      SweepOutput out;
-      out.rows.push_back(
-          {std::to_string(seed),
-           TablePrinter::fmt(s.source(0).rate_series().mean_in(duration / 2, duration) / 1e3, 1),
-           TablePrinter::fmt(s.loss_series(Color::kRed).mean_in(duration / 2, duration), 4)});
-      return out;
-    });
-  }
-  return tasks;
-}
-
-struct ResumeResult {
-  bool identical = false;
-  bool torn_tail_detected = false;
-  std::size_t reused = 0;
-  std::size_t executed = 0;
-};
-
-ResumeResult run_resume_check(SweepRunner& runner, SimTime duration) {
-  const int n = 8;
-  const int keep = 5;  // journal lines surviving the simulated crash
-  std::vector<std::string> labels;
-  for (int k = 0; k < n; ++k) labels.push_back("seed=" + std::to_string(k + 1));
-  const std::vector<std::string> header{"seed", "rate (kb/s)", "red loss"};
-
-  SweepReport last_report;
-  const auto csv_of = [&](SweepJournal* journal) {
-    TablePrinter table(header);
-    SweepOptions options;
-    options.labels = labels;
-    options.journal = journal;
-    last_report = run_sweep_to_table(runner, resume_tasks(n, duration), table, options);
-    std::ostringstream csv;
-    table.print_csv(csv);
-    return csv.str();
-  };
-
-  const std::string full_path = "chaos_sweep_journal_full.tmp.jsonl";
-  const std::string cut_path = "chaos_sweep_journal_resume.tmp.jsonl";
-  std::remove(full_path.c_str());
-  std::remove(cut_path.c_str());
-
-  // Uninterrupted reference (no journal), then a fully journaled run.
-  const std::string reference_csv = csv_of(nullptr);
-  {
-    SweepJournal full(full_path);
-    csv_of(&full);
-  }
-
-  // Simulated crash: keep the first `keep` complete lines plus a torn tail.
-  {
-    std::ifstream in(full_path);
-    std::ofstream out(cut_path, std::ios::trunc);
-    std::string line;
-    for (int k = 0; k < keep && std::getline(in, line); ++k) out << line << '\n';
-    out << "{\"index\":7,\"la";  // the write the crash tore mid-line
-  }
-
-  ResumeResult r;
-  SweepJournal resumed(cut_path);
-  r.torn_tail_detected = resumed.tail_torn() && resumed.loaded() == keep;
-  const std::string resumed_csv = csv_of(&resumed);
-  r.identical = resumed_csv == reference_csv;
-  r.reused = last_report.reused;      // the entries surviving the "crash"
-  r.executed = last_report.executed;  // only the lost tail re-ran
-
-  std::remove(full_path.c_str());
-  std::remove(cut_path.c_str());
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -539,17 +445,9 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  print_banner(std::cout, "crash-safe resume (torn journal, byte-identical table)");
-  const ResumeResult resume = run_resume_check(runner, (smoke ? 1 : 3) * kSecond);
-  std::cout << "journal cut at 5/8 entries + torn tail: torn detected = "
-            << (resume.torn_tail_detected ? "yes" : "NO") << ", reused " << resume.reused
-            << ", re-ran " << resume.executed << ", resumed CSV "
-            << (resume.identical ? "byte-identical" : "DIFFERS") << "\n";
-
-  // -------------------------------------------------------------------
   // Schema v1 (tools/bench_compare.py gates on it): campaign.violations == 0,
   // shrink_selftest.shrunk_still_violates, parallel_chaos.identical,
-  // resume.identical, monitor_overhead.overhead_frac within budget.
+  // monitor_overhead.overhead_frac within budget.
   std::ofstream json(json_path, std::ios::trunc);
   json << "{\n"
        << "  \"schema_version\": 1,\n"
@@ -589,19 +487,10 @@ int main(int argc, char** argv) {
        << "    \"overhead_frac\": " << overhead << ",\n"
        << "    \"overhead_frac_raw\": " << overhead_raw << ",\n"
        << "    \"noise_floor_frac\": " << noise_floor << "\n"
-       << "  },\n"
-       << "  \"resume\": {\n"
-       << "    \"tasks\": 8,\n"
-       << "    \"journaled\": 5,\n"
-       << "    \"reused\": " << resume.reused << ",\n"
-       << "    \"executed\": " << resume.executed << ",\n"
-       << "    \"torn_tail_detected\": " << (resume.torn_tail_detected ? "true" : "false") << ",\n"
-       << "    \"identical_to_uninterrupted\": " << (resume.identical ? "true" : "false") << "\n"
        << "  }\n}\n";
   std::cout << "\nwrote " << json_path << "\n";
 
-  const bool ok = violations == 0 && task_errors == 0 && pchaos.identical &&
-                  resume.identical && resume.torn_tail_detected;
+  const bool ok = violations == 0 && task_errors == 0 && pchaos.identical;
   if (!ok) {
     std::cerr << "FATAL: chaos harness found failures (see above)\n";
     return 1;

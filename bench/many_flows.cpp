@@ -38,12 +38,9 @@
 //   for CI; every section (including 1M flows and the thread sweep) still
 //   runs.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,71 +49,9 @@
 #include "exp/fabric.h"
 #include "sim/scheduler.h"
 #include "util/cli.h"
+#include "util/heap_count.h"
 #include "util/table.h"
 #include "util/time.h"
-
-// ---------------------------------------------------------------------------
-// Heap interposition (bench binary only), as in micro_pipeline: count every
-// global allocation so the steady-state window can assert the population-
-// scale packet path allocates nothing.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<std::uint64_t> g_heap_frees{0};
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* counted_alloc_nothrow(std::size_t size) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  g_heap_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-// The nothrow forms must be replaced alongside the throwing ones:
-// std::stable_sort's temporary buffer allocates via nothrow new but releases
-// via sized delete, and a half-replaced set pairs the library's allocator
-// with this file's free (ASan flags the mismatch).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc_nothrow(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc_nothrow(size);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 using namespace pels;
 
@@ -292,8 +227,7 @@ ManyFlowsResult run_many_flows(const ManyFlowsLoad& load, SimTime warmup, SimTim
   driver.start();
 
   driver.run_until(warmup);
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
-  const std::uint64_t frees0 = g_heap_frees.load(std::memory_order_relaxed);
+  const HeapCounts heap0 = heap_counts();
   const std::uint64_t sent0 = driver.packets_sent();
   const std::uint64_t events0 = fabric.sim().scheduler().executed();
   const Scheduler::Stats stats0 = fabric.sim().scheduler().stats();
@@ -310,8 +244,9 @@ ManyFlowsResult run_many_flows(const ManyFlowsLoad& load, SimTime warmup, SimTim
   r.wall_ms = wall_ms;
   r.ns_per_packet = 1e6 * wall_ms / static_cast<double>(r.packets);
   r.events_per_packet = static_cast<double>(r.events) / static_cast<double>(r.packets);
-  r.steady_allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
-  r.steady_frees = g_heap_frees.load(std::memory_order_relaxed) - frees0;
+  const HeapCounts heap1 = heap_counts();
+  r.steady_allocs = heap1.allocs - heap0.allocs;
+  r.steady_frees = heap1.frees - heap0.frees;
   r.allocs_per_packet =
       static_cast<double>(r.steady_allocs) / static_cast<double>(r.packets);
   r.heap_capacity_growth = stats1.heap_capacity - stats0.heap_capacity;

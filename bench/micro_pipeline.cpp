@@ -19,12 +19,9 @@
 // Usage: micro_pipeline [--smoke] [--json PATH] [--label NAME]
 //   --smoke shortens simulated durations so CI sanitizer jobs can afford it.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,72 +33,8 @@
 #include "queue/drop_tail.h"
 #include "sim/timer.h"
 #include "util/cli.h"
+#include "util/heap_count.h"
 #include "util/table.h"
-
-// ---------------------------------------------------------------------------
-// Heap interposition (bench binary only): count every global allocation so
-// the steady-state probe below can assert the packet path allocates nothing.
-// Replacing operator new in this TU rebinds it for the whole binary; the
-// AckInfo freelist uses class-specific operators and is not counted (it is
-// allocation-free in steady state by construction).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<std::uint64_t> g_heap_frees{0};
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* counted_alloc_nothrow(std::size_t size) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  g_heap_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-// The nothrow forms must be replaced alongside the throwing ones: library
-// internals (e.g. std::stable_sort's temporary buffer) allocate via nothrow
-// new but release via sized delete, and a half-replaced set pairs the
-// library's allocator with this file's free (ASan flags the mismatch).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc_nothrow(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc_nothrow(size);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 using namespace pels;
 
@@ -198,8 +131,7 @@ AllocProbeResult run_alloc_probe(SimTime warmup, SimTime window) {
   pacer.start();
 
   sim.run_until(warmup);
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
-  const std::uint64_t frees0 = g_heap_frees.load(std::memory_order_relaxed);
+  const HeapCounts heap0 = heap_counts();
   const std::uint64_t events0 = sim.scheduler().executed();
   const std::uint64_t delivered0 = last.packets_delivered();
   const Scheduler::Stats stats0 = sim.scheduler().stats();
@@ -208,8 +140,9 @@ AllocProbeResult run_alloc_probe(SimTime warmup, SimTime window) {
   const Scheduler::Stats stats1 = sim.scheduler().stats();
 
   AllocProbeResult r;
-  r.steady_allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
-  r.steady_frees = g_heap_frees.load(std::memory_order_relaxed) - frees0;
+  const HeapCounts heap1 = heap_counts();
+  r.steady_allocs = heap1.allocs - heap0.allocs;
+  r.steady_frees = heap1.frees - heap0.frees;
   r.packets = last.packets_delivered() - delivered0;
   const std::uint64_t events = sim.scheduler().executed() - events0;
   // The pacer contributes exactly one event per injected packet; the rest is

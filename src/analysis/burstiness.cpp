@@ -1,7 +1,6 @@
 #include "analysis/burstiness.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace pels {
 
@@ -45,25 +44,6 @@ double BurstAnalyzer::ccdf(std::int64_t k) const {
   for (auto b : bursts_)
     if (b > k) ++above;
   return static_cast<double>(above) / static_cast<double>(bursts_.size());
-}
-
-std::vector<bool> loss_outcomes_from_trace(const PacketTracer& tracer, FlowId flow,
-                                           Color color) {
-  // A packet is lost iff its uid appears in a drop record. Build the drop
-  // set first, then walk enqueues in order.
-  std::unordered_set<std::uint64_t> dropped;
-  for (const auto& rec : tracer.records()) {
-    if (rec.event == TraceEvent::kDrop && rec.flow == flow && rec.color == color) {
-      dropped.insert(rec.uid);
-    }
-  }
-  std::vector<bool> outcomes;
-  for (const auto& rec : tracer.records()) {
-    if (rec.event == TraceEvent::kEnqueue && rec.flow == flow && rec.color == color) {
-      outcomes.push_back(dropped.count(rec.uid) != 0);
-    }
-  }
-  return outcomes;
 }
 
 }  // namespace pels

@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/trace.h"
-
 namespace pels {
 
 /// Accumulates consecutive-loss run lengths from an ordered outcome stream.
@@ -46,11 +44,5 @@ class BurstAnalyzer {
   std::int64_t lost_ = 0;
   std::int64_t open_burst_ = 0;
 };
-
-/// Reconstructs the per-packet outcome stream (arrival order, true = lost)
-/// of one flow+colour from a queue trace: an enqueue record is a loss iff it
-/// is followed by a drop record with the same packet uid.
-std::vector<bool> loss_outcomes_from_trace(const PacketTracer& tracer, FlowId flow,
-                                           Color color);
 
 }  // namespace pels

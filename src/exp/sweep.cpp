@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exp/journal.h"
 #include "util/table.h"
 
 namespace pels {
@@ -37,11 +36,6 @@ unsigned SweepRunner::default_threads() {
 unsigned SweepRunner::hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-ScratchArena& SweepRunner::worker_scratch() {
-  static thread_local ScratchArena arena;
-  return arena;
 }
 
 SweepRunner::SweepRunner(unsigned threads) {
@@ -74,7 +68,6 @@ SweepRunner::Stats SweepRunner::stats() const {
 }
 
 void SweepRunner::worker_loop() {
-  ScratchArena& arena = worker_scratch();
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -99,7 +92,6 @@ void SweepRunner::worker_loop() {
       }
       for (std::size_t i = begin; i < end; ++i) {
         (*job)(i);  // noexcept by contract (run() wraps task exceptions)
-        arena.reset();
       }
       completed += end - begin;
       cur = ticket_.load(std::memory_order_relaxed);
@@ -150,129 +142,28 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
   done_cv_.notify_all();  // wake any submitter waiting for the pool
 }
 
-void SweepRunner::run_jobs(std::vector<std::function<void()>> jobs) {
-  run_indexed(jobs.size(), [&jobs](std::size_t i) { jobs[i](); });
-}
-
 std::string run_to_table(SweepRunner& runner,
                          std::vector<std::function<SweepOutput()>> tasks,
                          TablePrinter& table) {
-  return run_sweep_to_table(runner, std::move(tasks), table, SweepOptions{}).text;
-}
+  auto outcomes = runner.run(std::move(tasks));
 
-SweepReport run_sweep_to_table(SweepRunner& runner,
-                               std::vector<std::function<SweepOutput()>> tasks,
-                               TablePrinter& table, const SweepOptions& options) {
-  const std::size_t n = tasks.size();
-  if (!options.labels.empty() && options.labels.size() != n) {
-    throw std::invalid_argument("run_sweep_to_table: labels must be empty or one per task");
+  // Staged commit: the table is untouched unless every task succeeded. Name
+  // every failed point (index + error) — a bench aborting mid-campaign must
+  // say exactly which rows died and why.
+  std::ostringstream failures;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (!outcomes[i].ok()) failures << "  task " << i << ": " << outcomes[i].error << '\n';
   }
-  const auto label_of = [&options](std::size_t i) {
-    return options.labels.empty() ? std::string() : options.labels[i];
-  };
-
-  SweepReport report;
-
-  // Resume: satisfy journaled indices without re-running them. A label
-  // mismatch means the journal belongs to a different sweep — refusing beats
-  // silently committing rows from two experiments into one table.
-  std::vector<const SweepOutput*> journaled(n, nullptr);
-  if (options.journal != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!options.journal->has(i)) continue;
-      if (!options.labels.empty()) {
-        const std::string* recorded = options.journal->label(i);
-        if (recorded == nullptr || *recorded != options.labels[i]) {
-          throw std::runtime_error(
-              "run_sweep_to_table: journal '" + options.journal->path() +
-              "' disagrees at task " + std::to_string(i) + ": journaled label '" +
-              (recorded != nullptr ? *recorded : std::string("<none>")) +
-              "' vs requested '" + options.labels[i] + "'");
-        }
-      }
-      journaled[i] = options.journal->get(i);
-      ++report.reused;
-    }
+  if (!failures.str().empty()) {
+    throw std::runtime_error("sweep task(s) failed:\n" + failures.str());
   }
 
-  std::vector<std::size_t> missing;
-  missing.reserve(n - report.reused);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (journaled[i] == nullptr) missing.push_back(i);
+  std::string text;
+  for (TaskOutcome<SweepOutput>& out : outcomes) {
+    text += out.value->text;
+    for (const std::vector<std::string>& row : out.value->rows) table.add_row(row);
   }
-
-  // Fresh executions journal themselves from the worker at completion, so a
-  // crash mid-batch loses at most the tasks still in flight.
-  std::vector<std::function<SweepOutput()>> to_run;
-  to_run.reserve(missing.size());
-  for (const std::size_t index : missing) {
-    to_run.push_back([&tasks, &options, label_of, index] {
-      SweepOutput out = tasks[index]();
-      if (options.journal != nullptr) options.journal->record(index, label_of(index), out);
-      return out;
-    });
-  }
-  auto outcomes = runner.run(std::move(to_run));
-  report.executed = missing.size();
-
-  // Map pool outcomes back to task indices; optionally retry failures on the
-  // calling thread before declaring them failed.
-  std::vector<std::optional<SweepOutput>> fresh(n);
-  for (std::size_t k = 0; k < missing.size(); ++k) {
-    const std::size_t index = missing[k];
-    if (outcomes[k].ok()) {
-      fresh[index] = std::move(*outcomes[k].value);
-      continue;
-    }
-    std::string error = std::move(outcomes[k].error);
-    if (options.retry_failed_serially) {
-      try {
-        SweepOutput out = tasks[index]();
-        if (options.journal != nullptr) {
-          options.journal->record(index, label_of(index), out);
-        }
-        fresh[index] = std::move(out);
-        continue;
-      } catch (const std::exception& e) {
-        error += "; serial retry: ";
-        error += e.what();
-      } catch (...) {
-        error += "; serial retry: non-standard exception";
-      }
-    }
-    SweepTaskError failure;
-    failure.index = index;
-    failure.label = label_of(index);
-    failure.message = std::move(error);
-    report.errors.push_back(std::move(failure));
-  }
-
-  if (!report.errors.empty() && !options.report_and_continue) {
-    // Staged commit: the table is untouched on this path. Name every failed
-    // point (index + scenario label + error) — a bench aborting mid-campaign
-    // must say exactly which rows died and why.
-    std::ostringstream msg;
-    msg << "sweep task(s) failed:\n";
-    for (const SweepTaskError& e : report.errors) {
-      msg << "  task " << e.index;
-      if (!e.label.empty()) msg << " (" << e.label << ")";
-      msg << ": " << e.message << '\n';
-    }
-    throw std::runtime_error(msg.str());
-  }
-
-  // Commit in submission order, journal hits and fresh results interleaved —
-  // the property that makes resumed tables byte-identical to uninterrupted
-  // ones. With report_and_continue, failed tasks simply contribute no rows.
-  for (std::size_t i = 0; i < n; ++i) {
-    const SweepOutput* out =
-        journaled[i] != nullptr ? journaled[i]
-                                : (fresh[i].has_value() ? &*fresh[i] : nullptr);
-    if (out == nullptr) continue;
-    report.text += out->text;
-    for (const std::vector<std::string>& row : out->rows) table.add_row(row);
-  }
-  return report;
+  return text;
 }
 
 }  // namespace pels

@@ -24,8 +24,6 @@
 //     by different workers must not share a line (false sharing serializes
 //     the writes in the coherence fabric even though the code shares
 //     nothing).
-//   * Each worker owns a ScratchArena (worker_scratch()), reset between
-//     tasks, so per-task temporaries need not meet behind malloc's locks.
 //
 // The simulator core stays single-threaded per domain; intra-scenario
 // parallelism lives in DomainRunner (exp/domain_runner.h), which runs
@@ -42,8 +40,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "util/arena.h"
 
 namespace pels {
 
@@ -82,7 +78,7 @@ class SweepRunner {
   struct Stats {
     unsigned requested_threads = 0;  // what the caller asked for
     unsigned effective_threads = 0;  // after the hardware clamp
-    std::uint64_t batches = 0;       // run_jobs/run_indexed calls served
+    std::uint64_t batches = 0;       // run/run_indexed calls served
     std::uint64_t jobs = 0;          // individual tasks executed
   };
 
@@ -109,12 +105,6 @@ class SweepRunner {
 
   /// std::thread::hardware_concurrency() floored at 1 (it may report 0).
   static unsigned hardware_threads();
-
-  /// The calling thread's scratch arena. Inside a pool worker this is the
-  /// worker's private arena, reset automatically between tasks; any other
-  /// thread gets its own thread-local arena that it must reset itself.
-  /// Contents are only valid within one task.
-  static ScratchArena& worker_scratch();
 
   /// Snapshot of pool counters. Values are updated by the submitting thread
   /// between batches; call from the submitter (not from inside a task).
@@ -146,17 +136,11 @@ class SweepRunner {
     return outcomes;
   }
 
-  /// Type-erased batch execution: runs each job exactly once, returns after
-  /// all have completed. Jobs must not throw (run() wraps tasks so they
-  /// cannot). Batches are serialized: concurrent submitters take turns.
-  void run_jobs(std::vector<std::function<void()>> jobs);
-
   /// Runs job(0) .. job(n-1) on the pool, returning after all have
-  /// completed. The workhorse primitive behind run()/run_jobs(), exposed
-  /// for callers with a natural index space (DomainRunner runs one domain
-  /// per index each lookahead window) — no per-batch std::function vector
-  /// needs to be materialized. Same contract: jobs must not throw, batches
-  /// are serialized.
+  /// completed. The primitive behind run(), exposed for callers with a
+  /// natural index space (DomainRunner runs one domain per index each
+  /// lookahead window). Jobs must not throw (run() wraps tasks so they
+  /// cannot). Batches are serialized: concurrent submitters take turns.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& job);
 
  private:
@@ -190,46 +174,6 @@ class SweepRunner {
   std::vector<std::thread> workers_;
 };
 
-class SweepJournal;
-
-/// One failed sweep task with its submission index and (when the sweep was
-/// labeled) the scenario parameters that identify the failing row.
-struct SweepTaskError {
-  std::size_t index = 0;
-  std::string label;  // empty when the sweep ran unlabeled
-  std::string message;
-};
-
-/// Knobs for run_sweep_to_table. Default-constructed options reproduce the
-/// classic run_to_table contract: no journal, no labels, throw on failure.
-struct SweepOptions {
-  /// Per-task labels (scenario parameters, "seed=17"); size 0 or
-  /// tasks.size(). Labels appear in error messages and journal entries.
-  std::vector<std::string> labels;
-  /// Crash-safe resume: journaled indices are not re-executed, fresh
-  /// completions are appended+flushed from the worker the moment they
-  /// finish. Labels (when present) must match the journal's, or the sweep
-  /// throws rather than stitch two different experiments together.
-  SweepJournal* journal = nullptr;
-  /// On task failure: commit the successful rows and return the errors in
-  /// the report instead of throwing — degraded batch beats lost batch.
-  bool report_and_continue = false;
-  /// Re-run each failed task once on the calling thread before declaring it
-  /// failed: isolates "parallel infrastructure broke it" from "the task is
-  /// broken", and rescues tasks that only fail under pool contention.
-  bool retry_failed_serially = false;
-};
-
-/// What a sweep did: merged text output, per-task failures (empty unless
-/// report_and_continue), and reuse/execution counts for resume diagnostics.
-struct SweepReport {
-  std::string text;
-  std::vector<SweepTaskError> errors;
-  std::size_t reused = 0;    // satisfied from the journal, not re-run
-  std::size_t executed = 0;  // actually dispatched to the pool
-  bool ok() const { return errors.empty(); }
-};
-
 /// Runs one buffered-output task per parameter point and merges the results
 /// in submission order: every task's rows are appended to `table`, and the
 /// concatenation of the non-empty `text` fields (also in order) is returned
@@ -240,16 +184,5 @@ struct SweepReport {
 std::string run_to_table(SweepRunner& runner,
                          std::vector<std::function<SweepOutput()>> tasks,
                          TablePrinter& table);
-
-/// The full-featured staged-commit sweep: resume from a journal, label every
-/// task, survive failures. Rows commit to `table` in submission order
-/// regardless of whether they came from the journal or a fresh execution, so
-/// an interrupted-and-resumed sweep produces a byte-identical table to an
-/// uninterrupted one. Unless report_and_continue is set, any task failure
-/// (after the optional serial retry) throws std::runtime_error naming every
-/// failed task's index, label, and error, with `table` left untouched.
-SweepReport run_sweep_to_table(SweepRunner& runner,
-                               std::vector<std::function<SweepOutput()>> tasks,
-                               TablePrinter& table, const SweepOptions& options = {});
 
 }  // namespace pels

@@ -2,10 +2,9 @@
 //
 // The repo writes several machine-readable artifacts (bench JSON, telemetry
 // exports) with hand-formatted printf output, which is fine for write-only
-// data. The chaos harness additionally needs to *read* JSON back: sweep
-// journals are replayed on resume (exp/journal.h) and minimized fault-plan
-// repros are re-loaded for replay (fault/chaos.h). JsonValue is the smallest
-// parser that covers those producers: objects, arrays, strings with the
+// data. The chaos harness additionally needs to *read* JSON back: minimized
+// fault-plan repros are re-loaded for replay (fault/chaos.h). JsonValue is
+// the smallest parser that covers that producer: objects, arrays, strings with the
 // standard escapes, bools, null, and numbers — with int64 preserved exactly
 // (SimTime nanoseconds do not survive a round-trip through double).
 //

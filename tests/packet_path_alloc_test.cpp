@@ -8,10 +8,7 @@
 // packet, plus the last wheel buckets meeting a new high-water mark. A
 // second case holds cross-domain handoffs (DomainRunner mailboxes and the
 // topology's boundary-link inboxes) to zero allocations once warm.
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
@@ -20,44 +17,7 @@
 #include "pels/scenario.h"
 #include "queue/drop_tail.h"
 #include "sim/timer.h"
-
-// ---------------------------------------------------------------------------
-// Heap interposition (this test binary only): replacing operator new in one
-// TU rebinds it for the whole binary (same idiom as tests/telemetry_test.cpp).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) { return counted_alloc(size, align); }
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "util/heap_count.h"
 
 namespace pels {
 namespace {
@@ -93,9 +53,9 @@ TEST(PacketPathAllocTest, DumbbellWindowAllocatesUnderOneHundredthPerPacket) {
   DumbbellScenario s(cfg);
   s.run_until(warmup);
   const std::uint64_t delivered0 = pels_delivered(s);
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = heap_counts().allocs;
   s.run_until(warmup + window);
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  const std::uint64_t allocs = heap_counts().allocs - allocs0;
   const std::uint64_t delivered = pels_delivered(s) - delivered0;
 
   ASSERT_GT(delivered, 5000u);
@@ -158,9 +118,9 @@ TEST(PacketPathAllocTest, WarmDomainHandoffsAllocateNothing) {
   DomainRunner runner(topo, 2);
   runner.run_until(5 * kSecond);
   const std::uint64_t handoffs0 = runner.stats().handoffs;
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = heap_counts().allocs;
   runner.run_until(15 * kSecond);
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  const std::uint64_t allocs = heap_counts().allocs - allocs0;
   const std::uint64_t handoffs = runner.stats().handoffs - handoffs0;
 
   ASSERT_GT(handoffs, 8000u);

@@ -67,21 +67,6 @@ TEST(SweepRunnerTest, RunIndexedExecutesEveryIndexExactlyOnce) {
   }
 }
 
-TEST(SweepRunnerTest, WorkerScratchResetsBetweenTasks) {
-  SweepRunner runner(2);
-  std::atomic<bool> dirty{false};
-  runner.run_indexed(64, [&dirty](std::size_t i) {
-    ScratchArena& arena = SweepRunner::worker_scratch();
-    // The arena is rewound after every task, so used bytes start at zero
-    // even though a previous task on this worker allocated.
-    if (arena.bytes_used() != 0) dirty = true;
-    int* block = arena.alloc_array<int>(256);
-    block[0] = static_cast<int>(i);
-    if (arena.bytes_used() < 256 * sizeof(int)) dirty = true;
-  });
-  EXPECT_FALSE(dirty.load());
-}
-
 TEST(SweepRunnerTest, ResultsArriveInSubmissionOrder) {
   SweepRunner runner(4);
   std::vector<std::function<int()>> tasks;
@@ -171,10 +156,9 @@ TEST(SweepRunnerTest, RunToTableLeavesTableUntouchedOnFailure) {
   EXPECT_EQ(csv.str(), "x\n") << "failed sweep committed rows";
 }
 
-TEST(SweepRunnerTest, LabeledSweepNamesScenarioRowIndexLabelAndCause) {
-  // The labeled staged-commit path: a mid-batch throwing task must identify
-  // *which* scenario point failed — index, its parameter label, and the
-  // underlying error — while leaving the table untouched.
+TEST(SweepRunnerTest, RunToTableNamesEveryFailedIndexAndCause) {
+  // Two mid-batch failures: the error must identify each failed point by
+  // index together with its own cause, while leaving the table untouched.
   SweepRunner runner(2);
   TablePrinter table({"x"});
   std::vector<std::function<SweepOutput()>> tasks;
@@ -183,16 +167,18 @@ TEST(SweepRunnerTest, LabeledSweepNamesScenarioRowIndexLabelAndCause) {
     throw std::invalid_argument("gamma out of range");
   });
   tasks.push_back([] { return SweepOutput{{{"ok2"}}, ""}; });
-  SweepOptions options;
-  options.labels = {"rate=1M", "rate=2M,gamma=1.2", "rate=4M"};
+  tasks.push_back([]() -> SweepOutput {
+    throw std::invalid_argument("rate below floor");
+  });
   try {
-    run_sweep_to_table(runner, std::move(tasks), table, options);
+    run_to_table(runner, std::move(tasks), table);
     FAIL() << "a failed point must abort the staged commit";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("task 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("rate=2M,gamma=1.2"), std::string::npos) << what;
-    EXPECT_NE(what.find("gamma out of range"), std::string::npos) << what;
+    EXPECT_NE(what.find("task 1: gamma out of range"), std::string::npos) << what;
+    EXPECT_NE(what.find("task 3: rate below floor"), std::string::npos) << what;
+    EXPECT_EQ(what.find("task 0"), std::string::npos) << what;
+    EXPECT_EQ(what.find("task 2"), std::string::npos) << what;
   }
   EXPECT_EQ(table.rows(), 0u) << "mid-batch failure committed the survivors";
 }
@@ -342,18 +328,9 @@ TEST(SweepRunnerTest, ConcurrentSubmittersStress) {
         // publish every worker's writes to the submitter, and TSan checks
         // exactly that release chain.
         std::vector<std::uint64_t> results(kJobsPerBatch, 0);
-        std::vector<std::function<void()>> jobs;
-        jobs.reserve(kJobsPerBatch);
-        for (std::size_t i = 0; i < kJobsPerBatch; ++i) {
-          jobs.push_back([&results, s, b, i] {
-            // Touch the worker arena too: per-worker scratch must not be
-            // shared across concurrently-running batches.
-            auto* scratch = SweepRunner::worker_scratch().alloc_array<std::uint64_t>(16);
-            scratch[0] = static_cast<std::uint64_t>(s * 1'000'000 + b * 1'000) + i;
-            results[i] = scratch[0];
-          });
-        }
-        runner.run_jobs(std::move(jobs));
+        runner.run_indexed(kJobsPerBatch, [&results, s, b](std::size_t i) {
+          results[i] = static_cast<std::uint64_t>(s * 1'000'000 + b * 1'000) + i;
+        });
         for (std::size_t i = 0; i < kJobsPerBatch; ++i) {
           if (results[i] != static_cast<std::uint64_t>(s * 1'000'000 + b * 1'000) + i) {
             failures[s] = "submitter " + std::to_string(s) + " batch " + std::to_string(b) +

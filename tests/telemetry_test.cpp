@@ -1,9 +1,6 @@
 // Tests for the telemetry subsystem (src/telemetry): registry semantics,
 // sampler determinism, the zero-allocation-per-sample contract, and
 // byte-identical snapshot export across SweepRunner thread counts.
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,46 +14,7 @@
 #include "sim/timer.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
-
-// ---------------------------------------------------------------------------
-// Heap interposition (this test binary only): replacing operator new in one
-// TU rebinds it for the whole binary, so steady-state windows can assert the
-// sampler's 0-allocs-per-snapshot contract directly (same idiom as
-// bench/micro_pipeline.cpp).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) { return counted_alloc(size, align); }
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "util/heap_count.h"
 
 namespace pels {
 namespace {
@@ -184,14 +142,14 @@ TEST(TimeSeriesSampler, ZeroHeapAllocationsPerSampleAfterReserve) {
   depth = 2.0;
   sampler.sample_now();  // warm-up: first snapshot of frozen storage
 
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_counts().allocs;
   for (int i = 0; i < 1000; ++i) {
     c.inc();
     g.set(static_cast<double>(i));
     depth = static_cast<double>(-i);
     sampler.sample_now();
   }
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocs = heap_counts().allocs - before;
   EXPECT_EQ(allocs, 0u) << "snapshots must not allocate after reserve_runtime";
   EXPECT_EQ(sampler.sample_count(), 1001u);
 }
@@ -205,9 +163,9 @@ TEST(TimeSeriesSampler, OverflowPathIsAllocationFreeToo) {
   sampler.sample_now();
   sampler.sample_now();
 
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_counts().allocs;
   for (int i = 0; i < 100; ++i) sampler.sample_now();
-  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(heap_counts().allocs - before, 0u);
   EXPECT_EQ(sampler.sample_count(), 2u);
   EXPECT_EQ(sampler.samples_dropped(), 100u);
 }
@@ -226,9 +184,9 @@ TEST(TimeSeriesSampler, ScenarioSnapshotsAreAllocationFree) {
   s.run_until(2 * kSecond);
   TimeSeriesSampler& sampler = *s.telemetry_sampler();
 
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_counts().allocs;
   for (int i = 0; i < 200; ++i) sampler.sample_now();
-  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0u)
+  EXPECT_EQ(heap_counts().allocs - before, 0u)
       << "a scenario probe allocated during a snapshot";
 }
 

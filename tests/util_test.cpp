@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "util/arena.h"
 #include "util/inplace_function.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
@@ -382,60 +381,6 @@ TEST(TablePrinterTest, FmtPrecision) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(1.0, 0), "1");
   EXPECT_EQ(TablePrinter::fmt_int(42), "42");
-}
-
-// ------------------------------------------------------------ ScratchArena
-
-TEST(ScratchArenaTest, AllocationsAreAlignedAndDisjoint) {
-  ScratchArena arena;
-  char* a = arena.alloc_array<char>(3);
-  double* d = arena.alloc_array<double>(4);
-  auto* u = static_cast<std::uint8_t*>(arena.allocate(16, 64));
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(u) % 64, 0u);
-  // Writes to one allocation must not alias another.
-  a[0] = 'x';
-  d[0] = 1.0;
-  u[0] = 7;
-  EXPECT_EQ(a[0], 'x');
-  EXPECT_EQ(d[0], 1.0);
-  EXPECT_EQ(arena.bytes_used(), 3u + 4 * sizeof(double) + 16u);
-}
-
-TEST(ScratchArenaTest, GrowsPastInitialBlockAndSurvivesLargeRequests) {
-  ScratchArena arena;
-  // Far beyond the initial 4 KiB block: forces chained growth.
-  for (int i = 0; i < 64; ++i) {
-    auto* p = arena.alloc_array<std::uint64_t>(512);  // 4 KiB each
-    p[0] = static_cast<std::uint64_t>(i);
-    p[511] = static_cast<std::uint64_t>(i);
-  }
-  EXPECT_GE(arena.capacity(), 64u * 4096u);
-  // A single request larger than any block so far must also succeed.
-  auto* big = arena.alloc_array<std::uint64_t>(1u << 18);
-  big[0] = 1;
-  big[(1u << 18) - 1] = 2;
-  EXPECT_EQ(big[0], 1u);
-}
-
-TEST(ScratchArenaTest, ResetRetainsCapacityAndReusesMemory) {
-  ScratchArena arena;
-  for (int i = 0; i < 8; ++i) arena.alloc_array<std::uint64_t>(1024);
-  const std::size_t grown = arena.capacity();
-  ASSERT_GT(grown, 0u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // The largest block is retained, so the steady-state footprint survives.
-  EXPECT_GT(arena.capacity(), 0u);
-  EXPECT_LE(arena.capacity(), grown);
-  const std::size_t after_reset = arena.capacity();
-  // A same-shaped allocation cycle must fit in the retained block without
-  // growing again (this is the "steady state touches the heap zero times"
-  // promise: the retained block is as large as everything before it
-  // combined, because growth doubles).
-  arena.alloc_array<std::uint64_t>(1024);
-  arena.reset();
-  EXPECT_EQ(arena.capacity(), after_reset);
 }
 
 // -------------------------------------------------------------- RingBuffer

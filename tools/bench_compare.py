@@ -104,8 +104,6 @@ RULES = {
              "the shrinker never grows a plan"),
         Rule("parallel_chaos.identical_across_workers", "true", True,
              "fault injection keeps DomainRunner runs deterministic"),
-        Rule("resume.{identical_to_uninterrupted,torn_tail_detected}", "true", True,
-             "a resumed sweep matches an uninterrupted one and rejects a torn line"),
         Rule("monitor_overhead.overhead_frac", "max", 0.06,
              "the invariant monitor costs at most 6% (3% target)"),
     ],
@@ -368,8 +366,6 @@ def chaos_doc() -> dict:
         "parallel_chaos": {"schedules": 8, "identical_across_workers": True},
         "monitor_overhead": {"overhead_frac": 0.02, "overhead_frac_raw": 0.02,
                              "noise_floor_frac": 0.03},
-        "resume": {"reused": 5, "executed": 3, "torn_tail_detected": True,
-                   "identical_to_uninterrupted": True},
     }
 
 
@@ -465,8 +461,6 @@ SELFTEST = [
      {"shrink_selftest.shrunk_still_violates": False}, 1),
     ("chaos_sweep", "a faulted parallel divergence",
      {"parallel_chaos.identical_across_workers": False}, 1),
-    ("chaos_sweep", "a non-identical resumed table",
-     {"resume.identical_to_uninterrupted": False}, 1),
     ("chaos_sweep", "a monitor overhead blowout", {"monitor_overhead.overhead_frac": 0.15}, 1),
     ("fairness_matrix", "nothing: a clean run passes", {}, 0),
     ("fairness_matrix", "a base-layer protection collapse",

@@ -200,8 +200,8 @@ ManyFlowsResult run_many_flows(const ManyFlowsLoad& load, SimTime warmup, SimTim
   dc.mkc.max_rate_bps = per_flow * 1.25;
   dc.mkc.alpha_bps = per_flow * 0.05;
   dc.mkc.silence_floor_bps = per_flow / 2.0;
-  // One batched control tick per second: at N = 100k the per-tick linear
-  // scan is ~N cache-friendly lane updates, amortized across the window.
+  // One control tick per second: at N = 100k the tick is ~N in-place
+  // FlowTable updates, amortized across the window.
   dc.control_interval = kSecond;
   dc.max_rate_factor = 1.25;
 

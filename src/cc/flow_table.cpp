@@ -49,9 +49,6 @@ void FlowTable::reserve(std::size_t flows) {
   mkc_updates_.reserve(flows);
   silence_ticks_.reserve(flows);
   gamma_updates_.reserve(flows);
-  staged_loss_.reserve(flows);
-  staged_fgs_loss_.reserve(flows);
-  staged_.reserve(flows);
   free_slots_.reserve(flows);
   if (zoo_enabled_) {
     kind_.reserve(flows);
@@ -62,9 +59,6 @@ void FlowTable::reserve(std::size_t flows) {
     zoo_t_.reserve(flows);
     zoo_t2_.reserve(flows);
     zoo_stage_.reserve(flows);
-    staged_rtt_.reserve(flows);
-    staged_iloss_.reserve(flows);
-    staged_mark_.reserve(flows);
   }
 }
 
@@ -81,9 +75,6 @@ void FlowTable::enable_zoo() {
   zoo_t_.assign(n, 0);
   zoo_t2_.assign(n, 0);
   zoo_stage_.assign(n, 0);
-  staged_rtt_.assign(n, 0);
-  staged_iloss_.assign(n, 0.0);
-  staged_mark_.assign(n, 0.0);
 }
 
 double FlowTable::initial_rate_for(const MkcConfig& mkc, const CcZooConfig& zoo,
@@ -126,9 +117,6 @@ FlowSlot FlowTable::add_flow(double initial_rate_bps, double initial_gamma) {
     mkc_updates_.emplace_back();
     silence_ticks_.emplace_back();
     gamma_updates_.emplace_back();
-    staged_loss_.emplace_back();
-    staged_fgs_loss_.emplace_back();
-    staged_.emplace_back();
     if (zoo_enabled_) {
       kind_.emplace_back();
       srtt_.emplace_back();
@@ -138,9 +126,6 @@ FlowSlot FlowTable::add_flow(double initial_rate_bps, double initial_gamma) {
       zoo_t_.emplace_back();
       zoo_t2_.emplace_back();
       zoo_stage_.emplace_back();
-      staged_rtt_.emplace_back();
-      staged_iloss_.emplace_back();
-      staged_mark_.emplace_back();
     }
   }
   rate_[slot] = initial_rate_bps;
@@ -151,9 +136,6 @@ FlowSlot FlowTable::add_flow(double initial_rate_bps, double initial_gamma) {
   mkc_updates_[slot] = 0;
   silence_ticks_[slot] = 0;
   gamma_updates_[slot] = 0;
-  staged_loss_[slot] = 0.0;
-  staged_fgs_loss_[slot] = 0.0;
-  staged_[slot] = 0;
   if (zoo_enabled_) init_zoo_slot(slot, CcKind::kMkc);
   ++live_count_;
   return slot;
@@ -168,15 +150,11 @@ void FlowTable::init_zoo_slot(FlowSlot slot, CcKind kind) {
   zoo_t_[slot] = 0;
   zoo_t2_[slot] = 0;
   zoo_stage_[slot] = 0;
-  staged_rtt_[slot] = 0;
-  staged_iloss_[slot] = 0.0;
-  staged_mark_[slot] = 0.0;
 }
 
 void FlowTable::remove_flow(FlowSlot slot) {
   assert(is_live(slot) && "remove_flow on a dead or out-of-range slot");
   flags_[slot] = 0;
-  staged_[slot] = 0;
   free_slots_.push_back(slot);
   --live_count_;
 }
@@ -282,49 +260,6 @@ void FlowTable::apply_control_tick(FlowSlot slot, SimTime now) {
     case CcKind::kDcqcn:
       break;  // event-driven: no periodic update
   }
-}
-
-FlowTable::BatchStats FlowTable::batch_control_tick(SimTime now) {
-  BatchStats out;
-  const std::size_t n = rate_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t st = staged_[i];
-    if (st == 0 || (flags_[i] & kLive) == 0) continue;
-    const auto slot = static_cast<FlowSlot>(i);
-    // Same per-flow order as PelsSource::on_control_clock: RTT samples land
-    // before the tick's deliveries; feedback supersedes silence; gamma
-    // applies after the rate update; interval loss, then marks, then the
-    // clocked update.
-    if ((st & kStageRtt) != 0) {
-      apply_rtt(slot, staged_rtt_[i]);
-      ++out.rtt_applied;
-    }
-    if ((st & kStageFeedback) != 0) {
-      apply_feedback(slot, staged_loss_[i]);
-      ++out.feedback_applied;
-    } else if ((st & kStageSilence) != 0) {
-      apply_silence(slot);
-      ++out.silences;
-    }
-    if ((st & kStageGamma) != 0) {
-      apply_gamma(slot, staged_fgs_loss_[i]);
-      ++out.gamma_updates;
-    }
-    if ((st & kStageLoss) != 0) {
-      apply_loss_interval(slot, staged_iloss_[i], now);
-      ++out.losses_applied;
-    }
-    if ((st & kStageMark) != 0) {
-      apply_mark_fraction(slot, staged_mark_[i], now);
-      ++out.marks_applied;
-    }
-    if ((st & kStageTick) != 0) {
-      apply_control_tick(slot, now);
-      ++out.ticks_applied;
-    }
-    staged_[i] = 0;
-  }
-  return out;
 }
 
 }  // namespace pels

@@ -4,27 +4,28 @@
 // At N=100k concurrent PELS sources, per-flow controller objects scatter the
 // MKC/gamma/pacing scalars across the heap and every control tick pays N
 // virtual dispatches plus N cache misses. The FlowTable keeps those hot
-// scalars in contiguous parallel columns keyed by a dense FlowSlot, so one
-// control tick batch-updates every staged flow with linear scans.
+// scalars in contiguous parallel columns keyed by a dense FlowSlot.
 //
-// One storage: the table is the only home of MKC/zoo controller state and of
-// PelsSource's gamma and pacing EWMA. The controllers (cc/table_controller.h)
-// are views on one slot — a standalone one owns a one-slot table — and the
+// One storage, one control path: the table is the only home of MKC/zoo
+// controller state and of PelsSource's gamma and pacing EWMA, and the
 // single-flow operations (apply_feedback / apply_silence / apply_gamma /
 // apply_loss_interval / apply_mark_fraction / apply_control_tick /
-// apply_rtt) and the staged batch path call the same inline kernels
-// (mkc_feedback_step, cubic_tick_step, dcqcn_mark_step, ...), so single-apply
-// and batch control are bit-for-bit identical — verified by
+// apply_rtt) are the only way to update it. The controllers
+// (cc/table_controller.h) are views on one slot — a standalone one owns a
+// one-slot table — and the population driver (exp/fabric.h) calls apply_* on
+// its own slots from its control tick. Each call runs an inline kernel
+// (mkc_feedback_step, cubic_tick_step, dcqcn_mark_step, ...) on that slot's
+// columns alone — verified against the controller views by
 // tests/flow_table_test.cpp and tests/cc_zoo_test.cpp.
 //
-// Controller zoo: each slot carries a CcKind; the apply/batch paths dispatch
-// per kind. The zoo columns (CUBIC window state, DCQCN rate machine, RTT
-// memories, staged mark/loss/rtt inputs) are allocated lazily on the first
-// non-MKC flow, so homogeneous MKC populations — the million-flow bench —
-// pay not a byte for them. Each zoo scalar column is shared across kinds
-// (one flow has exactly one kind): zoo_a is CUBIC's W_max or DCQCN's target
-// rate, zoo_b CUBIC's K or DCQCN's alpha, zoo_t CUBIC's epoch start or
-// Swift's previous-tick RTT, zoo_t2 Swift's/SCReAM's min RTT.
+// Controller zoo: each slot carries a CcKind; the apply calls dispatch per
+// kind. The zoo columns (CUBIC window state, DCQCN rate machine, RTT
+// memories) are allocated lazily on the first non-MKC flow, so homogeneous
+// MKC populations — the million-flow bench — pay not a byte for them. Each
+// zoo scalar column is shared across kinds (one flow has exactly one kind):
+// zoo_a is CUBIC's W_max or DCQCN's target rate, zoo_b CUBIC's K or DCQCN's
+// alpha, zoo_t CUBIC's epoch start or Swift's previous-tick RTT, zoo_t2
+// Swift's/SCReAM's min RTT.
 //
 // Slot lifecycle: add_flow() reuses freed slots LIFO (like the scheduler's
 // callback pool); remove_flow() returns the slot. Columns never shrink, so a
@@ -32,7 +33,6 @@
 // slot owns its lifetime — PelsSource and borrowing controllers only view it.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -86,9 +86,6 @@ class FlowTable {
     return slot < flags_.size() && (flags_[slot] & kLive) != 0;
   }
 
-  /// Allocates the zoo columns up front (at current capacity, grown with the
-  /// table afterwards). Implicit on the first add_flow with a non-MKC kind.
-  void enable_zoo();
   bool zoo_enabled() const { return zoo_enabled_; }
 
   // --- per-flow hot scalars ---------------------------------------------
@@ -97,8 +94,6 @@ class FlowTable {
   }
   double rate_bps(FlowSlot slot) const { return rate_[slot]; }
   double gamma(FlowSlot slot) const { return gamma_col_[slot]; }
-  double paced_rate(FlowSlot slot) const { return paced_rate_[slot]; }
-  void set_paced_rate(FlowSlot slot, double v) { paced_rate_[slot] = v; }
   /// Mutable pacing-EWMA cell (PelsSource updates it per packet). Invalidated
   /// by add_flow growth like any vector reference — re-fetch per use.
   double& paced_rate_ref(FlowSlot slot) { return paced_rate_[slot]; }
@@ -118,7 +113,7 @@ class FlowTable {
   std::int32_t dcqcn_stage(FlowSlot slot) const { return zoo_stage_[slot]; }
   SimTime swift_prev_rtt(FlowSlot slot) const { return zoo_t_[slot]; }
 
-  // --- single-flow control (the controllers' views) ----------------------
+  // --- per-flow control (controller views, the population driver's tick) --
   void apply_feedback(FlowSlot slot, double p);
   void apply_silence(FlowSlot slot);
   double apply_gamma(FlowSlot slot, double p);
@@ -130,60 +125,7 @@ class FlowTable {
   void apply_mark_fraction(FlowSlot slot, double f, SimTime now);
   void apply_control_tick(FlowSlot slot, SimTime now);
 
-  // --- staged batch control (population-scale drivers) -------------------
-  // A control tick stages per-flow inputs (latest wins within a tick), then
-  // batch_control_tick() applies them in slot order with linear scans.
-  // Semantics per flow and tick, mirroring PelsSource::on_control_clock:
-  // rtt first, then feedback (which supersedes staged silence — a fresh
-  // label ends the silence episode), then gamma, then the interval loss and
-  // mark deliveries, then the control tick.
-  void stage_feedback(FlowSlot slot, double p) {
-    staged_loss_[slot] = p;
-    staged_[slot] = static_cast<std::uint8_t>((staged_[slot] & ~kStageSilence) | kStageFeedback);
-  }
-  void stage_silence(FlowSlot slot) {
-    if ((staged_[slot] & kStageFeedback) == 0) staged_[slot] |= kStageSilence;
-  }
-  void stage_gamma(FlowSlot slot, double p_fgs) {
-    staged_fgs_loss_[slot] = p_fgs;
-    staged_[slot] |= kStageGamma;
-  }
-  void stage_rtt(FlowSlot slot, SimTime rtt) {
-    assert(zoo_enabled_ && "zoo staging needs enable_zoo()/a non-MKC flow");
-    staged_rtt_[slot] = rtt;
-    staged_[slot] |= kStageRtt;
-  }
-  void stage_loss_interval(FlowSlot slot, double p) {
-    assert(zoo_enabled_ && "zoo staging needs enable_zoo()/a non-MKC flow");
-    staged_iloss_[slot] = p;
-    staged_[slot] |= kStageLoss;
-  }
-  void stage_mark_fraction(FlowSlot slot, double f) {
-    assert(zoo_enabled_ && "zoo staging needs enable_zoo()/a non-MKC flow");
-    staged_mark_[slot] = f;
-    staged_[slot] |= kStageMark;
-  }
-  void stage_control_tick(FlowSlot slot) {
-    assert(zoo_enabled_ && "zoo staging needs enable_zoo()/a non-MKC flow");
-    staged_[slot] |= kStageTick;
-  }
-
-  struct BatchStats {
-    std::size_t feedback_applied = 0;
-    std::size_t silences = 0;
-    std::size_t gamma_updates = 0;
-    std::size_t rtt_applied = 0;
-    std::size_t losses_applied = 0;
-    std::size_t marks_applied = 0;
-    std::size_t ticks_applied = 0;
-  };
-  /// Applies every staged input and clears the staging columns. `now` feeds
-  /// the clocked zoo kernels (CUBIC's elapsed-epoch time); pure-MKC tables
-  /// never read it, so existing drivers can keep calling it argument-free.
-  BatchStats batch_control_tick(SimTime now = 0);
-
   const MkcConfig& mkc_config() const { return mkc_; }
-  const GammaConfig& gamma_config() const { return gamma_cfg_; }
   const CcZooConfig& zoo_config() const { return zoo_cfg_; }
 
   /// Heap footprint of every column plus the free list (capacities, not
@@ -197,31 +139,21 @@ class FlowTable {
            mkc_updates_.capacity() * sizeof(std::uint64_t) +
            silence_ticks_.capacity() * sizeof(std::uint64_t) +
            gamma_updates_.capacity() * sizeof(std::uint64_t) +
-           staged_loss_.capacity() * sizeof(double) +
-           staged_fgs_loss_.capacity() * sizeof(double) +
-           staged_.capacity() * sizeof(std::uint8_t) +
            kind_.capacity() * sizeof(std::uint8_t) +
            srtt_.capacity() * sizeof(SimTime) + zoo_win_.capacity() * sizeof(double) +
            zoo_a_.capacity() * sizeof(double) + zoo_b_.capacity() * sizeof(double) +
            zoo_t_.capacity() * sizeof(SimTime) + zoo_t2_.capacity() * sizeof(SimTime) +
            zoo_stage_.capacity() * sizeof(std::int32_t) +
-           staged_rtt_.capacity() * sizeof(SimTime) +
-           staged_iloss_.capacity() * sizeof(double) +
-           staged_mark_.capacity() * sizeof(double) +
            free_slots_.capacity() * sizeof(FlowSlot);
   }
 
  private:
   static constexpr std::uint8_t kLive = 1u << 0;
   static constexpr std::uint8_t kSilent = 1u << 1;
-  static constexpr std::uint8_t kStageFeedback = 1u << 0;
-  static constexpr std::uint8_t kStageSilence = 1u << 1;
-  static constexpr std::uint8_t kStageGamma = 1u << 2;
-  static constexpr std::uint8_t kStageRtt = 1u << 3;
-  static constexpr std::uint8_t kStageLoss = 1u << 4;
-  static constexpr std::uint8_t kStageMark = 1u << 5;
-  static constexpr std::uint8_t kStageTick = 1u << 6;
 
+  /// Allocates the zoo columns (at current capacity, grown with the table
+  /// afterwards). Called by the first add_flow with a non-MKC kind.
+  void enable_zoo();
   void init_zoo_slot(FlowSlot slot, CcKind kind);
   static double initial_rate_for(const MkcConfig& mkc, const CcZooConfig& zoo,
                                  CcKind kind);
@@ -239,10 +171,6 @@ class FlowTable {
   std::vector<std::uint64_t> mkc_updates_;
   std::vector<std::uint64_t> silence_ticks_;
   std::vector<std::uint64_t> gamma_updates_;
-  // Staging columns consumed by batch_control_tick().
-  std::vector<double> staged_loss_;
-  std::vector<double> staged_fgs_loss_;
-  std::vector<std::uint8_t> staged_;
   // Zoo columns (empty until enable_zoo(); see header comment for sharing).
   bool zoo_enabled_ = false;
   std::vector<std::uint8_t> kind_;
@@ -253,9 +181,6 @@ class FlowTable {
   std::vector<SimTime> zoo_t_;         // CUBIC epoch start | Swift prev RTT
   std::vector<SimTime> zoo_t2_;        // Swift/SCReAM min RTT
   std::vector<std::int32_t> zoo_stage_;  // DCQCN recovery stage
-  std::vector<SimTime> staged_rtt_;
-  std::vector<double> staged_iloss_;
-  std::vector<double> staged_mark_;
 
   std::vector<FlowSlot> free_slots_;
   std::size_t live_count_ = 0;

@@ -11,7 +11,8 @@
 // The update maps live as free inline kernels (mkc_feedback_step /
 // mkc_silence_step) operating on caller-owned scalars. FlowTable applies them
 // to its contiguous columns, and MkcController is a view on one table slot
-// (cc/table_controller.h), so per-object and batch control share one storage.
+// (cc/table_controller.h), so a controller and the population driver's tick
+// (exp/fabric.h) update one storage through the same calls.
 #pragma once
 
 #include <algorithm>

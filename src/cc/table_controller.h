@@ -2,8 +2,8 @@
 //
 // MKC and the zoo (CUBIC, DCQCN, Swift, SCReAM-lite) hold no control state of
 // their own: every scalar their kernels update is a FlowTable column at one
-// slot, so a standalone controller and a population-scale batch tick run the
-// same kernels on the same storage. A controller built from (table, slot)
+// slot, so a standalone controller and the population driver's control tick
+// run the same FlowTable::apply_* calls on the same storage. A controller built from (table, slot)
 // borrows them — the table must outlive it and the slot stay allocated; one
 // built from a config alone owns a one-slot table.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -191,6 +192,32 @@ double packet_hash01(FlowId flow, std::uint64_t seq) {
   return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
 }
 
+/// Rejects a spec the driver cannot run, naming the flow's index in the
+/// caller's vector and the bad field: an out-of-range host would index past
+/// Fabric::hosts(), a non-positive rate would turn the pacing gap into an
+/// infinite SimTime, and a non-positive packet size would resend 0-byte
+/// packets forever.
+void validate_flow_spec(const FlowSpec& s, std::size_t index, int hosts) {
+  const auto fail = [index](const std::string& what) {
+    throw std::invalid_argument("ManyFlowDriver: flow " + std::to_string(index) + ": " + what);
+  };
+  const auto check_host = [&](const char* field, int host) {
+    if (host < 0 || host >= hosts) {
+      fail(std::string(field) + " " + std::to_string(host) + " outside [0, " +
+           std::to_string(hosts) + ")");
+    }
+  };
+  check_host("src_host", s.src_host);
+  check_host("dst_host", s.dst_host);
+  if (s.src_host == s.dst_host) fail("src_host == dst_host (" + std::to_string(s.src_host) + ")");
+  if (!std::isfinite(s.rate_bps) || s.rate_bps <= 0.0) {
+    fail("rate_bps must be finite and > 0, got " + std::to_string(s.rate_bps));
+  }
+  if (s.packet_bytes <= 0) fail("packet_bytes must be > 0, got " + std::to_string(s.packet_bytes));
+  if (s.total_bytes < 0) fail("total_bytes must be >= 0, got " + std::to_string(s.total_bytes));
+  if (s.start < 0) fail("start must be >= 0, got " + std::to_string(s.start));
+}
+
 }  // namespace
 
 ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
@@ -208,6 +235,8 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
     shards_[d].meters.push_back(&fabric.core_queue(q));
   }
 
+  const auto hosts = static_cast<int>(fabric.hosts().size());
+  for (std::size_t i = 0; i < flows.size(); ++i) validate_flow_spec(flows[i], i, hosts);
   flows_.reserve(flows.size());
   sink_table_.resize(flows.size());
   // Specs must arrive in activation order (gen_mixed_traffic sorts); sort
@@ -371,11 +400,10 @@ void ManyFlowDriver::on_control_tick(std::uint32_t shard) {
     for (const std::uint32_t i : s.members) {
       const FlowRt& f = flows_[i];
       if (!f.started || f.done || f.spec.cls != TrafficClass::kVideo) continue;
-      s.table.stage_feedback(f.slot, p);
-      s.table.stage_gamma(f.slot, p_fgs);
+      s.table.apply_feedback(f.slot, p);
+      s.table.apply_gamma(f.slot, p_fgs);
     }
   }
-  s.table.batch_control_tick();
   s.control_event = fabric_.sim(static_cast<int>(shard))
                         .after(cfg_.control_interval, [this, shard] { on_control_tick(shard); });
 }

@@ -23,8 +23,8 @@
 // gen_mixed_traffic/main_mixed drivers), and ManyFlowDriver runs such a mix
 // at populations the per-flow PelsSource machinery was never sized for. The
 // driver is sharded by domain: each shard owns the flows sourced in its
-// domain (a FlowTable of control state, per-flow pacing events, and a
-// batched control tick reading that domain's bottleneck meters), so a
+// domain (a FlowTable of control state, per-flow pacing events, and one
+// control tick reading that domain's bottleneck meters), so a
 // domain_per_pod fat tree runs one shard per pod under DomainRunner,
 // byte-identical at any thread count. Receiver state is a dense SinkTable
 // fed through host default agents — 16 bytes per flow instead of a map
@@ -185,8 +185,8 @@ std::vector<FlowSpec> gen_mixed_traffic(const Fabric& fabric, const MixedTraffic
 struct ManyFlowDriverConfig {
   MkcConfig mkc;
   GammaConfig gamma;
-  /// Shared control tick period: one batched FlowTable update for the whole
-  /// population (vs. one timer per flow in PelsSource).
+  /// Shared control tick period: one timer per shard updates every video
+  /// flow's FlowTable slot in place (vs. one timer per flow in PelsSource).
   SimTime control_interval = from_millis(200);
   /// Fraction of each video flow's packets sent green (the base layer's
   /// bandwidth share); the FGS remainder splits red/yellow by the flow's
@@ -219,6 +219,10 @@ struct ManyFlowDriverConfig {
 /// argument that makes cross-domain delivery race-free.
 class ManyFlowDriver {
  public:
+  /// Throws std::invalid_argument naming the flow's index in `flows` and
+  /// the field when a spec has a host outside Fabric::hosts(), src == dst,
+  /// a non-finite or non-positive rate, packet_bytes <= 0, total_bytes < 0
+  /// or start < 0.
   ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows, ManyFlowDriverConfig cfg);
   ~ManyFlowDriver();
 
@@ -241,7 +245,6 @@ class ManyFlowDriver {
   std::uint64_t control_ticks() const;
   /// Shard-local flow table (shards are indexed by domain).
   FlowTable& flow_table(std::size_t shard = 0) { return shards_[shard].table; }
-  const SinkTable& sink_table() const { return sink_table_; }
   double flow_rate_bps(std::size_t i) const {
     return shards_[flows_[i].shard].table.rate_bps(flows_[i].slot);
   }

@@ -42,8 +42,9 @@ constexpr double gamma_iterate(double gamma, double p, double sigma, double p_th
 }
 
 /// One full gamma control step (clamp p, iterate eq. (4), clamp gamma) on
-/// caller-owned state. FlowTable applies it to its gamma column — the only
-/// home of a flow's gamma — on the single-flow and batch paths alike.
+/// caller-owned state. FlowTable::apply_gamma runs it on the flow's gamma
+/// column — the only home of a flow's gamma — for PelsSource and the
+/// population driver alike.
 /// Returns the new gamma.
 inline double gamma_update_step(const GammaConfig& cfg, double p, double& gamma,
                                 std::uint64_t& updates) {

@@ -1,6 +1,6 @@
 // FlowTable unit tests: slot lifecycle, config validation, and the
-// bit-for-bit equivalence of single-flow and staged batch control (the
-// determinism contract stated in cc/flow_table.h).
+// bit-for-bit equivalence of controller views and direct apply_* calls on a
+// table slot (the determinism contract stated in cc/flow_table.h).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -71,15 +71,15 @@ TEST(FlowTableTest, ReserveKeepsColumnsStable) {
 
 // The core contract: any interleaving of feedback / silence / gamma inputs
 // produces exactly the same doubles through (a) a standalone controller's
-// calls (single-flow apply on its own one-slot table) and (b) the staged
-// batch path of a second table.
+// calls (on its own one-slot table) and (b) direct apply_* calls on a slot of
+// a second table, the way the population driver updates its flows.
 TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
   const MkcConfig mkc = mkc_config();
   const GammaConfig gc = gamma_config();
   MkcController ctrl(mkc);
   FlowTable& applied = ctrl.table();
-  FlowTable batched(mkc, gc);
-  const FlowSlot slot = batched.add_flow();
+  FlowTable direct(mkc, gc);
+  const FlowSlot slot = direct.add_flow();
 
   Rng rng(7, 0xF10);
   for (int step = 0; step < 2000; ++step) {
@@ -87,123 +87,22 @@ TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
     if (op == 0) {
       const double p = rng.uniform(-2.0, 0.9);
       ctrl.on_router_feedback(p, 0);
-      batched.stage_feedback(slot, p);
+      direct.apply_feedback(slot, p);
     } else if (op == 1) {
       ctrl.on_feedback_silence(0);
-      batched.stage_silence(slot);
+      direct.apply_silence(slot);
     } else {
       const double p_fgs = rng.uniform(-0.2, 1.2);
       applied.apply_gamma(ctrl.slot(), p_fgs);
-      batched.stage_gamma(slot, p_fgs);
+      direct.apply_gamma(slot, p_fgs);
     }
-    batched.batch_control_tick();
-    ASSERT_EQ(ctrl.rate_bps(), batched.rate_bps(slot)) << "step " << step;
-    ASSERT_EQ(ctrl.in_silence(), batched.in_silence(slot)) << "step " << step;
-    ASSERT_EQ(applied.gamma(ctrl.slot()), batched.gamma(slot)) << "step " << step;
+    ASSERT_EQ(ctrl.rate_bps(), direct.rate_bps(slot)) << "step " << step;
+    ASSERT_EQ(ctrl.in_silence(), direct.in_silence(slot)) << "step " << step;
+    ASSERT_EQ(applied.gamma(ctrl.slot()), direct.gamma(slot)) << "step " << step;
   }
-  EXPECT_EQ(ctrl.updates(), batched.mkc_updates(slot));
-  EXPECT_EQ(ctrl.silence_ticks(), batched.silence_ticks(slot));
-  EXPECT_EQ(applied.gamma_updates(ctrl.slot()), batched.gamma_updates(slot));
-}
-
-TEST(FlowTableTest, BatchTickMatchesPerObjectBitForBit) {
-  const MkcConfig mkc = mkc_config();
-  const GammaConfig gc = gamma_config();
-  constexpr int kFlows = 17;
-
-  // Same population in two tables: one updated per flow through the
-  // single-apply calls, one through staged batch ticks.
-  FlowTable applied(mkc, gc);
-  FlowTable batched(mkc, gc);
-  for (int i = 0; i < kFlows; ++i) {
-    applied.add_flow();
-    batched.add_flow();
-  }
-
-  Rng rng(11, 0xBA7C);
-  for (int tick = 0; tick < 400; ++tick) {
-    std::size_t feedbacks = 0;
-    std::size_t silences = 0;
-    std::size_t gamma_updates = 0;
-    for (int i = 0; i < kFlows; ++i) {
-      const auto slot = static_cast<FlowSlot>(i);
-      const int op = static_cast<int>(rng.uniform_int(0, 3));  // 3 = idle
-      if (op == 0) {
-        const double p = rng.uniform(-2.0, 0.9);
-        applied.apply_feedback(slot, p);
-        batched.stage_feedback(slot, p);
-        ++feedbacks;
-      } else if (op == 1) {
-        applied.apply_silence(slot);
-        batched.stage_silence(slot);
-        ++silences;
-      }
-      if (op != 3 && rng.bernoulli(0.5)) {
-        const double p_fgs = rng.uniform(0.0, 1.0);
-        applied.apply_gamma(slot, p_fgs);
-        batched.stage_gamma(slot, p_fgs);
-        ++gamma_updates;
-      }
-    }
-    const FlowTable::BatchStats stats = batched.batch_control_tick();
-    ASSERT_EQ(stats.feedback_applied, feedbacks);
-    ASSERT_EQ(stats.silences, silences);
-    ASSERT_EQ(stats.gamma_updates, gamma_updates);
-    for (int i = 0; i < kFlows; ++i) {
-      const auto slot = static_cast<FlowSlot>(i);
-      ASSERT_EQ(applied.rate_bps(slot), batched.rate_bps(slot))
-          << "tick " << tick << " flow " << i;
-      ASSERT_EQ(applied.gamma(slot), batched.gamma(slot)) << "tick " << tick << " flow " << i;
-    }
-  }
-}
-
-TEST(FlowTableTest, StagedFeedbackSupersedesSilenceEitherOrder) {
-  const MkcConfig mkc = mkc_config();
-  FlowTable table(mkc, gamma_config());
-  const FlowSlot a = table.add_flow();
-  const FlowSlot b = table.add_flow();
-
-  // Reference: a flow that receives only the feedback.
-  MkcController ref(mkc);
-  ref.on_router_feedback(0.1, 0);
-
-  table.stage_silence(a);
-  table.stage_feedback(a, 0.1);  // fresh label ends the silence episode
-  table.stage_feedback(b, 0.1);
-  table.stage_silence(b);  // stale watchdog racing a fresh label: ignored
-  const FlowTable::BatchStats stats = table.batch_control_tick();
-  EXPECT_EQ(stats.feedback_applied, 2u);
-  EXPECT_EQ(stats.silences, 0u);
-  EXPECT_EQ(table.rate_bps(a), ref.rate_bps());
-  EXPECT_EQ(table.rate_bps(b), ref.rate_bps());
-  EXPECT_EQ(table.silence_ticks(a), 0u);
-  EXPECT_EQ(table.silence_ticks(b), 0u);
-}
-
-TEST(FlowTableTest, StagedInputLatestWinsWithinTick) {
-  FlowTable table(mkc_config(), gamma_config());
-  const FlowSlot s = table.add_flow();
-  MkcController ref(mkc_config());
-
-  table.stage_feedback(s, 0.5);
-  table.stage_feedback(s, 0.1);  // supersedes within the tick
-  table.batch_control_tick();
-  ref.on_router_feedback(0.1, 0);
-  EXPECT_EQ(table.rate_bps(s), ref.rate_bps());
-  EXPECT_EQ(table.mkc_updates(s), 1u);
-}
-
-TEST(FlowTableTest, RemovedFlowDropsItsStagedInput) {
-  FlowTable table(mkc_config(), gamma_config());
-  const FlowSlot keep = table.add_flow();
-  const FlowSlot gone = table.add_flow();
-  table.stage_feedback(keep, 0.1);
-  table.stage_feedback(gone, 0.1);
-  table.remove_flow(gone);
-  const FlowTable::BatchStats stats = table.batch_control_tick();
-  EXPECT_EQ(stats.feedback_applied, 1u);
-  EXPECT_EQ(table.mkc_updates(keep), 1u);
+  EXPECT_EQ(ctrl.updates(), direct.mkc_updates(slot));
+  EXPECT_EQ(ctrl.silence_ticks(), direct.silence_ticks(slot));
+  EXPECT_EQ(applied.gamma_updates(ctrl.slot()), direct.gamma_updates(slot));
 }
 
 TEST(FlowTableTest, TableBackedControllerRoutesThroughTable) {

@@ -40,9 +40,11 @@ BENCHMARK(BM_SchedulerScheduleAndRun);
 
 void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   DropTailQueue q(1024);
+  Packet out;
   for (auto _ : state) {
     q.enqueue(make_packet(500, Color::kGreen));
-    benchmark::DoNotOptimize(q.dequeue());
+    benchmark::DoNotOptimize(q.dequeue(out));
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -52,9 +54,11 @@ void BM_PriorityEnqueueDequeue(benchmark::State& state) {
   StrictPriorityQueue q({256, 256, 256}, &StrictPriorityQueue::classify_by_color);
   int i = 0;
   const Color colors[] = {Color::kGreen, Color::kYellow, Color::kRed};
+  Packet out;
   for (auto _ : state) {
     q.enqueue(make_packet(500, colors[i++ % 3]));
-    benchmark::DoNotOptimize(q.dequeue());
+    benchmark::DoNotOptimize(q.dequeue(out));
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -65,9 +69,11 @@ void BM_PelsQueueEnqueueDequeue(benchmark::State& state) {
   PelsQueue q(sim.scheduler(), PelsQueueConfig{});
   int i = 0;
   const Color colors[] = {Color::kGreen, Color::kYellow, Color::kRed, Color::kInternet};
+  Packet out;
   for (auto _ : state) {
     q.enqueue(make_packet(500, colors[i++ % 4]));
-    benchmark::DoNotOptimize(q.dequeue());
+    benchmark::DoNotOptimize(q.dequeue(out));
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -76,9 +82,11 @@ BENCHMARK(BM_PelsQueueEnqueueDequeue);
 void BM_RedEnqueueDequeue(benchmark::State& state) {
   Scheduler sched;
   RedQueue q(sched, Rng(1), RedConfig{});
+  Packet out;
   for (auto _ : state) {
     q.enqueue(make_packet(500, Color::kInternet));
-    benchmark::DoNotOptimize(q.dequeue());
+    benchmark::DoNotOptimize(q.dequeue(out));
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -153,10 +153,11 @@ BENCHMARK(BM_WrrPeek);
 /// enqueue (replacement arrival keeps the backlog steady).
 void BM_WrrPeekDequeueEnqueue(benchmark::State& state) {
   auto q = make_backlogged_wrr(512);
+  Packet pkt;
   for (auto _ : state) {
     benchmark::DoNotOptimize(q->peek());
-    auto pkt = q->dequeue();
-    q->enqueue(std::move(*pkt));
+    q->dequeue(pkt);
+    q->enqueue(std::move(pkt));
   }
   state.SetItemsProcessed(state.iterations());
 }

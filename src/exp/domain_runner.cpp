@@ -12,8 +12,8 @@ namespace pels {
 // keeps (see net/link.cpp for the same contract from the pipeline's side).
 static_assert(kSchedulerCallbackCapacity == 32,
               "scheduler callbacks capture [this, index]-sized state: 32 bytes");
-static_assert(Scheduler::slot_bytes() <= 64,
-              "a Scheduler::Slot must stay within 64 bytes");
+static_assert(Scheduler::slot_bytes() <= 48,
+              "a Scheduler::Slot must stay within 48 bytes");
 
 namespace {
 

@@ -114,13 +114,8 @@ class Fabric {
   int core_queue_domain(std::size_t i) const { return core_queue_domains_[i]; }
 
   /// Pre-sizes every domain's runtime pools for `expected_flows` concurrent
-  /// flows (see Topology::reserve_runtime). Fabric drivers deliver through a
-  /// shared default agent (cc/sink_table.h), so the per-host agent maps stay
-  /// empty by default — pass `agents_per_host` only for setups that register
-  /// per-flow agents on fabric hosts.
-  void reserve_runtime(std::size_t expected_flows, std::size_t agents_per_host = 0) {
-    topo_->reserve_runtime(expected_flows, agents_per_host);
-  }
+  /// flows (see Topology::reserve_runtime).
+  void reserve_runtime(std::size_t expected_flows) { topo_->reserve_runtime(expected_flows); }
 
  private:
   void build_parking_lot();

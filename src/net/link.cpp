@@ -7,12 +7,12 @@ namespace pels {
 
 // The pipeline keeps every in-flight packet in its ring and schedules only a
 // bare [this] capture, which is what lets the scheduler's callback budget be
-// four words and a slot 64 bytes. Pin that contract: a budget or slot growth
+// four words and a slot 48 bytes. Pin that contract: a budget or slot growth
 // must be a deliberate change to these lines, not a drift.
 static_assert(kSchedulerCallbackCapacity == 32,
               "scheduler callbacks capture [this, index]-sized state: 32 bytes");
-static_assert(Scheduler::slot_bytes() <= 64,
-              "a Scheduler::Slot must stay within 64 bytes");
+static_assert(Scheduler::slot_bytes() <= 48,
+              "a Scheduler::Slot must stay within 48 bytes");
 
 Link::Link(Simulation& sim, Node& dst, double bandwidth_bps, SimTime prop_delay,
            std::unique_ptr<QueueDisc> queue)
@@ -26,7 +26,7 @@ Link::Link(Simulation& sim, Node& dst, double bandwidth_bps, SimTime prop_delay,
   assert(queue_ != nullptr);
 }
 
-bool Link::send(Packet pkt) {
+bool Link::send(Packet&& pkt) {
   const bool accepted = queue_->enqueue(std::move(pkt));
   if (!accepted || !up_) return accepted;
   const SimTime now = sim_.now();
@@ -42,20 +42,21 @@ bool Link::send(Packet pkt) {
 }
 
 bool Link::start_transmission(SimTime now) {
-  auto pkt = queue_->dequeue();
-  if (!pkt) return false;
+  // A full ring grows only for a packet that exists.
+  if (ring_.full() && queue_->empty()) return false;
+  InFlight& entry = ring_.back_slot();
+  if (!queue_->dequeue(entry.pkt)) return false;
   // Charge the *previous* serialization window in full; the new one is
   // pro-rated by utilization() until the next start charges it here.
   busy_time_ += busy_until_ - tx_start_;
-  const SimTime tx = transmission_time(pkt->size_bytes, bandwidth_bps_);
+  const SimTime tx = transmission_time(entry.pkt.size_bytes, bandwidth_bps_);
   tx_start_ = now;
   busy_until_ = now + tx;
   wire_settled_ = false;
-  InFlight entry;
-  entry.pkt = std::move(*pkt);
   entry.tx_end = busy_until_;
   entry.deliver_at = busy_until_ + prop_delay_;
-  ring_.push_back(std::move(entry));
+  entry.wire_lost = false;  // the slot may hold a carrier-lost packet's flag
+  ring_.commit_back();
   return true;
 }
 
@@ -73,7 +74,11 @@ void Link::on_pipeline_event() {
 }
 
 void Link::deliver_front() {
-  InFlight entry = ring_.pop_front();
+  // Nothing pushes onto this ring while the destination handles the packet
+  // (its sends go out on other links), so the dropped head's slot stays
+  // intact until the packet has been passed on.
+  InFlight& entry = ring_.front();
+  ring_.drop_front();
   if (entry.wire_lost) {
     // Carrier dropped during serialization: link time was spent, nothing
     // arrives, and — matching the short-circuit the event-per-packet code

@@ -45,7 +45,7 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   /// Offers a packet for transmission. Returns false if the queue dropped it.
-  bool send(Packet pkt);
+  bool send(Packet&& pkt);
 
   QueueDisc& queue() { return *queue_; }
   const QueueDisc& queue() const { return *queue_; }
@@ -136,6 +136,8 @@ class Link {
   /// One packet on the wire: serializing until `tx_end`, arriving at
   /// `deliver_at` = tx_end + prop_delay (constant per link, so ring order is
   /// delivery order). `wire_lost` records a carrier drop mid-serialization.
+  /// Ring slots are reused in place: the queue dequeues straight into the
+  /// next slot, and every field is rewritten when a slot is refilled.
   struct InFlight {
     Packet pkt;
     SimTime tx_end = 0;
@@ -144,7 +146,8 @@ class Link {
   };
 
   void on_pipeline_event();
-  /// Starts serializing the queue head at `now`; false if the queue is empty.
+  /// Starts serializing the queue head at `now`, dequeuing it straight into
+  /// the ring's next slot; false if the queue is empty.
   bool start_transmission(SimTime now);
   /// When the ring head must be resolved: local links wait out propagation
   /// (deliver_at); boundary links hand off at wire exit (tx_end) so the
@@ -154,7 +157,8 @@ class Link {
     return remote_ ? ring_.front().tx_end : ring_.front().deliver_at;
   }
   /// Pops and resolves the ring head: corruption (evaluated with the recorded
-  /// serialization-end time, preserving order and timestamps) or delivery.
+  /// serialization-end time, preserving order and timestamps) or delivery,
+  /// which passes the packet on from its ring slot.
   void deliver_front();
   /// Re-arms the single pending event at the earliest due deadline.
   void reschedule(SimTime now);

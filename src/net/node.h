@@ -24,8 +24,9 @@ class Node {
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  /// Called by a Link when a packet arrives at this node.
-  virtual void receive(Packet pkt) = 0;
+  /// Called by a Link when a packet arrives at this node. The node may move
+  /// from `pkt`; the caller does not read it afterwards.
+  virtual void receive(Packet&& pkt) = 0;
 
  private:
   NodeId id_;

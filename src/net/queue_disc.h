@@ -1,7 +1,9 @@
 // Queue-discipline interface.
 //
 // A QueueDisc is a pure queueing object: enqueue() accepts or drops a packet,
-// dequeue() yields the next packet to transmit. Timing (serialization and
+// dequeue() moves the next packet to transmit into a caller-owned slot (the
+// link's in-flight ring), so a packet leaves nested disciplines without an
+// intermediate copy per layer. Timing (serialization and
 // propagation) belongs to Link, mirroring the ns-2 Queue/DelayLink split the
 // paper's implementation used. Concrete disciplines (DropTail, RED, strict
 // priority, WRR, the PELS composite) live in src/queue.
@@ -9,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "net/packet.h"
 #include "util/time.h"
@@ -56,11 +57,13 @@ class QueueDisc {
 
   /// Offers a packet to the queue. Returns true if accepted, false if the
   /// packet (or another one, for push-out policies) was dropped. Counters and
-  /// the drop handler observe every drop either way.
-  virtual bool enqueue(Packet pkt) = 0;
+  /// the drop handler observe every drop either way. The queue may move from
+  /// `pkt`; the caller does not read it afterwards.
+  virtual bool enqueue(Packet&& pkt) = 0;
 
-  /// Removes and returns the next packet to transmit, or nullopt if empty.
-  virtual std::optional<Packet> dequeue() = 0;
+  /// Moves the next packet to transmit into `out` and returns true, or
+  /// returns false and leaves `out` untouched if the queue is empty.
+  virtual bool dequeue(Packet& out) = 0;
 
   /// Next packet that dequeue() would return, or nullptr if empty. Needed by
   /// deficit-round-robin schedulers to check head sizes without dequeuing.

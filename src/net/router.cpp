@@ -4,7 +4,7 @@
 
 namespace pels {
 
-void Router::receive(Packet pkt) {
+void Router::receive(Packet&& pkt) {
   Link* link = routing_.route_to(pkt.dst);
   if (link == nullptr) {
     ++unroutable_;

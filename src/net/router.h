@@ -15,7 +15,7 @@ class Router : public Node {
 
   RoutingTable& routing() { return routing_; }
 
-  void receive(Packet pkt) override;
+  void receive(Packet&& pkt) override;
 
   std::uint64_t packets_forwarded() const { return forwarded_; }
   std::uint64_t packets_unroutable() const { return unroutable_; }

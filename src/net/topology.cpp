@@ -73,7 +73,11 @@ void Topology::hand_off(std::size_t i, Packet&& pkt, SimTime deliver_at) {
 }
 
 void Topology::arrive(std::size_t i) {
-  Packet pkt = inboxes_[i].packets.pop_front();
+  // The head stays in its slot until a later hand_off refills it, so the
+  // destination takes it straight from the inbox.
+  RingBuffer<Packet>& inbox = inboxes_[i].packets;
+  Packet& pkt = inbox.front();
+  inbox.drop_front();
   nodes_[static_cast<std::size_t>(boundary_links_[i].dst)]->receive(std::move(pkt));
 }
 
@@ -93,10 +97,6 @@ std::pair<Link*, Link*> Topology::connect(Node& a, Node& b, double bandwidth_bps
 }
 
 void Topology::reserve_runtime(std::size_t expected_flows) {
-  reserve_runtime(expected_flows, expected_flows);
-}
-
-void Topology::reserve_runtime(std::size_t expected_flows, std::size_t agents_per_host) {
   // One coalesced pipeline event per link, one pacing/feedback timer pair
   // per flow, plus slack for scenario samplers and fault injectors: a
   // generous constant factor costs a few KB once, and warm-up then never
@@ -106,13 +106,6 @@ void Topology::reserve_runtime(std::size_t expected_flows, std::size_t agents_pe
   // assert zero growth, see bench/many_flows.cpp).
   const std::size_t events = 16 + 2 * links_.size() + 4 * expected_flows;
   for (Simulation* sim : domain_sims_) sim->scheduler().reserve(events);
-  // Population-scale runs multiplex many flows onto few hosts; pre-size the
-  // per-host agent maps so registration does not rehash its way up.
-  if (agents_per_host > 0) {
-    for (auto& node : nodes_) {
-      if (auto* h = dynamic_cast<Host*>(node.get())) h->reserve_agents(agents_per_host);
-    }
-  }
   for (auto& link : links_) {
     // Bandwidth-delay product in packets, assuming ~1000-byte packets: the
     // deepest the in-flight ring can get in steady state.
@@ -155,11 +148,8 @@ void Topology::compute_routes() {
     if (auto* h = dynamic_cast<Host*>(&s)) table = &h->routing();
     if (auto* r = dynamic_cast<Router*>(&s)) table = &r->routing();
     assert(table != nullptr && "unknown node kind");
-    table->clear();
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == src || first_hop[dst] == nullptr) continue;
-      table->set_route(static_cast<NodeId>(dst), first_hop[dst]);
-    }
+    // first_hop[src] stays nullptr: a node has no route to itself.
+    table->assign(std::move(first_hop));
   }
 }
 

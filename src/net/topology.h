@@ -107,12 +107,7 @@ class Topology {
   /// Pre-sizes the scheduler's event pool and every link's in-flight ring
   /// from the topology (links, expected flows) so the steady state never
   /// grows them mid-run. Call once after the graph is complete.
-  /// `agents_per_host` sizes each host's flow->agent map and defaults to the
-  /// flow count (every flow registers an agent somewhere); drivers that
-  /// deliver through a shared default agent (cc/sink_table.h) pass 0 so a
-  /// 10^6-flow run does not reserve million-entry hash maps per host.
   void reserve_runtime(std::size_t expected_flows);
-  void reserve_runtime(std::size_t expected_flows, std::size_t agents_per_host);
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }

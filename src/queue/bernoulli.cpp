@@ -10,7 +10,7 @@ BernoulliDropQueue::BernoulliDropQueue(Rng rng, double drop_probability,
   assert(limit_packets_ > 0);
 }
 
-bool BernoulliDropQueue::enqueue(Packet pkt) {
+bool BernoulliDropQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   const bool exempt = exempt_[static_cast<std::size_t>(pkt.color)];
   if (!exempt && rng_.bernoulli(drop_probability_)) {
@@ -26,13 +26,13 @@ bool BernoulliDropQueue::enqueue(Packet pkt) {
   return true;
 }
 
-std::optional<Packet> BernoulliDropQueue::dequeue() {
-  if (fifo_.empty()) return std::nullopt;
-  Packet pkt = std::move(fifo_.front());
+bool BernoulliDropQueue::dequeue(Packet& out) {
+  if (fifo_.empty()) return false;
+  out = std::move(fifo_.front());
   fifo_.pop_front();
-  bytes_ -= pkt.size_bytes;
-  counters().count_departure(pkt);
-  return pkt;
+  bytes_ -= out.size_bytes;
+  counters().count_departure(out);
+  return true;
 }
 
 }  // namespace pels

@@ -25,8 +25,8 @@ class BernoulliDropQueue : public QueueDisc {
   void set_drop_probability(double p) { drop_probability_ = p; }
   double drop_probability() const { return drop_probability_; }
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override { return fifo_.empty() ? nullptr : &fifo_.front(); }
   std::size_t packet_count() const override { return fifo_.size(); }
   std::int64_t byte_count() const override { return bytes_; }

@@ -33,7 +33,7 @@ BestEffortQueue::BestEffortQueue(Scheduler& sched, Rng rng, BestEffortQueueConfi
   feedback_timer_.start();
 }
 
-bool BestEffortQueue::enqueue(Packet pkt) {
+bool BestEffortQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   if (pkt.color != Color::kInternet) {
     const bool is_fgs = pkt.color == Color::kYellow || pkt.color == Color::kRed;
@@ -52,12 +52,11 @@ bool BestEffortQueue::enqueue(Packet pkt) {
   return wrr_->enqueue(std::move(pkt));
 }
 
-std::optional<Packet> BestEffortQueue::dequeue() {
-  auto pkt = wrr_->dequeue();
-  if (!pkt) return std::nullopt;
-  counters().count_departure(*pkt);
-  if (pkt->color != Color::kInternet) meter_.stamp(*pkt);
-  return pkt;
+bool BestEffortQueue::dequeue(Packet& out) {
+  if (!wrr_->dequeue(out)) return false;
+  counters().count_departure(out);
+  if (out.color != Color::kInternet) meter_.stamp(out);
+  return true;
 }
 
 }  // namespace pels

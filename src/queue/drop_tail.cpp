@@ -11,7 +11,7 @@ DropTailQueue::DropTailQueue(std::size_t limit_packets, std::int64_t limit_bytes
   if (limit_bytes_ <= 0) throw std::invalid_argument("DropTailQueue: limit_bytes must be > 0");
 }
 
-bool DropTailQueue::enqueue(Packet pkt) {
+bool DropTailQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   if (fifo_.size() + 1 > limit_packets_ || bytes_ + pkt.size_bytes > limit_bytes_) {
     note_drop(pkt);
@@ -22,12 +22,13 @@ bool DropTailQueue::enqueue(Packet pkt) {
   return true;
 }
 
-std::optional<Packet> DropTailQueue::dequeue() {
-  if (fifo_.empty()) return std::nullopt;
-  Packet pkt = fifo_.pop_front();
-  bytes_ -= pkt.size_bytes;
-  counters().count_departure(pkt);
-  return pkt;
+bool DropTailQueue::dequeue(Packet& out) {
+  if (fifo_.empty()) return false;
+  out = std::move(fifo_.front());
+  fifo_.drop_front();
+  bytes_ -= out.size_bytes;
+  counters().count_departure(out);
+  return true;
 }
 
 const Packet* DropTailQueue::peek() const { return fifo_.empty() ? nullptr : &fifo_.front(); }

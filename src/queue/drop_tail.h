@@ -26,8 +26,8 @@ class DropTailQueue : public QueueDisc {
   explicit DropTailQueue(std::size_t limit_packets,
                          std::int64_t limit_bytes = kUnlimitedBytes);
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override;
   std::size_t packet_count() const override { return fifo_.size(); }
   std::int64_t byte_count() const override { return bytes_; }

@@ -73,7 +73,7 @@ PelsQueue::PelsQueue(Scheduler& sched, PelsQueueConfig config)
   feedback_timer_.start();
 }
 
-bool PelsQueue::enqueue(Packet pkt) {
+bool PelsQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   // S accumulates everything offered to the PELS group (including packets
   // about to be dropped): eq. (11) measures demand, not admitted traffic.
@@ -113,15 +113,14 @@ void PelsQueue::maybe_mark_ecn(Packet& pkt) {
   }
 }
 
-std::optional<Packet> PelsQueue::dequeue() {
-  auto pkt = wrr_->dequeue();
-  if (!pkt) return std::nullopt;
-  counters().count_departure(*pkt);
+bool PelsQueue::dequeue(Packet& out) {
+  if (!wrr_->dequeue(out)) return false;
+  counters().count_departure(out);
   // Stamp feedback into every departing PELS-flow packet regardless of
   // colour (§5.1: green-only feedback would add delay; red/yellow reordering
   // is handled by epoch filtering at the source).
-  if (pkt->color != Color::kInternet) meter_.stamp(*pkt);
-  return pkt;
+  if (out.color != Color::kInternet) meter_.stamp(out);
+  return true;
 }
 
 void PelsQueue::set_link_bandwidth(double bandwidth_bps) {

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "net/queue_disc.h"
 #include "queue/drop_tail.h"
@@ -106,8 +105,8 @@ class PelsQueue : public QueueDisc {
  public:
   PelsQueue(Scheduler& sched, PelsQueueConfig config);
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override { return wrr_->peek(); }
   std::size_t packet_count() const override { return wrr_->packet_count(); }
   std::int64_t byte_count() const override { return wrr_->byte_count(); }

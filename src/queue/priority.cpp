@@ -18,7 +18,7 @@ StrictPriorityQueue::StrictPriorityQueue(std::vector<std::size_t> band_limits,
   }
 }
 
-bool StrictPriorityQueue::enqueue(Packet pkt) {
+bool StrictPriorityQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   const std::size_t band = classify_(pkt);
   assert(band < bands_.size() && "classifier returned out-of-range band");
@@ -32,17 +32,17 @@ bool StrictPriorityQueue::enqueue(Packet pkt) {
   return true;
 }
 
-std::optional<Packet> StrictPriorityQueue::dequeue() {
+bool StrictPriorityQueue::dequeue(Packet& out) {
   for (auto& band : bands_) {
     if (band.empty()) continue;
-    Packet pkt = std::move(band.front());
-    band.pop_front();
-    total_bytes_ -= pkt.size_bytes;
+    out = std::move(band.front());
+    band.drop_front();
+    total_bytes_ -= out.size_bytes;
     --total_packets_;
-    counters().count_departure(pkt);
-    return pkt;
+    counters().count_departure(out);
+    return true;
   }
-  return std::nullopt;
+  return false;
 }
 
 const Packet* StrictPriorityQueue::peek() const {

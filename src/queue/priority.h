@@ -25,8 +25,8 @@ class StrictPriorityQueue : public QueueDisc {
   /// null classifier.
   StrictPriorityQueue(std::vector<std::size_t> band_limits, Classifier classify);
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override;
   std::size_t packet_count() const override { return total_packets_; }
   std::int64_t byte_count() const override { return total_bytes_; }

@@ -52,7 +52,7 @@ bool RedQueue::early_drop_decision() {
   return false;
 }
 
-bool RedQueue::enqueue(Packet pkt) {
+bool RedQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   update_average();
   if (early_drop_decision() || fifo_.size() + 1 > cfg_.limit_packets) {
@@ -64,17 +64,17 @@ bool RedQueue::enqueue(Packet pkt) {
   return true;
 }
 
-std::optional<Packet> RedQueue::dequeue() {
-  if (fifo_.empty()) return std::nullopt;
-  Packet pkt = std::move(fifo_.front());
+bool RedQueue::dequeue(Packet& out) {
+  if (fifo_.empty()) return false;
+  out = std::move(fifo_.front());
   fifo_.pop_front();
-  bytes_ -= pkt.size_bytes;
-  counters().count_departure(pkt);
+  bytes_ -= out.size_bytes;
+  counters().count_departure(out);
   if (fifo_.empty()) {
     idle_ = true;
     idle_since_ = sched_.now();
   }
-  return pkt;
+  return true;
 }
 
 }  // namespace pels

@@ -36,8 +36,8 @@ class RedQueue : public QueueDisc {
  public:
   RedQueue(Scheduler& sched, Rng rng, RedConfig config);
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override { return fifo_.empty() ? nullptr : &fifo_.front(); }
   std::size_t packet_count() const override { return fifo_.size(); }
   std::int64_t byte_count() const override { return bytes_; }

@@ -34,7 +34,7 @@ double RemQueue::mark_probability() const {
   return 1.0 - std::pow(cfg_.phi, -price_);
 }
 
-bool RemQueue::enqueue(Packet pkt) {
+bool RemQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   if (pkt.color != Color::kInternet) {
     interval_bytes_ += pkt.size_bytes;
@@ -46,10 +46,10 @@ bool RemQueue::enqueue(Packet pkt) {
   return wrr_->enqueue(std::move(pkt));
 }
 
-std::optional<Packet> RemQueue::dequeue() {
-  auto pkt = wrr_->dequeue();
-  if (pkt) counters().count_departure(*pkt);
-  return pkt;
+bool RemQueue::dequeue(Packet& out) {
+  if (!wrr_->dequeue(out)) return false;
+  counters().count_departure(out);
+  return true;
 }
 
 void RemQueue::update_price() {

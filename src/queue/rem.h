@@ -44,8 +44,8 @@ class RemQueue : public QueueDisc {
  public:
   RemQueue(Scheduler& sched, Rng rng, RemQueueConfig config);
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override { return wrr_->peek(); }
   std::size_t packet_count() const override { return wrr_->packet_count(); }
   std::int64_t byte_count() const override { return wrr_->byte_count(); }

@@ -22,7 +22,7 @@ WrrQueue::WrrQueue(std::vector<Child> children, Classifier classify, std::int64_
   }
 }
 
-bool WrrQueue::enqueue(Packet pkt) {
+bool WrrQueue::enqueue(Packet&& pkt) {
   counters().count_arrival(pkt);
   const std::size_t idx = classify_(pkt);
   assert(idx < children_.size() && "classifier returned out-of-range child");
@@ -83,17 +83,17 @@ std::size_t WrrQueue::select() const {
   return cached_choice_;
 }
 
-std::optional<Packet> WrrQueue::dequeue() {
+bool WrrQueue::dequeue(Packet& out) {
   const std::size_t idx = select();
-  if (idx == npos) return std::nullopt;
+  if (idx == npos) return false;
   // Commit the post-selection DRR state computed by select().
   deficit_.swap(cached_deficit_);
   current_ = cached_current_;
   cache_valid_ = false;
-  auto pkt = children_[idx].queue->dequeue();
-  assert(pkt.has_value());
-  counters().count_departure(*pkt);
-  return pkt;
+  [[maybe_unused]] const bool served = children_[idx].queue->dequeue(out);
+  assert(served && "DRR selected an empty child");
+  counters().count_departure(out);
+  return true;
 }
 
 const Packet* WrrQueue::peek() const {

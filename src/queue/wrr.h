@@ -39,8 +39,8 @@ class WrrQueue : public QueueDisc {
   /// floored at 1 byte so fractional weights can never starve it.
   WrrQueue(std::vector<Child> children, Classifier classify, std::int64_t quantum_bytes = 1500);
 
-  bool enqueue(Packet pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet&& pkt) override;
+  bool dequeue(Packet& out) override;
   const Packet* peek() const override;
   std::size_t packet_count() const override;
   std::int64_t byte_count() const override;

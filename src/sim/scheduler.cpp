@@ -22,19 +22,19 @@ std::size_t find_occupied_from(const std::array<std::uint64_t, 4>& occ,
   }
 }
 
-/// Prefetches a slot's full cache footprint (the inline callback storage
-/// spans multiple lines). The level-0 purge walks entries that were scheduled
-/// up to a whole pacing horizon ago, so at population scale every slot touch
-/// there is a guaranteed miss; prefetching a few entries ahead overlaps those
+/// Prefetches a slot's full cache footprint (a 48-byte slot straddles two
+/// lines at most). The level-0 purge walks entries that were scheduled up to
+/// a whole pacing horizon ago, so at population scale every slot touch there
+/// is a guaranteed miss; prefetching a few entries ahead overlaps those
 /// misses with the purge bookkeeping.
-inline void prefetch_slot(const void* p) {
+inline void prefetch_slot(const void* p, std::size_t bytes) {
 #if defined(__GNUC__) || defined(__clang__)
   const char* c = static_cast<const char*>(p);
   __builtin_prefetch(c, 1);
-  __builtin_prefetch(c + 64, 1);
-  __builtin_prefetch(c + 128, 1);
+  __builtin_prefetch(c + bytes - 1, 1);
 #else
   (void)p;
+  (void)bytes;
 #endif
 }
 
@@ -78,8 +78,9 @@ Scheduler::Entry Scheduler::pop_top() {
 
 Scheduler::Callback Scheduler::take_callback(const Entry& e) {
   Slot& s = slots_[e.slot];
-  // No need to null s.fn: schedule_at overwrites it when the slot is reused.
-  Callback fn = std::move(s.fn);
+  // A copy, not a move: captures are trivially copyable, and schedule_at
+  // overwrites the slot's copy when the slot is reused.
+  Callback fn = s.fn;
   if (++s.gen == 0) s.gen = 1;
   // A run-staged wheel entry keeps its residency flag until it executes (the
   // level-0 purge is read-only on slots); settle it here, where ++gen has
@@ -125,7 +126,7 @@ void Scheduler::load_run(std::size_t pos, std::uint64_t abs_idx) {
   const std::size_t n = b.entries.size();
   constexpr std::size_t kAhead = 16;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) prefetch_slot(&slots_[b.entries[i + kAhead].slot]);
+    if (i + kAhead < n) prefetch_slot(&slots_[b.entries[i + kAhead].slot], sizeof(Slot));
     const Entry& e = b.entries[i];
     // Read-only on the slot: live entries stay counted in wheel_live_ while
     // staged in the run (take_callback settles the flag and the count when

@@ -20,12 +20,14 @@
 //     drained by sorting it once into a run buffer; higher-level buckets
 //     cascade downward as the frontier reaches them. Per-level occupancy
 //     bitmaps make "find the earliest non-empty bucket" four ctz scans.
-//   * Callbacks are fixed-capacity InplaceFunctions, not std::functions,
-//     with a 32-byte capture budget: every event captures `[this, index]`-
-//     sized state, so a slot is 64 bytes (one cache line's worth) and 10^6
-//     pending timers cost 64 MB of slots, not 176. Nothing rides an event by
-//     value; packets wait in their owner's ring (link in-flight ring,
-//     boundary-link inbox) and the event names only the owner.
+//   * Callbacks are thunks, not std::functions: a function pointer plus a
+//     32-byte trivially copyable capture. Every event captures
+//     `[this, index]`-sized state, so a slot is 48 bytes and 10^6 pending
+//     timers cost 48 MB of slots, not 176. Storing, retiring and invoking a
+//     callback is a plain copy and one indirect call; there is no relocate
+//     or destroy step. Nothing rides an event by value; packets wait in
+//     their owner's ring (link in-flight ring, boundary-link inbox) and the
+//     event names only the owner.
 //   * Cancellation is generation-tagged: an EventId packs (slot, generation)
 //     and cancel() just bumps the slot's generation — O(1) in both tiers
 //     (wheel residents additionally flip the slot's residency flag and drop
@@ -41,10 +43,13 @@
 
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "util/inplace_function.h"
 #include "util/time.h"
 
 namespace pels {
@@ -57,17 +62,61 @@ using EventId = std::uint64_t;
 /// `[this, index]` or `[link, queue, until, factor]`. A capture that does not
 /// fit is a compile error (tests/compile_fail pins that), never a heap box:
 /// state larger than this belongs in a pool or ring its owner keeps, with
-/// the event naming the owner. With the 16-byte vtable header and the slot's
-/// generation/residency words, the budget makes Scheduler::Slot exactly 64
-/// bytes; net/link.cpp and exp/domain_runner.cpp pin both.
+/// the event naming the owner. With the 8-byte function pointer and the
+/// slot's generation/residency words, the budget makes Scheduler::Slot
+/// exactly 48 bytes; net/link.cpp and exp/domain_runner.cpp pin both.
 inline constexpr std::size_t kSchedulerCallbackCapacity = 32;
 
 class Scheduler {
  public:
-  /// Fixed-capacity move-only callable: scheduling is allocation-free for
-  /// any capture that fits the inline budget, and a larger capture is a
-  /// compile error (see util/inplace_function.h).
-  using Callback = InplaceFunction<void(), kSchedulerCallbackCapacity>;
+  /// A scheduled event's action: a function pointer plus an inline copy of
+  /// the callable. The capture must fit kSchedulerCallbackCapacity, be
+  /// trivially copyable and trivially destructible, and need no more than
+  /// pointer alignment — compile errors otherwise (tests/compile_fail). That
+  /// is what lets the slot pool copy callbacks as bytes and drop them
+  /// without a destructor call: a capture of `this`, indices, raw pointers
+  /// and references qualifies; a std::function, std::string or smart
+  /// pointer does not, and belongs with the owner the event names.
+  class Callback {
+   public:
+    Callback() = default;
+    Callback(std::nullptr_t) {}  // NOLINT(runtime/explicit)
+
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
+                                          std::is_invocable_r_v<void, D&>>>
+    Callback(F&& f) : invoke_(&invoke<D>) {  // NOLINT(runtime/explicit)
+      static_assert(sizeof(D) <= kSchedulerCallbackCapacity,
+                    "scheduler callback capture too large — keep large state "
+                    "with its owner and capture a pointer or index (see "
+                    "kSchedulerCallbackCapacity)");
+      static_assert(alignof(D) <= alignof(void*),
+                    "scheduler callback capture over-aligned");
+      static_assert(std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>,
+                    "scheduler callback capture must be trivially copyable and "
+                    "destructible: capture `this`, indices or pointers, not "
+                    "owning objects");
+      ::new (static_cast<void*>(capture_)) D(std::forward<F>(f));
+    }
+
+    explicit operator bool() const { return invoke_ != nullptr; }
+
+    void operator()() {
+      assert(invoke_ != nullptr && "calling an empty scheduler callback");
+      invoke_(capture_);
+    }
+
+    static constexpr std::size_t capacity() { return kSchedulerCallbackCapacity; }
+
+   private:
+    template <typename D>
+    static void invoke(void* capture) {
+      (*std::launder(reinterpret_cast<D*>(capture)))();
+    }
+
+    void (*invoke_)(void*) = nullptr;
+    alignas(void*) unsigned char capture_[kSchedulerCallbackCapacity];
+  };
 
   /// Counters for diagnostics and microbenches. `executed`/`cancelled`/
   /// `stale_skipped`/`bucket_loads`/`cascades` are lifetime totals; the rest
@@ -118,7 +167,7 @@ class Scheduler {
       slots_.emplace_back();
     }
     Slot& s = slots_[slot];
-    s.fn = std::move(fn);
+    s.fn = fn;
     const Entry e{t, next_seq_++, slot, s.gen};
     if (wheel_enabled_ && place_in_wheel(e, frontier_idx0())) {
       s.where = kInWheel;
@@ -134,7 +183,7 @@ class Scheduler {
 
   /// Schedules `fn` to run `delay` (>= 0) after now.
   EventId schedule_in(SimTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+    return schedule_at(now_ + delay, fn);
   }
 
   /// Cancels a pending event. Returns true if the event was still pending.
@@ -155,7 +204,6 @@ class Scheduler {
       s.where = kNotInWheel;
     }
     if (++s.gen == 0) s.gen = 1;
-    s.fn = nullptr;
     free_slots_.push_back(slot);
     --pending_;
     ++cancelled_;
@@ -467,8 +515,8 @@ class Scheduler {
 
   /// Pops the top heap entry (caller guarantees non-empty).
   Entry pop_top();
-  /// Retires `e`'s slot (bumps generation, frees it) and returns the
-  /// callback, ready to invoke.
+  /// Retires `e`'s slot (bumps generation, frees it) and returns a copy of
+  /// its callback, ready to invoke.
   Callback take_callback(const Entry& e);
 
   SimTime now_ = 0;

@@ -57,9 +57,32 @@ class RingBuffer {
   T pop_front() {
     assert(count_ > 0);
     T value = std::move(slots_[head_]);
+    drop_front();
+    return value;
+  }
+
+  /// Removes the front element without moving it out: its slot keeps the
+  /// value until a later push refills the slot, so a caller may take
+  /// `front()` by reference, drop it, and then consume it — as long as
+  /// nothing pushes onto this ring in between.
+  void drop_front() {
+    assert(count_ > 0);
     head_ = (head_ + 1) & mask();
     --count_;
-    return value;
+  }
+
+  bool full() const { return count_ == slots_.size(); }
+
+  /// The slot the next push fills, growing the ring when it is full. It
+  /// holds a stale value; the caller overwrites what it needs, then
+  /// commit_back() makes it the new back element.
+  T& back_slot() {
+    if (full()) grow();
+    return slots_[(head_ + count_) & mask()];
+  }
+  void commit_back() {
+    assert(count_ < slots_.size());
+    ++count_;
   }
 
   /// Pre-sizes to at least `n` slots (rounded up to a power of two).

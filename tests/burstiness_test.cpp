@@ -8,6 +8,7 @@
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "video/playout.h"
+#include "pop_packet.h"
 
 namespace pels {
 namespace {
@@ -85,7 +86,7 @@ TEST(BurstAnalyzerTest, TraceReconstructionMatchesQueueBehaviour) {
   BurstAnalyzer b;
   for (std::uint64_t i = 100; i < 40'100; ++i) {
     b.add(!q.enqueue(make_packet(i, 1, Color::kYellow)));
-    q.dequeue();
+    pop_packet(q);
   }
   b.finish();
   ASSERT_EQ(b.packets_seen(), 40'000);

@@ -54,7 +54,7 @@ TEST(FabricTest, ParkingLotRoutesEndToEnd) {
   pkt.color = Color::kGreen;
   pkt.src = f.hosts().front()->id();
   pkt.dst = f.hosts().back()->id();
-  ASSERT_TRUE(f.hosts().front()->send(pkt));
+  ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   f.sim().run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
   EXPECT_EQ(f.core_links()[0]->packets_delivered(), 1u);
@@ -75,7 +75,7 @@ TEST(FabricTest, FatTreeGeometry) {
   pkt.color = Color::kGreen;
   pkt.src = f.hosts().front()->id();
   pkt.dst = f.hosts().back()->id();
-  ASSERT_TRUE(f.hosts().front()->send(pkt));
+  ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   f.sim().run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
 }
@@ -100,7 +100,7 @@ TEST(FabricTest, FatTreeDomainPerPodMapsOntoDomains) {
   pkt.color = Color::kGreen;
   pkt.src = f.hosts().front()->id();
   pkt.dst = f.hosts().back()->id();
-  ASSERT_TRUE(f.hosts().front()->send(pkt));
+  ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   runner.run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
   EXPECT_GT(runner.stats().handoffs, 0u);

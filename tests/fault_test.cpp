@@ -179,7 +179,7 @@ TEST(FaultPlanTest, ValidateRejectsNonsense) {
 class RecordingNode : public Node {
  public:
   RecordingNode(NodeId id, Simulation& sim) : Node(id, "rec"), sim_(sim) {}
-  void receive(Packet pkt) override { arrivals.emplace_back(sim_.now(), std::move(pkt)); }
+  void receive(Packet&& pkt) override { arrivals.emplace_back(sim_.now(), std::move(pkt)); }
   std::vector<std::pair<SimTime, Packet>> arrivals;
 
  private:

@@ -36,7 +36,7 @@ Packet make_packet(std::int32_t size, std::uint64_t seq = 0) {
 class RecordingNode : public Node {
  public:
   RecordingNode(NodeId id, Simulation& sim) : Node(id, "rec"), sim_(sim) {}
-  void receive(Packet pkt) override {
+  void receive(Packet&& pkt) override {
     arrivals.emplace_back(sim_.now(), std::move(pkt));
   }
   std::vector<std::pair<SimTime, Packet>> arrivals;
@@ -171,6 +171,32 @@ TEST(LinkFaultTest, DownMidFlightLosesOnlyTheWirePacket) {
   ASSERT_EQ(seen->size(), 2u);
   EXPECT_EQ((*seen)[0], from_millis(1));
   EXPECT_EQ((*seen)[1], from_millis(6));
+}
+
+TEST(LinkFaultTest, CarrierLostSlotIsCleanWhenTheRingWrapsOntoIt) {
+  // The in-flight ring reuses slots in place. With no propagation delay at
+  // most one packet is in flight, so the ring keeps its first 8 slots and
+  // wraps: the slot that held the carrier-lost packet is refilled by the
+  // ninth packet after the outage, which must arrive like every other.
+  Simulation sim;
+  RecordingNode dst(0, sim);
+  Link link(sim, dst, 4e6, 0, std::make_unique<DropTailQueue>(64));
+  link.send(make_packet(500, 0));  // on the wire 0-1 ms
+  sim.at(from_micros(500), [&] { link.set_up(false); });
+  const int n = 20;
+  sim.at(from_micros(600), [&] {
+    for (int i = 1; i <= n; ++i) link.send(make_packet(500, static_cast<std::uint64_t>(i)));
+  });
+  sim.at(from_millis(2), [&] { link.set_up(true); });
+  sim.run();
+  ASSERT_EQ(dst.arrivals.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(dst.arrivals[static_cast<std::size_t>(i)].second.seq,
+              static_cast<std::uint64_t>(i + 1));
+    EXPECT_EQ(dst.arrivals[static_cast<std::size_t>(i)].first, from_millis(3 + i));
+  }
+  EXPECT_EQ(link.packets_corrupted(), 1u);
+  EXPECT_EQ(link.packets_delivered(), static_cast<std::uint64_t>(n));
 }
 
 TEST(LinkFaultTest, QueueKeepsAcceptingWhileDown) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cc/mkc.h"
@@ -169,7 +170,7 @@ TEST(FeedbackLabelTest, SenderRateRecoversAfterBottleneckClears) {
 class RecordingNode : public Node {
  public:
   RecordingNode(NodeId id, Simulation& sim) : Node(id, "rec"), sim_(sim) {}
-  void receive(Packet pkt) override {
+  void receive(Packet&& pkt) override {
     arrivals.emplace_back(sim_.now(), std::move(pkt));
   }
   std::vector<std::pair<SimTime, Packet>> arrivals;
@@ -311,6 +312,42 @@ TEST(HostTest, UnregisterStopsDispatch) {
   EXPECT_EQ(a.count, 0);
 }
 
+TEST(HostTest, FlowPastTableOrInvalidFallsThroughToDefaultAgent) {
+  Host host(0, "h");
+  CountingAgent dedicated, fallback;
+  host.register_agent(1, &dedicated);  // table covers flows 0..1
+  host.set_default_agent(&fallback);
+  for (const FlowId flow : {FlowId{0}, FlowId{1}, FlowId{5}, kInvalidFlow}) {
+    Packet p = make_packet(100);
+    p.flow = flow;
+    host.receive(std::move(p));
+  }
+  EXPECT_EQ(dedicated.count, 1);
+  EXPECT_EQ(fallback.count, 3);  // unregistered 0, past-the-table 5, invalid
+  EXPECT_EQ(fallback.last.flow, kInvalidFlow);
+  EXPECT_EQ(host.packets_undeliverable(), 0u);
+}
+
+TEST(HostTest, FlowPastTableOrInvalidWithoutDefaultIsUndeliverable) {
+  Host host(0, "h");
+  CountingAgent a;
+  host.register_agent(3, &a);
+  for (const FlowId flow : {FlowId{4}, FlowId{1000}, kInvalidFlow}) {
+    Packet p = make_packet(100);
+    p.flow = flow;
+    host.receive(std::move(p));
+  }
+  EXPECT_EQ(a.count, 0);
+  EXPECT_EQ(host.packets_received(), 3u);
+  EXPECT_EQ(host.packets_undeliverable(), 3u);
+}
+
+TEST(HostTest, RegisteringANegativeFlowThrows) {
+  Host host(0, "h");
+  CountingAgent a;
+  EXPECT_THROW(host.register_agent(kInvalidFlow, &a), std::invalid_argument);
+}
+
 TEST(HostTest, SendWithoutRouteFails) {
   Host host(0, "h");
   Packet p = make_packet(100);
@@ -333,6 +370,39 @@ TEST(RouterTest, ForwardsAlongTable) {
   sim.run();
   EXPECT_EQ(dst.arrivals.size(), 1u);
   EXPECT_EQ(router.packets_forwarded(), 1u);
+}
+
+TEST(HostTest, SendToDestinationPastTableOrInvalidIsUndeliverable) {
+  Simulation sim;
+  RecordingNode dst(3, sim);
+  Link link(sim, dst, 1e6, 0, std::make_unique<DropTailQueue>(16));
+  Host host(0, "h");
+  host.routing().set_route(3, &link);  // table covers nodes 0..3
+  for (const NodeId to : {NodeId{4}, NodeId{99}, kInvalidNode}) {
+    Packet p = make_packet(100);
+    p.dst = to;
+    EXPECT_FALSE(host.send(std::move(p)));
+  }
+  EXPECT_EQ(host.packets_undeliverable(), 3u);
+  sim.run();
+  EXPECT_TRUE(dst.arrivals.empty());
+}
+
+TEST(RouterTest, DestinationPastTableOrInvalidIsUnroutable) {
+  Simulation sim;
+  RecordingNode dst(7, sim);
+  Link link(sim, dst, 1e6, 0, std::make_unique<DropTailQueue>(16));
+  Router router(1, "r");
+  router.routing().set_route(7, &link);  // table covers nodes 0..7
+  for (const NodeId to : {NodeId{2}, NodeId{8}, NodeId{1 << 20}, kInvalidNode}) {
+    Packet p = make_packet(100);
+    p.dst = to;
+    router.receive(std::move(p));
+  }
+  sim.run();
+  EXPECT_TRUE(dst.arrivals.empty());
+  EXPECT_EQ(router.packets_forwarded(), 0u);
+  EXPECT_EQ(router.packets_unroutable(), 4u);
 }
 
 TEST(RouterTest, UnroutableIsCounted) {

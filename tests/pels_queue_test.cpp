@@ -10,6 +10,7 @@
 #include "queue/pels_queue.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "pop_packet.h"
 
 namespace pels {
 namespace {
@@ -160,9 +161,9 @@ TEST(PelsQueueTest, StrictPriorityAcrossColors) {
   q.enqueue(make_packet(500, Color::kRed, 1));
   q.enqueue(make_packet(500, Color::kYellow, 2));
   q.enqueue(make_packet(500, Color::kGreen, 3));
-  EXPECT_EQ(q.dequeue()->color, Color::kGreen);
-  EXPECT_EQ(q.dequeue()->color, Color::kYellow);
-  EXPECT_EQ(q.dequeue()->color, Color::kRed);
+  EXPECT_EQ(pop_packet(q)->color, Color::kGreen);
+  EXPECT_EQ(pop_packet(q)->color, Color::kYellow);
+  EXPECT_EQ(pop_packet(q)->color, Color::kRed);
 }
 
 TEST(PelsQueueTest, InternetTrafficSeparatedFromPels) {
@@ -174,7 +175,7 @@ TEST(PelsQueueTest, InternetTrafficSeparatedFromPels) {
   int green = 0;
   int internet = 0;
   for (int i = 0; i < 10; ++i) {
-    const auto c = q.dequeue()->color;
+    const auto c = pop_packet(q)->color;
     green += c == Color::kGreen;
     internet += c == Color::kInternet;
   }
@@ -259,13 +260,13 @@ TEST(PelsQueueTest, RestartResetsEpochButKeepsQueuedPackets) {
   EXPECT_EQ(q.epoch(), 0u);
   EXPECT_EQ(q.packet_count(), backlog);  // data plane untouched
   // No stamping until the first post-restart interval closes...
-  auto pkt = q.dequeue();
+  auto pkt = pop_packet(q);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_FALSE(pkt->feedback.valid);
   // ...then labels resume from epoch 1.
   sim.run_until(from_millis(125));
   EXPECT_EQ(q.epoch(), 1u);
-  pkt = q.dequeue();
+  pkt = pop_packet(q);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_TRUE(pkt->feedback.valid);
   EXPECT_EQ(pkt->feedback.epoch, 1u);
@@ -278,7 +279,7 @@ TEST(PelsQueueTest, DepartingPelsPacketsAreStamped) {
   sim.run_until(from_millis(1));
   for (int i = 0; i < 36; ++i) q.enqueue(make_packet(500, Color::kYellow));  // 18,000 B
   sim.run_until(from_millis(31));  // first interval closed
-  auto pkt = q.dequeue();
+  auto pkt = pop_packet(q);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_TRUE(pkt->feedback.valid);
   EXPECT_EQ(pkt->feedback.router_id, 1);
@@ -292,7 +293,7 @@ TEST(PelsQueueTest, InternetPacketsNotStamped) {
   PelsQueue q(sim.scheduler(), test_config());
   q.enqueue(make_packet(500, Color::kInternet));
   sim.run_until(from_millis(31));
-  auto pkt = q.dequeue();
+  auto pkt = pop_packet(q);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_FALSE(pkt->feedback.valid);
 }
@@ -302,7 +303,7 @@ TEST(PelsQueueTest, AcksTravelInGreenBand) {
   PelsQueue q(sim.scheduler(), test_config());
   q.enqueue(make_packet(500, Color::kYellow));
   q.enqueue(make_packet(40, Color::kAck));
-  EXPECT_EQ(q.dequeue()->color, Color::kAck);
+  EXPECT_EQ(pop_packet(q)->color, Color::kAck);
 }
 
 TEST(PelsQueueTest, BandOccupancyAccessors) {
@@ -341,9 +342,9 @@ TEST(PelsQueueTest, TwoPriorityModeMergesFgsBands) {
   q.enqueue(make_packet(500, Color::kRed, 1));
   q.enqueue(make_packet(500, Color::kYellow, 2));
   q.enqueue(make_packet(500, Color::kGreen, 3));
-  EXPECT_EQ(q.dequeue()->color, Color::kGreen);  // green still wins
-  EXPECT_EQ(q.dequeue()->seq, 1u);               // then FIFO: red before yellow
-  EXPECT_EQ(q.dequeue()->seq, 2u);
+  EXPECT_EQ(pop_packet(q)->color, Color::kGreen);  // green still wins
+  EXPECT_EQ(pop_packet(q)->seq, 1u);               // then FIFO: red before yellow
+  EXPECT_EQ(pop_packet(q)->seq, 2u);
   EXPECT_EQ(q.band_packet_count(2), 0u);  // red band unused
 }
 
@@ -416,7 +417,7 @@ TEST(BestEffortQueueTest, NoColorPriority) {
   q.enqueue(make_packet(500, Color::kRed, 1));
   q.enqueue(make_packet(500, Color::kGreen, 2));
   // FIFO: red (arrived first) leaves first, unlike the PELS queue.
-  EXPECT_EQ(q.dequeue()->seq, 1u);
+  EXPECT_EQ(pop_packet(q)->seq, 1u);
 }
 
 TEST(BestEffortQueueTest, RandomDropsTrackOverloadProbability) {
@@ -434,7 +435,7 @@ TEST(BestEffortQueueTest, RandomDropsTrackOverloadProbability) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     q.enqueue(make_packet(500, Color::kYellow));
-    q.dequeue();
+    pop_packet(q);
   }
   const double observed =
       static_cast<double>(q.counters().drops[static_cast<std::size_t>(Color::kYellow)] -
@@ -453,7 +454,7 @@ TEST(BestEffortQueueTest, BaseLayerMagicallyProtected) {
   ASSERT_GT(q.current_loss(), 0.5);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(q.enqueue(make_packet(500, Color::kGreen)));
-    q.dequeue();
+    pop_packet(q);
   }
   EXPECT_EQ(q.counters().drops[static_cast<std::size_t>(Color::kGreen)], 0u);
 }
@@ -469,7 +470,7 @@ TEST(BestEffortQueueTest, ProtectionCanBeDisabled) {
   int dropped = 0;
   for (int i = 0; i < 1000; ++i) {
     if (!q.enqueue(make_packet(500, Color::kGreen))) ++dropped;
-    q.dequeue();
+    pop_packet(q);
   }
   EXPECT_GT(dropped, 0);
 }
@@ -479,7 +480,7 @@ TEST(BestEffortQueueTest, StampsFeedbackLikePels) {
   BestEffortQueue q(sim.scheduler(), Rng(5), be_config());
   for (int i = 0; i < 38; ++i) q.enqueue(make_packet(500, Color::kYellow));
   sim.run_until(from_millis(31));
-  auto pkt = q.dequeue();
+  auto pkt = pop_packet(q);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_TRUE(pkt->feedback.valid);
   EXPECT_GT(pkt->feedback.loss, 0.0);

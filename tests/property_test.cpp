@@ -16,6 +16,7 @@
 #include "queue/wrr.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "pop_packet.h"
 
 namespace pels {
 namespace {
@@ -46,7 +47,7 @@ TEST_P(WrrWeightSweep, ServiceTracksWeightRatio) {
   }
   std::int64_t bytes[2] = {0, 0};
   for (int i = 0; i < 30'000; ++i) {
-    auto p = q.dequeue();
+    auto p = pop_packet(q);
     bytes[p->color == Color::kInternet ? 1 : 0] += p->size_bytes;
   }
   const double expected = w0 / w1;
@@ -75,7 +76,7 @@ TEST_P(PriorityTrafficSweep, NeverServesLowerBandWhileHigherOccupied) {
       const auto c = colors[rng.uniform_int(0, 2)];
       const std::size_t band = StrictPriorityQueue::classify_by_color(make_packet(1, c));
       if (occupancy[band] < 64 && q.enqueue(make_packet(100, c))) ++occupancy[band];
-    } else if (auto p = q.dequeue()) {
+    } else if (auto p = pop_packet(q)) {
       const std::size_t band = StrictPriorityQueue::classify_by_color(*p);
       for (std::size_t higher = 0; higher < band; ++higher) {
         ASSERT_EQ(occupancy[higher], 0u) << "served band " << band
@@ -108,8 +109,8 @@ TEST_P(RedConfigSweep, DropRateIncreasesWithLoadAndStaysBounded) {
     int drops = 0;
     for (int i = 0; i < 20'000; ++i) {
       if (!q.enqueue(make_packet(500, Color::kInternet))) ++drops;
-      if (i % drain_every == 0) q.dequeue();
-      if (i % 2 == 0) q.dequeue();
+      if (i % drain_every == 0) pop_packet(q);
+      if (i % 2 == 0) pop_packet(q);
     }
     return static_cast<double>(drops) / 20'000.0;
   };

@@ -14,6 +14,7 @@
 #include "queue/wrr.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
+#include "pop_packet.h"
 
 namespace pels {
 namespace {
@@ -33,11 +34,11 @@ TEST(DropTailTest, FifoOrderPreserved) {
   DropTailQueue q(10);
   for (std::uint64_t i = 0; i < 5; ++i) q.enqueue(make_packet(100, Color::kGreen, i));
   for (std::uint64_t i = 0; i < 5; ++i) {
-    auto p = q.dequeue();
+    auto p = pop_packet(q);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->seq, i);
   }
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_FALSE(pop_packet(q).has_value());
 }
 
 TEST(DropTailTest, PacketLimitEnforced) {
@@ -64,7 +65,7 @@ TEST(DropTailTest, ByteCountTracksDequeues) {
   q.enqueue(make_packet(100));
   q.enqueue(make_packet(200));
   EXPECT_EQ(q.byte_count(), 300);
-  q.dequeue();
+  pop_packet(q);
   EXPECT_EQ(q.byte_count(), 200);
 }
 
@@ -98,7 +99,7 @@ TEST(DropTailTest, PerColorCounters) {
   EXPECT_EQ(c.arrivals[static_cast<std::size_t>(Color::kRed)], 2u);
   EXPECT_EQ(c.drops[static_cast<std::size_t>(Color::kRed)], 1u);
   EXPECT_EQ(c.drops[static_cast<std::size_t>(Color::kGreen)], 0u);
-  q.dequeue();
+  pop_packet(q);
   EXPECT_EQ(c.departures[static_cast<std::size_t>(Color::kGreen)], 1u);
 }
 
@@ -118,12 +119,12 @@ TEST(DropTailTest, FullLimitFromEmptyThenFifoAcrossTheWrap) {
     ASSERT_TRUE(q.enqueue(make_packet(100, Color::kGreen, i)));
   EXPECT_FALSE(q.enqueue(make_packet(100, Color::kGreen, 1000)));  // packet 1001
   EXPECT_EQ(q.packet_count(), 1000u);
-  for (std::uint64_t i = 0; i < 600; ++i) ASSERT_EQ(q.dequeue()->seq, i);
+  for (std::uint64_t i = 0; i < 600; ++i) ASSERT_EQ(pop_packet(q)->seq, i);
   for (std::uint64_t i = 1000; i < 1600; ++i)
     ASSERT_TRUE(q.enqueue(make_packet(100, Color::kGreen, i)));
   EXPECT_FALSE(q.enqueue(make_packet(100, Color::kGreen, 1600)));
-  for (std::uint64_t i = 600; i < 1600; ++i) ASSERT_EQ(q.dequeue()->seq, i);
-  EXPECT_FALSE(q.dequeue().has_value());
+  for (std::uint64_t i = 600; i < 1600; ++i) ASSERT_EQ(pop_packet(q)->seq, i);
+  EXPECT_FALSE(pop_packet(q).has_value());
   EXPECT_EQ(q.byte_count(), 0);
 }
 
@@ -169,7 +170,7 @@ TEST(BernoulliTest, SurvivorsKeepFifoOrder) {
   for (std::uint64_t i = 0; i < 1000; ++i) q.enqueue(make_packet(100, Color::kGreen, i));
   std::uint64_t last = 0;
   bool first = true;
-  while (auto p = q.dequeue()) {
+  while (auto p = pop_packet(q)) {
     if (!first) {
       EXPECT_GT(p->seq, last);
     }
@@ -197,7 +198,7 @@ TEST(RedTest, NoDropsBelowMinThreshold) {
   // Keep instantaneous queue at 1: avg stays below min_th.
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(q.enqueue(make_packet(100)));
-    q.dequeue();
+    pop_packet(q);
   }
   EXPECT_EQ(q.counters().total_drops(), 0u);
 }
@@ -208,7 +209,7 @@ TEST(RedTest, DropsAppearUnderSustainedLoad) {
   int drops = 0;
   for (int i = 0; i < 200; ++i) {
     if (!q.enqueue(make_packet(100))) ++drops;
-    if (i % 3 == 0) q.dequeue();  // drain slower than arrivals
+    if (i % 3 == 0) pop_packet(q);  // drain slower than arrivals
   }
   EXPECT_GT(drops, 0);
   // RED must start dropping before the hard limit is the binding constraint.
@@ -237,7 +238,7 @@ TEST(RedTest, AverageDecaysWhileIdle) {
   RedConfig cfg = small_red();
   RedQueue q(sched, Rng(4), cfg);
   for (int i = 0; i < 8; ++i) q.enqueue(make_packet(100));
-  while (q.dequeue().has_value()) {
+  while (pop_packet(q).has_value()) {
   }
   const double avg_before = q.average_queue();
   ASSERT_GT(avg_before, 0.0);
@@ -266,9 +267,9 @@ TEST(PriorityTest, HigherBandAlwaysServedFirst) {
   q.enqueue(make_packet(100, Color::kRed, 1));
   q.enqueue(make_packet(100, Color::kYellow, 2));
   q.enqueue(make_packet(100, Color::kGreen, 3));
-  EXPECT_EQ(q.dequeue()->color, Color::kGreen);
-  EXPECT_EQ(q.dequeue()->color, Color::kYellow);
-  EXPECT_EQ(q.dequeue()->color, Color::kRed);
+  EXPECT_EQ(pop_packet(q)->color, Color::kGreen);
+  EXPECT_EQ(pop_packet(q)->color, Color::kYellow);
+  EXPECT_EQ(pop_packet(q)->color, Color::kRed);
 }
 
 TEST(PriorityTest, RedStarvedWhileGreenBacklogged) {
@@ -277,7 +278,7 @@ TEST(PriorityTest, RedStarvedWhileGreenBacklogged) {
   for (int i = 0; i < 3; ++i) q.enqueue(make_packet(100, Color::kGreen));
   // Interleave new green arrivals with service: red never gets out.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(q.dequeue()->color, Color::kGreen);
+    EXPECT_EQ(pop_packet(q)->color, Color::kGreen);
     q.enqueue(make_packet(100, Color::kGreen));
   }
   EXPECT_EQ(q.band_packet_count(2), 1u);
@@ -306,16 +307,16 @@ TEST(PriorityTest, FifoWithinBand) {
   q.enqueue(make_packet(100, Color::kYellow, 1));
   q.enqueue(make_packet(100, Color::kYellow, 2));
   q.enqueue(make_packet(100, Color::kYellow, 3));
-  EXPECT_EQ(q.dequeue()->seq, 1u);
-  EXPECT_EQ(q.dequeue()->seq, 2u);
-  EXPECT_EQ(q.dequeue()->seq, 3u);
+  EXPECT_EQ(pop_packet(q)->seq, 1u);
+  EXPECT_EQ(pop_packet(q)->seq, 2u);
+  EXPECT_EQ(pop_packet(q)->seq, 3u);
 }
 
 TEST(PriorityTest, AcksShareGreenBand) {
   auto q = make_priority();
   q.enqueue(make_packet(100, Color::kRed));
   q.enqueue(make_packet(40, Color::kAck));
-  EXPECT_EQ(q.dequeue()->color, Color::kAck);
+  EXPECT_EQ(pop_packet(q)->color, Color::kAck);
 }
 
 TEST(PriorityTest, PeekMatchesDequeue) {
@@ -325,7 +326,7 @@ TEST(PriorityTest, PeekMatchesDequeue) {
   const Packet* head = q.peek();
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->seq, 6u);
-  EXPECT_EQ(q.dequeue()->seq, 6u);
+  EXPECT_EQ(pop_packet(q)->seq, 6u);
 }
 
 TEST(PriorityTest, CountsAggregateAcrossBands) {
@@ -334,7 +335,7 @@ TEST(PriorityTest, CountsAggregateAcrossBands) {
   q.enqueue(make_packet(200, Color::kRed));
   EXPECT_EQ(q.packet_count(), 2u);
   EXPECT_EQ(q.byte_count(), 300);
-  q.dequeue();
+  pop_packet(q);
   EXPECT_EQ(q.packet_count(), 1u);
   EXPECT_EQ(q.byte_count(), 200);
 }
@@ -359,7 +360,7 @@ TEST(WrrTest, EqualWeightsAlternateService) {
     q->enqueue(make_packet(500, Color::kInternet));
   }
   std::map<Color, int> served;
-  for (int i = 0; i < 100; ++i) ++served[q->dequeue()->color];
+  for (int i = 0; i < 100; ++i) ++served[pop_packet(*q)->color];
   EXPECT_EQ(served[Color::kGreen], 50);
   EXPECT_EQ(served[Color::kInternet], 50);
 }
@@ -371,7 +372,7 @@ TEST(WrrTest, WeightsControlByteShares) {
     q->enqueue(make_packet(500, Color::kInternet));
   }
   std::map<Color, int> served;
-  for (int i = 0; i < 200; ++i) ++served[q->dequeue()->color];
+  for (int i = 0; i < 200; ++i) ++served[pop_packet(*q)->color];
   EXPECT_NEAR(static_cast<double>(served[Color::kGreen]) / served[Color::kInternet], 3.0,
               0.3);
 }
@@ -391,7 +392,7 @@ TEST(WrrTest, ByteBasedFairnessWithMixedPacketSizes) {
   }
   std::int64_t bytes[2] = {0, 0};
   for (int i = 0; i < 1000; ++i) {
-    auto p = q.dequeue();
+    auto p = pop_packet(q);
     bytes[p->color == Color::kInternet ? 1 : 0] += p->size_bytes;
   }
   EXPECT_NEAR(static_cast<double>(bytes[0]) / static_cast<double>(bytes[1]), 1.0, 0.1);
@@ -401,7 +402,7 @@ TEST(WrrTest, IdleChildForfeitsBandwidth) {
   // With the internet child empty, the video child gets everything.
   auto q = make_wrr(1.0, 1.0);
   for (int i = 0; i < 50; ++i) q->enqueue(make_packet(500, Color::kGreen));
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(q->dequeue()->color, Color::kGreen);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(pop_packet(*q)->color, Color::kGreen);
 }
 
 TEST(WrrTest, IdleChildCreditDoesNotAccumulate) {
@@ -409,13 +410,13 @@ TEST(WrrTest, IdleChildCreditDoesNotAccumulate) {
   // burst far beyond its share when it wakes up.
   auto q = make_wrr(1.0, 1.0);
   for (int i = 0; i < 100; ++i) q->enqueue(make_packet(500, Color::kGreen));
-  for (int i = 0; i < 100; ++i) q->dequeue();  // internet idle all along
+  for (int i = 0; i < 100; ++i) pop_packet(*q);  // internet idle all along
   for (int i = 0; i < 20; ++i) {
     q->enqueue(make_packet(500, Color::kGreen));
     q->enqueue(make_packet(500, Color::kInternet));
   }
   std::map<Color, int> served;
-  for (int i = 0; i < 20; ++i) ++served[q->dequeue()->color];
+  for (int i = 0; i < 20; ++i) ++served[pop_packet(*q)->color];
   EXPECT_NEAR(served[Color::kGreen], 10, 2);
 }
 
@@ -441,12 +442,12 @@ TEST(WrrTest, PeekIsSideEffectFreeAndConsistent) {
   const Packet* h2 = q->peek();
   ASSERT_NE(h1, nullptr);
   EXPECT_EQ(h1, h2);  // repeated peeks agree
-  EXPECT_EQ(q->dequeue()->seq, h1->seq);  // dequeue serves the peeked packet
+  EXPECT_EQ(pop_packet(*q)->seq, h1->seq);  // dequeue serves the peeked packet
 }
 
 TEST(WrrTest, EmptyQueueReturnsNothing) {
   auto q = make_wrr(1.0, 1.0);
-  EXPECT_FALSE(q->dequeue().has_value());
+  EXPECT_FALSE(pop_packet(*q).has_value());
   EXPECT_EQ(q->peek(), nullptr);
   EXPECT_EQ(q->packet_count(), 0u);
   EXPECT_EQ(q->byte_count(), 0);
@@ -469,7 +470,7 @@ TEST(WrrTest, FractionalWeightChildIsNotStarved) {
   }
   int internet_served = 0;
   for (int i = 0; i < 20; ++i) {
-    auto p = q.dequeue();
+    auto p = pop_packet(q);
     ASSERT_TRUE(p.has_value());  // would hang/starve before the fix
     if (p->color == Color::kInternet) ++internet_served;
   }
@@ -492,7 +493,7 @@ TEST(WrrTest, PeekMatchesDequeueAcrossInterleavedEnqueues) {
     const Packet* fresh = q->peek();
     ASSERT_NE(fresh, nullptr);
     const std::uint64_t expect = fresh->seq;
-    EXPECT_EQ(q->dequeue()->seq, expect);
+    EXPECT_EQ(pop_packet(*q)->seq, expect);
   }
 }
 
@@ -517,8 +518,8 @@ TEST(WrrTest, PeekTracksPriorityChildHeadChange) {
   const Packet* after = q.peek();
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->seq, 2u);
-  EXPECT_EQ(q.dequeue()->seq, 2u);
-  EXPECT_EQ(q.dequeue()->seq, 1u);
+  EXPECT_EQ(pop_packet(q)->seq, 2u);
+  EXPECT_EQ(pop_packet(q)->seq, 1u);
 }
 
 TEST(WrrTest, ChildAccessors) {

@@ -9,6 +9,7 @@
 #include "queue/rem.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "pop_packet.h"
 
 namespace pels {
 namespace {
@@ -35,7 +36,7 @@ TEST(RemQueueTest, PriceStartsAtZeroAndNothingMarked) {
   EXPECT_DOUBLE_EQ(q.price(), 0.0);
   EXPECT_DOUBLE_EQ(q.mark_probability(), 0.0);
   q.enqueue(make_packet(500, Color::kYellow));
-  auto pkt = q.dequeue();
+  auto pkt = pop_packet(q);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_FALSE(pkt->ecn_marked);
 }
@@ -57,7 +58,7 @@ TEST(RemQueueTest, PriceDecaysWhenIdle) {
   RemQueue q(sim.scheduler(), sim.make_rng(3), queue_config());
   for (int i = 0; i < 200; ++i) q.enqueue(make_packet(500, Color::kYellow));
   sim.run_until(from_millis(95));
-  while (q.dequeue().has_value()) {
+  while (pop_packet(q).has_value()) {
   }
   const double loaded = q.price();
   ASSERT_GT(loaded, 0.0);
@@ -87,7 +88,7 @@ TEST(RemQueueTest, MarkRateMatchesProbability) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     q.enqueue(make_packet(500, Color::kYellow));
-    q.dequeue();
+    pop_packet(q);
   }
   const double observed = static_cast<double>(q.packets_marked() - before) / n;
   // The price drifts during the burst; allow a loose band.
@@ -103,7 +104,7 @@ TEST(RemQueueTest, InternetTrafficNeverMarked) {
     q.enqueue(make_packet(1000, Color::kInternet));
   }
   std::uint64_t internet_marked = 0;
-  while (auto pkt = q.dequeue()) {
+  while (auto pkt = pop_packet(q)) {
     if (pkt->color == Color::kInternet && pkt->ecn_marked) ++internet_marked;
   }
   EXPECT_EQ(internet_marked, 0u);

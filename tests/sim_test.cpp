@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -12,6 +13,37 @@
 
 namespace pels {
 namespace {
+
+TEST(SchedulerCallbackTest, EmptyAndNullptrAreFalsy) {
+  Scheduler::Callback fn;
+  EXPECT_FALSE(fn);
+  int calls = 0;
+  fn = [&calls] { ++calls; };
+  EXPECT_TRUE(fn);
+  fn();
+  EXPECT_EQ(calls, 1);
+  fn = nullptr;
+  EXPECT_FALSE(fn);
+}
+
+TEST(SchedulerCallbackTest, CapacityIsCompileTimeConstant) {
+  static_assert(Scheduler::Callback::capacity() == kSchedulerCallbackCapacity);
+  static_assert(std::is_trivially_copyable_v<Scheduler::Callback>);
+  SUCCEED();
+}
+
+TEST(SchedulerCallbackTest, CopiesAreIndependentCallables) {
+  // The slot pool copies callbacks as bytes: a copy runs the same capture,
+  // and invoking the original does not consume it.
+  int sum = 0;
+  const int step = 7;
+  Scheduler::Callback a = [&sum, step] { sum += step; };
+  Scheduler::Callback b = a;
+  a();
+  b();
+  a();
+  EXPECT_EQ(sum, 21);
+}
 
 TEST(SchedulerTest, StartsEmptyAtZero) {
   Scheduler s;
@@ -132,10 +164,12 @@ TEST(SchedulerTest, RunUntilWithOnlyCancelledEventsAdvancesTime) {
 TEST(SchedulerTest, EventsScheduledDuringExecutionRun) {
   Scheduler s;
   int depth = 0;
+  // Scheduler captures must be trivially copyable: the events capture the
+  // std::function by reference, never by value.
   std::function<void()> recurse = [&] {
-    if (++depth < 5) s.schedule_in(10, recurse);
+    if (++depth < 5) s.schedule_in(10, [&recurse] { recurse(); });
   };
-  s.schedule_at(0, recurse);
+  s.schedule_at(0, [&recurse] { recurse(); });
   s.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(s.now(), 40);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "util/inplace_function.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -303,55 +302,6 @@ TEST(HistogramTest, BinsAndOverflow) {
   EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
 }
 
-// ------------------------------------------------------- InplaceFunction
-
-TEST(InplaceFunctionTest, EmptyAndNullptrAreFalsy) {
-  InplaceFunction<int(), 32> fn;
-  EXPECT_FALSE(fn);
-  fn = [] { return 42; };
-  EXPECT_TRUE(fn);
-  EXPECT_EQ(fn(), 42);
-  fn = nullptr;
-  EXPECT_FALSE(fn);
-}
-
-TEST(InplaceFunctionTest, CarriesMoveOnlyCaptures) {
-  auto box = std::make_unique<int>(7);
-  InplaceFunction<int(), 32> fn = [b = std::move(box)] { return *b; };
-  EXPECT_EQ(fn(), 7);
-  EXPECT_EQ(fn(), 7);  // capture survives repeated invocation
-}
-
-TEST(InplaceFunctionTest, MoveTransfersAndEmptiesSource) {
-  InplaceFunction<int(int), 32> a = [](int x) { return x + 1; };
-  InplaceFunction<int(int), 32> b = std::move(a);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): emptiness is specified
-  ASSERT_TRUE(b);
-  EXPECT_EQ(b(4), 5);
-}
-
-TEST(InplaceFunctionTest, RelocatesInsideGrowingVector) {
-  // The scheduler's slot pool relocates callbacks on vector growth; the
-  // capture (including destructors) must survive the moves.
-  auto live = std::make_shared<int>(0);
-  std::vector<InplaceFunction<int(), 48>> pool;
-  for (int i = 0; i < 64; ++i) {
-    pool.emplace_back([live, i] {
-      ++*live;
-      return i;
-    });
-  }
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(pool[static_cast<std::size_t>(i)](), i);
-  EXPECT_EQ(*live, 64);
-  pool.clear();
-  EXPECT_EQ(live.use_count(), 1);  // every relocated capture was destroyed
-}
-
-TEST(InplaceFunctionTest, CapacityIsCompileTimeConstant) {
-  static_assert(InplaceFunction<void(), 64>::capacity() == 64);
-  SUCCEED();
-}
-
 // ----------------------------------------------------------- TablePrinter
 
 TEST(TablePrinterTest, AlignedOutputContainsCells) {
@@ -456,6 +406,36 @@ TEST(RingBufferTest, ClearReleasesBoxedAcks) {
   Packet next;
   next.ack = AckInfo{};
   EXPECT_EQ(&*next.ack, held);
+}
+
+TEST(RingBufferTest, BackSlotAndDropFrontWorkInPlace) {
+  RingBuffer<int> ring;
+  // back_slot() stages the next element; only commit_back() publishes it.
+  ring.back_slot() = 1;
+  EXPECT_TRUE(ring.empty());
+  ring.commit_back();
+  ring.back_slot() = 2;
+  ring.commit_back();
+  ASSERT_EQ(ring.size(), 2u);
+  // drop_front() retires the head without moving it out: a reference taken
+  // before the drop still reads the value until a push refills the slot.
+  const int& head = ring.front();
+  ring.drop_front();
+  EXPECT_EQ(head, 1);
+  EXPECT_EQ(ring.front(), 2);
+  // Fill to capacity through back_slot(), wrapping over the dropped slot,
+  // then one more grows the ring and keeps FIFO order.
+  const std::size_t cap = ring.capacity();
+  for (int v = 3; ring.size() < cap; ++v) {
+    ring.back_slot() = v;
+    ring.commit_back();
+  }
+  EXPECT_TRUE(ring.full());
+  ring.back_slot() = 100;
+  ring.commit_back();
+  EXPECT_GT(ring.capacity(), cap);
+  for (int v = 2; ring.size() > 1; ++v) EXPECT_EQ(ring.pop_front(), v);
+  EXPECT_EQ(ring.pop_front(), 100);
 }
 
 }  // namespace

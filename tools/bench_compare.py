@@ -75,8 +75,8 @@ RULES = {
              "10^6 flows pay at most 2x the 10^3-flow per-packet cost"),
         Rule(f"many_flows.{SIDES}.bytes_per_flow", "max", "many_flows.bytes_per_flow_budget",
              "the driver stays within the artifact's own bytes/flow budget"),
-        Rule(f"many_flows.{SIDES}.scheduler_bytes_per_flow", "max", 96,
-             "pending events cost at most 96 B/flow (one 64 B slot + one 24 B entry each)"),
+        Rule(f"many_flows.{SIDES}.scheduler_bytes_per_flow", "max", 80,
+             "pending events cost at most 80 B/flow (one 48 B slot + one 24 B entry each)"),
         Rule("", "min", 3.0, "the calendar tier beats the heap at the largest pending count",
              of=("scheduler_tiers[*].pending", "scheduler_tiers[*].speedup"),
              fn=lambda pending, speedup: dict(zip(pending, speedup))[max(pending)],
@@ -333,7 +333,7 @@ def manyflows_doc() -> dict:
                 "scheduler_heap_capacity_growth": 0, "scheduler_slot_capacity_growth": 0,
                 "scheduler_wheel_capacity_growth": 0, "scheduler_run_capacity_growth": 0,
                 "driver_bytes": flows * 198, "bytes_per_flow": 198.0,
-                "scheduler_bytes_per_flow": 88.0}
+                "scheduler_bytes_per_flow": 72.0}
 
     def tier(pending: int, heap: float, wheel: float, speedup: float) -> dict:
         return {"pending": pending, "heap_ev_per_sec": heap, "wheel_ev_per_sec": wheel,
@@ -446,8 +446,8 @@ SELFTEST = [
     ("many_flows", "pool growth at 10^6 flows",
      {"many_flows.huge.scheduler_wheel_capacity_growth": 7543}, 1),
     ("many_flows", "bytes/flow over budget", {"many_flows.huge.bytes_per_flow": 412.0}, 1),
-    ("many_flows", "176 B scheduler slots (a 144 B callback budget)",
-     {"many_flows.huge.scheduler_bytes_per_flow": 200.0}, 1),
+    ("many_flows", "64 B scheduler slots (a relocating callback with a vtable header)",
+     {"many_flows.huge.scheduler_bytes_per_flow": 88.0}, 1),
     ("many_flows", "a shard fingerprint divergence", {"sharded.byte_identical": False}, 1),
     ("many_flows", "a sharded run slower than serial",
      {"sharded.runs[1].speedup_vs_serial": 0.55}, 1),

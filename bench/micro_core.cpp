@@ -8,9 +8,7 @@
 #include "pels/scenario.h"
 #include "queue/drop_tail.h"
 #include "queue/pels_queue.h"
-#include "queue/priority.h"
 #include "queue/red.h"
-#include "queue/wrr.h"
 #include "sim/scheduler.h"
 #include "video/decoder.h"
 #include "video/fgs.h"
@@ -49,20 +47,6 @@ void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DropTailEnqueueDequeue);
-
-void BM_PriorityEnqueueDequeue(benchmark::State& state) {
-  StrictPriorityQueue q({256, 256, 256}, &StrictPriorityQueue::classify_by_color);
-  int i = 0;
-  const Color colors[] = {Color::kGreen, Color::kYellow, Color::kRed};
-  Packet out;
-  for (auto _ : state) {
-    q.enqueue(make_packet(500, colors[i++ % 3]));
-    benchmark::DoNotOptimize(q.dequeue(out));
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PriorityEnqueueDequeue);
 
 void BM_PelsQueueEnqueueDequeue(benchmark::State& state) {
   Simulation sim;

@@ -2,15 +2,14 @@
 //
 // A QueueDisc is a pure queueing object: enqueue() accepts or drops a packet,
 // dequeue() moves the next packet to transmit into a caller-owned slot (the
-// link's in-flight ring), so a packet leaves nested disciplines without an
-// intermediate copy per layer. Timing (serialization and
-// propagation) belongs to Link, mirroring the ns-2 Queue/DelayLink split the
-// paper's implementation used. Concrete disciplines (DropTail, RED, strict
-// priority, WRR, the PELS composite) live in src/queue.
+// link's in-flight ring), so a packet leaves the queue without an
+// intermediate copy. Timing (serialization and propagation) belongs to
+// Link, mirroring the ns-2 Queue/DelayLink split the paper's implementation
+// used. Concrete disciplines (DropTail, RED, Bernoulli, and the flat PELS,
+// best-effort and REM router queues) live in src/queue.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.h"
 #include "util/time.h"
@@ -51,23 +50,17 @@ struct ColorCounters {
 
 class QueueDisc {
  public:
-  using DropHandler = std::function<void(const Packet&)>;
-
   virtual ~QueueDisc() = default;
 
   /// Offers a packet to the queue. Returns true if accepted, false if the
-  /// packet (or another one, for push-out policies) was dropped. Counters and
-  /// the drop handler observe every drop either way. The queue may move from
-  /// `pkt`; the caller does not read it afterwards.
+  /// packet (or another one, for push-out policies) was dropped. Counters
+  /// observe every drop either way. The queue may move from `pkt`; the
+  /// caller does not read it afterwards.
   virtual bool enqueue(Packet&& pkt) = 0;
 
   /// Moves the next packet to transmit into `out` and returns true, or
   /// returns false and leaves `out` untouched if the queue is empty.
   virtual bool dequeue(Packet& out) = 0;
-
-  /// Next packet that dequeue() would return, or nullptr if empty. Needed by
-  /// deficit-round-robin schedulers to check head sizes without dequeuing.
-  virtual const Packet* peek() const = 0;
 
   /// Number of queued packets.
   virtual std::size_t packet_count() const = 0;
@@ -77,22 +70,15 @@ class QueueDisc {
 
   bool empty() const { return packet_count() == 0; }
 
-  /// Installs a callback invoked for every dropped packet (after counting).
-  void set_drop_handler(DropHandler h) { drop_handler_ = std::move(h); }
-
   const ColorCounters& counters() const { return counters_; }
   ColorCounters& counters() { return counters_; }
 
  protected:
-  /// Records a drop in the counters and notifies the handler.
-  void note_drop(const Packet& pkt) {
-    counters_.count_drop(pkt);
-    if (drop_handler_) drop_handler_(pkt);
-  }
+  /// Records a drop in the counters.
+  void note_drop(const Packet& pkt) { counters_.count_drop(pkt); }
 
  private:
   ColorCounters counters_;
-  DropHandler drop_handler_;
 };
 
 }  // namespace pels

@@ -54,15 +54,30 @@ void ScenarioConfig::validate() const {
   require(sample_interval > 0, "sample_interval must be > 0");
   telemetry.validate();
   invariants.validate();
-  if (bottleneck == BottleneckKind::kPels) {
-    // link_bandwidth_bps is overwritten with each hop's rate at construction;
-    // validate the rest of the AQM config as it will actually run.
-    PelsQueueConfig qc = pels_queue;
-    qc.link_bandwidth_bps = bottleneck_bps;
-    qc.validate();
-    for (const double bps : downstream_bps) {
-      qc.link_bandwidth_bps = bps;
+  // Each AQM config's link_bandwidth_bps is overwritten with its hop's rate
+  // at construction; validate the rest of the config as it will actually run.
+  switch (bottleneck) {
+    case BottleneckKind::kPels: {
+      PelsQueueConfig qc = pels_queue;
+      qc.link_bandwidth_bps = bottleneck_bps;
       qc.validate();
+      for (const double bps : downstream_bps) {
+        qc.link_bandwidth_bps = bps;
+        qc.validate();
+      }
+      break;
+    }
+    case BottleneckKind::kBestEffort: {
+      BestEffortQueueConfig qc = best_effort_queue;
+      qc.link_bandwidth_bps = bottleneck_bps;
+      qc.validate();
+      break;
+    }
+    case BottleneckKind::kRem: {
+      RemQueueConfig qc = rem_queue;
+      qc.link_bandwidth_bps = bottleneck_bps;
+      qc.validate();
+      break;
     }
   }
   faults.validate();

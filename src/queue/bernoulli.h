@@ -27,7 +27,6 @@ class BernoulliDropQueue : public QueueDisc {
 
   bool enqueue(Packet&& pkt) override;
   bool dequeue(Packet& out) override;
-  const Packet* peek() const override { return fifo_.empty() ? nullptr : &fifo_.front(); }
   std::size_t packet_count() const override { return fifo_.size(); }
   std::int64_t byte_count() const override { return bytes_; }
 

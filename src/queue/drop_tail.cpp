@@ -31,6 +31,4 @@ bool DropTailQueue::dequeue(Packet& out) {
   return true;
 }
 
-const Packet* DropTailQueue::peek() const { return fifo_.empty() ? nullptr : &fifo_.front(); }
-
 }  // namespace pels

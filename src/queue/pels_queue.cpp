@@ -6,10 +6,6 @@
 
 namespace pels {
 
-std::size_t pels_wrr_classifier(const Packet& pkt) {
-  return pkt.color == Color::kInternet ? 1 : 0;
-}
-
 void PelsQueueConfig::validate() const {
   if (!(link_bandwidth_bps > 0.0))
     throw std::invalid_argument("PelsQueueConfig: link_bandwidth_bps must be > 0");
@@ -42,34 +38,16 @@ PelsQueue::PelsQueue(Scheduler& sched, PelsQueueConfig config)
     : cfg_(validated(std::move(config))),
       pels_capacity_bps_(cfg_.link_bandwidth_bps * cfg_.pels_weight /
                          (cfg_.pels_weight + cfg_.internet_weight)),
+      // In two-priority (QBSS) mode the shared yellow band holds both limits.
+      band_limits_{cfg_.green_limit,
+                   cfg_.merge_fgs_bands ? cfg_.yellow_limit + cfg_.red_limit
+                                        : cfg_.yellow_limit,
+                   cfg_.red_limit},
+      internet_(cfg_.internet_limit),
+      drr_(cfg_.pels_weight, cfg_.internet_weight),
       meter_(cfg_.router_id, pels_capacity_bps_, cfg_.feedback_interval, cfg_.loss_floor,
              cfg_.loss_ceiling, cfg_.feedback_rate_ewma),
       feedback_timer_(sched, cfg_.feedback_interval, [this] { on_feedback_interval(); }) {
-  // In two-priority (QBSS) mode red shares the yellow band; the red band
-  // still exists but never receives traffic, keeping band indices stable.
-  const StrictPriorityQueue::Classifier classify =
-      cfg_.merge_fgs_bands
-          ? StrictPriorityQueue::Classifier([](const Packet& p) {
-              const std::size_t band = StrictPriorityQueue::classify_by_color(p);
-              return band == 2 ? std::size_t{1} : band;
-            })
-          : StrictPriorityQueue::Classifier(&StrictPriorityQueue::classify_by_color);
-  const std::size_t yellow_limit =
-      cfg_.merge_fgs_bands ? cfg_.yellow_limit + cfg_.red_limit : cfg_.yellow_limit;
-  auto priority = std::make_unique<StrictPriorityQueue>(
-      std::vector<std::size_t>{cfg_.green_limit, yellow_limit, cfg_.red_limit},
-      classify);
-  auto internet = std::make_unique<DropTailQueue>(cfg_.internet_limit);
-  priority_ = priority.get();
-  internet_ = internet.get();
-
-  std::vector<WrrQueue::Child> children;
-  children.push_back({std::move(priority), cfg_.pels_weight});
-  children.push_back({std::move(internet), cfg_.internet_weight});
-  wrr_ = std::make_unique<WrrQueue>(std::move(children), &pels_wrr_classifier);
-  // Chain drops up to this queue's counters/handler.
-  wrr_->set_drop_handler([this](const Packet& p) { note_drop(p); });
-
   feedback_timer_.start();
 }
 
@@ -83,30 +61,31 @@ bool PelsQueue::enqueue(Packet&& pkt) {
   }
   if (cfg_.ecn_mark_threshold_pkts > 0 && pkt.color != Color::kAck)
     maybe_mark_ecn(pkt);
-  return wrr_->enqueue(std::move(pkt));
+  if (pkt.color == Color::kInternet) {
+    if (internet_.enqueue(std::move(pkt))) return true;
+    note_drop(pkt);  // DropTailQueue leaves a refused packet untouched
+    return false;
+  }
+  group_counters_.count_arrival(pkt);
+  const std::size_t b = band_of(pkt.color);
+  if (bands_[b].size() >= band_limits_[b]) {
+    group_counters_.count_drop(pkt);
+    note_drop(pkt);
+    return false;
+  }
+  group_bytes_ += pkt.size_bytes;
+  ++group_packets_;
+  bands_[b].push_back(std::move(pkt));
+  return true;
 }
 
 void PelsQueue::maybe_mark_ecn(Packet& pkt) {
   // Step marking on the instantaneous occupancy of the band this packet is
   // headed for, checked before admission (a packet about to be tail-dropped
   // never carries a mark anywhere).
-  std::size_t occupancy = 0;
-  switch (pkt.color) {
-    case Color::kGreen:
-      occupancy = priority_->band_packet_count(0);
-      break;
-    case Color::kYellow:
-      occupancy = priority_->band_packet_count(1);
-      break;
-    case Color::kRed:
-      occupancy = priority_->band_packet_count(cfg_.merge_fgs_bands ? 1 : 2);
-      break;
-    case Color::kInternet:
-      occupancy = internet_->packet_count();
-      break;
-    default:
-      return;
-  }
+  const std::size_t occupancy = pkt.color == Color::kInternet
+                                    ? internet_.packet_count()
+                                    : bands_[band_of(pkt.color)].size();
   if (occupancy >= cfg_.ecn_mark_threshold_pkts) {
     pkt.ecn_marked = true;
     ++ecn_marks_;
@@ -114,12 +93,29 @@ void PelsQueue::maybe_mark_ecn(Packet& pkt) {
 }
 
 bool PelsQueue::dequeue(Packet& out) {
-  if (!wrr_->dequeue(out)) return false;
+  // Strict priority inside the group: its head is the first non-empty band.
+  std::size_t head_band = 0;
+  while (head_band < kBands && bands_[head_band].empty()) ++head_band;
+  const std::int64_t group_head =
+      head_band < kBands ? bands_[head_band].front().size_bytes : Drr2::kIdle;
+  const int served = drr_.select(group_head, internet_.head_bytes());
+  if (served < 0) return false;
+  if (served == 1) {
+    internet_.dequeue(out);
+    counters().count_departure(out);
+    return true;
+  }
+  RingBuffer<Packet>& band = bands_[head_band];
+  out = std::move(band.front());
+  band.drop_front();
+  group_bytes_ -= out.size_bytes;
+  --group_packets_;
+  group_counters_.count_departure(out);
   counters().count_departure(out);
   // Stamp feedback into every departing PELS-flow packet regardless of
   // colour (§5.1: green-only feedback would add delay; red/yellow reordering
   // is handled by epoch filtering at the source).
-  if (out.color != Color::kInternet) meter_.stamp(out);
+  meter_.stamp(out);
   return true;
 }
 
@@ -142,10 +138,6 @@ void PelsQueue::restart() {
                          c.arrivals[static_cast<std::size_t>(Color::kRed)];
   fgs_drops_anchor_ = c.drops[static_cast<std::size_t>(Color::kYellow)] +
                       c.drops[static_cast<std::size_t>(Color::kRed)];
-}
-
-std::size_t PelsQueue::band_packet_count(std::size_t band) const {
-  return priority_->band_packet_count(band);
 }
 
 void PelsQueue::register_metrics(MetricsRegistry& registry, const std::string& prefix) {
@@ -172,7 +164,7 @@ void PelsQueue::register_metrics(MetricsRegistry& registry, const std::string& p
     });
   }
   registry.add_probe(prefix + ".internet_pkts",
-                     [this] { return static_cast<double>(internet_->packet_count()); });
+                     [this] { return static_cast<double>(internet_.packet_count()); });
   registry.add_probe(prefix + ".internet_drops", [this] {
     return static_cast<double>(
         counters().drops[static_cast<std::size_t>(Color::kInternet)]);
@@ -186,9 +178,9 @@ void PelsQueue::register_metrics(MetricsRegistry& registry, const std::string& p
   registry.add_probe(prefix + ".ecn_marks",
                      [this] { return static_cast<double>(ecn_marks_); });
   registry.add_probe(prefix + ".wrr_pels_credit",
-                     [this] { return static_cast<double>(wrr_->deficit(0)); });
+                     [this] { return static_cast<double>(drr_.deficit(0)); });
   registry.add_probe(prefix + ".wrr_internet_credit",
-                     [this] { return static_cast<double>(wrr_->deficit(1)); });
+                     [this] { return static_cast<double>(drr_.deficit(1)); });
   // Push slots: the feedback loop refreshes these once per interval T.
   g_loss_ = &registry.gauge(prefix + ".p");
   g_fgs_loss_ = &registry.gauge(prefix + ".p_fgs");

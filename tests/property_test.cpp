@@ -4,16 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <tuple>
 
 #include "analysis/stability.h"
 #include "cc/mkc.h"
 #include "pels/scenario.h"
-#include "queue/drop_tail.h"
-#include "queue/priority.h"
+#include "queue/best_effort.h"
+#include "queue/pels_queue.h"
 #include "queue/red.h"
-#include "queue/wrr.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "pop_packet.h"
@@ -34,13 +32,15 @@ Packet make_packet(std::int32_t size, Color color, std::uint64_t seq = 0) {
 class WrrWeightSweep : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
 TEST_P(WrrWeightSweep, ServiceTracksWeightRatio) {
+  // The comparator queue's two FIFOs under its Drr2 split; no simulated time
+  // passes, so its random drop never arms.
   const auto [w0, w1] = GetParam();
-  std::vector<WrrQueue::Child> children;
-  children.push_back({std::make_unique<DropTailQueue>(100'000), w0});
-  children.push_back({std::make_unique<DropTailQueue>(100'000), w1});
-  WrrQueue q(std::move(children),
-             [](const Packet& p) { return p.color == Color::kInternet ? std::size_t{1} : 0; },
-             1500);
+  Simulation sim;
+  BestEffortQueueConfig cfg;
+  cfg.video_weight = w0;
+  cfg.internet_weight = w1;
+  cfg.video_limit = cfg.internet_limit = 100'000;
+  BestEffortQueue q(sim.scheduler(), Rng(1), cfg);
   for (int i = 0; i < 60'000; ++i) {
     q.enqueue(make_packet(500, Color::kGreen));
     q.enqueue(make_packet(500, Color::kInternet));
@@ -65,24 +65,28 @@ INSTANTIATE_TEST_SUITE_P(WeightGrid, WrrWeightSweep,
 class PriorityTrafficSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PriorityTrafficSweep, NeverServesLowerBandWhileHigherOccupied) {
-  // Random interleaved enqueue/dequeue traffic: at every dequeue, the packet
-  // must come from the highest-priority non-empty band.
+  // Random interleaved enqueue/dequeue traffic through PelsQueue's PELS
+  // group: at every dequeue, the packet must come from the highest-priority
+  // non-empty band.
   Rng rng(GetParam());
-  StrictPriorityQueue q({64, 64, 64}, &StrictPriorityQueue::classify_by_color);
+  Simulation sim;
+  PelsQueueConfig cfg;
+  cfg.green_limit = cfg.yellow_limit = cfg.red_limit = 64;
+  PelsQueue q(sim.scheduler(), cfg);
   const Color colors[] = {Color::kGreen, Color::kYellow, Color::kRed};
   std::size_t occupancy[3] = {0, 0, 0};
   for (int step = 0; step < 20'000; ++step) {
     if (rng.bernoulli(0.55)) {
-      const auto c = colors[rng.uniform_int(0, 2)];
-      const std::size_t band = StrictPriorityQueue::classify_by_color(make_packet(1, c));
-      if (occupancy[band] < 64 && q.enqueue(make_packet(100, c))) ++occupancy[band];
+      const auto band = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      if (occupancy[band] < 64 && q.enqueue(make_packet(100, colors[band]))) ++occupancy[band];
     } else if (auto p = pop_packet(q)) {
-      const std::size_t band = StrictPriorityQueue::classify_by_color(*p);
+      const auto band = static_cast<std::size_t>(p->color);  // green 0, yellow 1, red 2
       for (std::size_t higher = 0; higher < band; ++higher) {
         ASSERT_EQ(occupancy[higher], 0u) << "served band " << band
                                          << " while band " << higher << " occupied";
       }
       --occupancy[band];
+      ASSERT_EQ(q.band_packet_count(band), occupancy[band]);
     }
   }
 }

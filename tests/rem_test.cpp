@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "cc/rem_controller.h"
 #include "pels/scenario.h"
@@ -27,6 +30,47 @@ RemQueueConfig queue_config() {
   cfg.price_interval = from_millis(30);
   return cfg;
 }
+
+// ------------------------------------------------ RemQueueConfig checks
+
+struct BadRemField {
+  const char* field;
+  void (*spoil)(RemQueueConfig&);
+};
+
+// Names each case by its field in test listings.
+void PrintTo(const BadRemField& bad, std::ostream* os) { *os << bad.field; }
+
+class RemQueueConfigTest : public ::testing::TestWithParam<BadRemField> {};
+
+TEST_P(RemQueueConfigTest, RejectsFieldByName) {
+  // Before validation, Release builds accepted these: phi <= 1 or gamma <= 0
+  // silently never marked, and a zero weight broke the DRR split.
+  RemQueueConfig cfg = queue_config();
+  EXPECT_NO_THROW(cfg.validate());
+  GetParam().spoil(cfg);
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "validate() accepted a bad " << GetParam().field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().field), std::string::npos) << e.what();
+  }
+  Simulation sim;
+  EXPECT_THROW(RemQueue(sim.scheduler(), sim.make_rng(1), cfg), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, RemQueueConfigTest,
+    ::testing::Values(
+        BadRemField{"link_bandwidth_bps", [](RemQueueConfig& c) { c.link_bandwidth_bps = -1.0; }},
+        BadRemField{"video_weight", [](RemQueueConfig& c) { c.video_weight = 0.0; }},
+        BadRemField{"internet_weight", [](RemQueueConfig& c) { c.internet_weight = 0.0; }},
+        BadRemField{"price_interval", [](RemQueueConfig& c) { c.price_interval = 0; }},
+        BadRemField{"gamma", [](RemQueueConfig& c) { c.gamma = 0.0; }},
+        BadRemField{"alpha_q", [](RemQueueConfig& c) { c.alpha_q = -0.1; }},
+        BadRemField{"phi", [](RemQueueConfig& c) { c.phi = 1.0; }},
+        BadRemField{"video_limit", [](RemQueueConfig& c) { c.video_limit = 0; }},
+        BadRemField{"internet_limit", [](RemQueueConfig& c) { c.internet_limit = 0; }}));
 
 // --------------------------------------------------------------- RemQueue
 

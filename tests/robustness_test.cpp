@@ -371,5 +371,25 @@ TEST(RobustnessTest, ScenarioConfigValidationFailsFast) {
   }
 }
 
+TEST(RobustnessTest, ComparatorQueueConfigsValidatedForTheirBottleneck) {
+  // Each comparator's AQM config is checked when it is the bottleneck in
+  // use, and only then.
+  ScenarioConfig cfg = base_config(2);
+  cfg.best_effort_queue.video_weight = 0.0;
+  cfg.rem_queue.phi = 1.0;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.bottleneck = BottleneckKind::kBestEffort;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(DumbbellScenario s(cfg), std::invalid_argument);
+  cfg.bottleneck = BottleneckKind::kRem;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(DumbbellScenario s(cfg), std::invalid_argument);
+  // The scenario overwrites link_bandwidth_bps with the bottleneck rate, so
+  // a zero there in the nested config is not an error.
+  cfg.rem_queue.phi = 2.0;
+  cfg.rem_queue.link_bandwidth_bps = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 }  // namespace
 }  // namespace pels

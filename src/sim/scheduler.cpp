@@ -152,8 +152,9 @@ void Scheduler::load_run(std::size_t pos, std::uint64_t abs_idx) {
   std::sort(run_.begin(), run_.end(), [](const Entry& a, const Entry& c) {
     return a.t != c.t ? a.t < c.t : a.seq < c.seq;
   });
-  // Schedules landing back inside the drained bucket's window go to the heap
-  // and merge with the run by (t, seq).
+  // Schedules landing back inside the drained bucket's window join this run
+  // at their (t, seq) place (place_in_run), or the heap when that place is
+  // too deep; the run and the heap merge by (t, seq).
   run_bucket_ = static_cast<std::int64_t>(abs_idx);
   ++bucket_loads_;
 }

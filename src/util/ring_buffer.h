@@ -5,7 +5,7 @@
 // allocation on the hot path even after the scheduler and callbacks are
 // allocation-free. A ring over a flat vector reaches a steady state after
 // warm-up and never touches the heap again; Link's in-flight pipeline, the
-// DropTailQueue FIFO and the StrictPriorityQueue bands all sit on this.
+// DropTailQueue FIFO and PelsQueue's three priority bands all sit on this.
 // Capacity grows on demand to the high-water mark and never shrinks; queues
 // deliberately do not reserve their limit, because a ring far wider than its
 // occupancy walks its head through cold slots on every push. Indexing is

@@ -420,8 +420,9 @@ int main(int argc, char** argv) {
   const double cost_ratio = large.ns_per_packet / small.ns_per_packet;
   const double huge_cost_ratio = huge.ns_per_packet / small.ns_per_packet;
   // Driver-state budget per flow (see DESIGN.md "Sharded population
-  // drivers"): ~96 B FlowRt + 88 B FlowTable columns + 16 B SinkTable +
-  // 4 B shard membership, with slack for allocator rounding.
+  // drivers"): 64 B FlowRt + 8 B start time + 57 B FlowTable columns (video
+  // flows only) + 16 B SinkTable cell + 4 B shard membership = ~149 B, with
+  // slack for allocator rounding and mixes heavier than all-video.
   constexpr double kBytesPerFlowBudget = 256.0;
   print_many_flows("  1k", small);
   print_many_flows("100k", large);

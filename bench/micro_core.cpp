@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
-// event scheduling, queue disciplines, packetization, decoding, and
-// end-to-end simulated-seconds-per-wallclock-second of the full scenario.
+// event scheduling, queue disciplines, packetization, decoding, the
+// population control tick, and end-to-end simulated-seconds-per-wallclock-
+// second of the full scenario.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "cc/flow_table.h"
 #include "pels/scenario.h"
 #include "queue/drop_tail.h"
 #include "queue/pels_queue.h"
@@ -100,6 +102,28 @@ void BM_DecodeFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DecodeFrame);
+
+void BM_FlowTableFeedbackAll(benchmark::State& state) {
+  // One population control tick (MKC eq. (8) plus the gamma update) over a
+  // full table of 10^6 slots, the population-1m shape; per_flow is the
+  // per-slot cost of the pass (printed in ns).
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  FlowTable table(MkcConfig{}, GammaConfig{});
+  table.reserve(flows);
+  for (std::size_t i = 0; i < flows; ++i) table.add_flow();
+  int tick = 0;
+  for (auto _ : state) {
+    // Alternate under- and overload so the rates keep moving.
+    const double p = (tick++ & 1) != 0 ? 0.05 : -0.05;
+    table.apply_feedback_all(p, 0.02);
+    benchmark::ClobberMemory();
+  }
+  const auto processed = static_cast<double>(state.iterations()) * static_cast<double>(flows);
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+  state.counters["per_flow"] =
+      benchmark::Counter(processed, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FlowTableFeedbackAll)->Arg(1'000'000)->Unit(benchmark::kMillisecond);
 
 void BM_FullScenarioSimulatedSecond(benchmark::State& state) {
   // Cost of one simulated second of the 4-flow + TCP dumbbell.

@@ -181,6 +181,15 @@ double FlowTable::apply_gamma(FlowSlot slot, double p) {
   return gamma_update_step(gamma_cfg_, p, gamma_col_[slot], gamma_updates_[slot]);
 }
 
+void FlowTable::apply_feedback_all(double p, double p_fgs) {
+  const auto n = static_cast<FlowSlot>(flags_.size());
+  for (FlowSlot slot = 0; slot < n; ++slot) {
+    if ((flags_[slot] & kLive) == 0) continue;
+    apply_feedback(slot, p);
+    apply_gamma(slot, p_fgs);
+  }
+}
+
 void FlowTable::apply_rtt(FlowSlot slot, SimTime rtt) {
   assert(is_live(slot));
   if (!zoo_enabled_ || rtt <= 0) return;

@@ -12,11 +12,14 @@
 // apply_loss_interval / apply_mark_fraction / apply_control_tick /
 // apply_rtt) are the only way to update it. The controllers
 // (cc/table_controller.h) are views on one slot — a standalone one owns a
-// one-slot table — and the population driver (exp/fabric.h) calls apply_* on
-// its own slots from its control tick. Each call runs an inline kernel
-// (mkc_feedback_step, cubic_tick_step, dcqcn_mark_step, ...) on that slot's
-// columns alone — verified against the controller views by
-// tests/flow_table_test.cpp and tests/cc_zoo_test.cpp.
+// one-slot table — and the population driver (exp/fabric.h) ticks its whole
+// table at once with apply_feedback_all, one pass over the live slots in
+// slot order that runs the same apply_feedback + apply_gamma on each. Each
+// call runs an inline kernel (mkc_feedback_step, cubic_tick_step,
+// dcqcn_mark_step, ...) on that slot's columns alone, so no slot's update
+// reads another's and the pass equals the per-slot calls in any order —
+// verified against the controller views by tests/flow_table_test.cpp and
+// tests/cc_zoo_test.cpp.
 //
 // Controller zoo: each slot carries a CcKind; the apply calls dispatch per
 // kind. The zoo columns (CUBIC window state, DCQCN rate machine, RTT
@@ -117,6 +120,10 @@ class FlowTable {
   void apply_feedback(FlowSlot slot, double p);
   void apply_silence(FlowSlot slot);
   double apply_gamma(FlowSlot slot, double p);
+  /// The population tick: apply_feedback(slot, p) then apply_gamma(slot,
+  /// p_fgs) on every live slot, in slot order, as one linear pass over the
+  /// columns. Freed slots are skipped and keep their state.
+  void apply_feedback_all(double p, double p_fgs);
   /// Zoo signal entry points; dispatch on the slot's kind (MKC ignores them,
   /// matching the per-object controllers' default overrides). `now` anchors
   /// event timestamps (CUBIC's epoch start).

@@ -1,14 +1,15 @@
-// Structure-of-arrays receiver accounting for population-scale drivers
+// Dense per-flow receiver accounting for population-scale drivers
 // (ROADMAP "Million-flow scale-out").
 //
 // At N=10^6 flows, one CountingSink object per flow (registered in each
 // host's flow->agent map) is the receiver-side memory wall: ~50+ bytes of
 // map node + agent object per flow, scattered across the heap. The
-// SinkTable replaces both with two dense u64 columns indexed by the
-// driver's flow id, and a single shared Agent adapter installed as every
-// host's default agent — per-flow receive state costs 16 bytes, flat.
+// SinkTable replaces both with one dense column of 16-byte {packets, bytes}
+// cells indexed by the driver's flow id, and a single shared Agent adapter
+// installed as every host's default agent — per-flow receive state costs 16
+// bytes, flat, and a delivery touches one cache line.
 //
-// Thread-safety contract (sharded drivers): record() writes only the cells
+// Thread-safety contract (sharded drivers): record() writes only the cell
 // of its packet's flow. Under DomainRunner each flow's packets are
 // delivered by exactly one domain worker (the destination host's domain),
 // so concurrent workers always write distinct vector elements — the
@@ -30,22 +31,20 @@ class SinkTable {
  public:
   /// Sizes the table for flow ids [0, flows). Existing counters persist;
   /// new cells start at zero.
-  void resize(std::size_t flows) {
-    packets_.resize(flows, 0);
-    bytes_.resize(flows, 0);
-  }
+  void resize(std::size_t flows) { cells_.resize(flows); }
 
-  std::size_t size() const { return packets_.size(); }
+  std::size_t size() const { return cells_.size(); }
 
-  /// Records one delivered packet for `flow`. Hot path: two increments on
-  /// adjacent columns, no branches, no locks (see header contract).
+  /// Records one delivered packet for `flow`. Hot path: two increments in
+  /// one 16-byte cell, no branches, no locks (see header contract).
   void record(std::size_t flow, std::int32_t packet_bytes) {
-    ++packets_[flow];
-    bytes_[flow] += static_cast<std::uint64_t>(packet_bytes);
+    Cell& c = cells_[flow];
+    ++c.packets;
+    c.bytes += static_cast<std::uint64_t>(packet_bytes);
   }
 
-  std::uint64_t packets(std::size_t flow) const { return packets_[flow]; }
-  std::uint64_t bytes(std::size_t flow) const { return bytes_[flow]; }
+  std::uint64_t packets(std::size_t flow) const { return cells_[flow].packets; }
+  std::uint64_t bytes(std::size_t flow) const { return cells_[flow].bytes; }
 
   struct Totals {
     std::uint64_t packets = 0;
@@ -55,23 +54,25 @@ class SinkTable {
   /// barrier points, not per delivery.
   Totals totals() const {
     Totals t;
-    for (std::size_t i = 0; i < packets_.size(); ++i) {
-      t.packets += packets_[i];
-      t.bytes += bytes_[i];
+    for (const Cell& c : cells_) {
+      t.packets += c.packets;
+      t.bytes += c.bytes;
     }
     return t;
   }
 
-  /// Heap footprint of the columns (capacity, not size): the bytes/flow
+  /// Heap footprint of the cells (capacity, not size): the bytes/flow
   /// budget reported by bench/many_flows counts this.
-  std::size_t memory_bytes() const {
-    return packets_.capacity() * sizeof(std::uint64_t) +
-           bytes_.capacity() * sizeof(std::uint64_t);
-  }
+  std::size_t memory_bytes() const { return cells_.capacity() * sizeof(Cell); }
 
  private:
-  std::vector<std::uint64_t> packets_;
-  std::vector<std::uint64_t> bytes_;
+  struct Cell {
+    std::uint64_t packets = 0;
+    std::uint64_t bytes = 0;
+  };
+  static_assert(sizeof(Cell) == 16, "a delivery must touch one 16 B cell");
+
+  std::vector<Cell> cells_;
 };
 
 /// The one Agent shared by every receiving host: routes a delivered

@@ -220,9 +220,25 @@ void validate_flow_spec(const FlowSpec& s, std::size_t index, int hosts) {
 
 }  // namespace
 
+void ManyFlowDriverConfig::validate() const {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("ManyFlowDriverConfig: " + what);
+  };
+  if (control_interval <= 0) {
+    fail("control_interval must be > 0, got " + std::to_string(control_interval));
+  }
+  if (!std::isfinite(max_rate_factor) || max_rate_factor <= 0.0) {
+    fail("max_rate_factor must be finite and > 0, got " + std::to_string(max_rate_factor));
+  }
+  if (!(green_fraction >= 0.0 && green_fraction <= 1.0)) {
+    fail("green_fraction must be in [0, 1], got " + std::to_string(green_fraction));
+  }
+}
+
 ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
                                ManyFlowDriverConfig cfg)
     : fabric_(fabric), cfg_(cfg), sink_agent_(sink_table_) {
+  cfg_.validate();
   const auto domains = static_cast<std::size_t>(fabric.domain_count());
   shards_.reserve(domains);
   for (std::size_t d = 0; d < domains; ++d) shards_.emplace_back(cfg_);
@@ -238,6 +254,7 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
   const auto hosts = static_cast<int>(fabric.hosts().size());
   for (std::size_t i = 0; i < flows.size(); ++i) validate_flow_spec(flows[i], i, hosts);
   flows_.reserve(flows.size());
+  starts_.reserve(flows.size());
   sink_table_.resize(flows.size());
   // Specs must arrive in activation order (gen_mixed_traffic sorts); sort
   // defensively so hand-built mixes work too. Flow ids (= indices) are
@@ -245,21 +262,26 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
   // of the fabric's domain partitioning or the thread count.
   std::stable_sort(flows.begin(), flows.end(),
                    [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; });
+  std::vector<std::size_t> videos(shards_.size(), 0);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const FlowSpec& spec = flows[i];
     FlowRt f;
-    f.spec = spec;
     f.src = fabric.hosts()[static_cast<std::size_t>(spec.src_host)];
+    f.rate_bps = spec.rate_bps;
+    f.bytes_left = spec.total_bytes > 0 ? spec.total_bytes : -1;
     f.shard = static_cast<std::uint32_t>(
         fabric.host_domain(static_cast<std::size_t>(spec.src_host)));
     f.dst = fabric.hosts()[static_cast<std::size_t>(spec.dst_host)]->id();
-    f.bytes_left = spec.total_bytes > 0 ? spec.total_bytes : -1;
+    f.packet_bytes = spec.packet_bytes;
+    f.cls = spec.cls;
     shards_[f.shard].members.push_back(static_cast<std::uint32_t>(i));
-    flows_.push_back(std::move(f));
+    if (spec.cls == TrafficClass::kVideo) ++videos[f.shard];
+    flows_.push_back(f);
+    starts_.push_back(spec.start);
   }
-  for (Shard& s : shards_) s.table.reserve(s.members.size());
+  for (std::size_t d = 0; d < shards_.size(); ++d) shards_[d].table.reserve(videos[d]);
   // One shared table-backed sink serves every destination host: per-flow
-  // receiver state is a pair of SinkTable cells, not a map entry + object.
+  // receiver state is one SinkTable cell, not a map entry + object.
   for (Host* h : fabric.hosts()) h->set_default_agent(&sink_agent_);
 }
 
@@ -287,7 +309,7 @@ void ManyFlowDriver::start() {
     Shard& s = shards_[d];
     if (s.members.empty()) continue;  // hostless domains (e.g. the core) idle
     Simulation& sim = fabric_.sim(static_cast<int>(d));
-    const SimTime first = std::max(flows_[s.members[0]].spec.start, sim.now());
+    const SimTime first = std::max(starts_[s.members[0]], sim.now());
     s.activation_event = sim.at(first, [this, d] { activate_due_flows(d); });
     s.control_event = sim.after(cfg_.control_interval, [this, d] { on_control_tick(d); });
   }
@@ -307,24 +329,26 @@ void ManyFlowDriver::activate_due_flows(std::uint32_t shard) {
   s.activation_event = 0;
   Simulation& sim = fabric_.sim(static_cast<int>(shard));
   const SimTime now = sim.now();
-  while (s.next_to_start < s.members.size() &&
-         flows_[s.members[s.next_to_start]].spec.start <= now) {
+  while (s.next_to_start < s.members.size() && starts_[s.members[s.next_to_start]] <= now) {
     const std::uint32_t i = s.members[s.next_to_start++];
     FlowRt& f = flows_[i];
-    f.slot = s.table.add_flow(f.spec.rate_bps, cfg_.gamma.initial_gamma);
+    if (f.cls == TrafficClass::kVideo) {
+      f.slot = s.table.add_flow(f.rate_bps, cfg_.gamma.initial_gamma);
+    } else {
+      ++s.fixed_live;
+    }
     f.started = true;
     send_next(i);
   }
   if (s.next_to_start < s.members.size()) {
-    s.activation_event = sim.at(flows_[s.members[s.next_to_start]].spec.start,
+    s.activation_event = sim.at(starts_[s.members[s.next_to_start]],
                                 [this, shard] { activate_due_flows(shard); });
   }
 }
 
 double ManyFlowDriver::pacing_rate(const FlowRt& f) const {
-  if (f.spec.cls != TrafficClass::kVideo) return f.spec.rate_bps;
-  return std::min(shards_[f.shard].table.rate_bps(f.slot),
-                  cfg_.max_rate_factor * f.spec.rate_bps);
+  if (f.cls != TrafficClass::kVideo) return f.rate_bps;
+  return std::min(shards_[f.shard].table.rate_bps(f.slot), cfg_.max_rate_factor * f.rate_bps);
 }
 
 void ManyFlowDriver::send_next(std::uint32_t index) {
@@ -337,14 +361,14 @@ void ManyFlowDriver::send_next(std::uint32_t index) {
   pkt.flow = static_cast<FlowId>(index);
   pkt.seq = f.next_seq++;
   pkt.uid = (static_cast<std::uint64_t>(pkt.flow) << 40) | pkt.seq;
-  pkt.size_bytes = f.bytes_left > 0
-                       ? static_cast<std::int32_t>(std::min<std::int64_t>(f.spec.packet_bytes,
-                                                                          f.bytes_left))
-                       : f.spec.packet_bytes;
+  pkt.size_bytes =
+      f.bytes_left > 0
+          ? static_cast<std::int32_t>(std::min<std::int64_t>(f.packet_bytes, f.bytes_left))
+          : f.packet_bytes;
   pkt.src = f.src->id();
   pkt.dst = f.dst;
   pkt.created_at = sim.now();
-  if (f.spec.cls == TrafficClass::kVideo) {
+  if (f.cls == TrafficClass::kVideo) {
     // Base layer green, FGS remainder split red/yellow by the flow's
     // current gamma — decided per packet by a deterministic hash so the
     // color stream is reproducible whatever the event interleaving.
@@ -367,8 +391,12 @@ void ManyFlowDriver::send_next(std::uint32_t index) {
     f.bytes_left -= size;
     if (f.bytes_left <= 0) {
       f.done = true;
-      s.table.remove_flow(f.slot);
-      f.slot = kInvalidFlowSlot;
+      if (f.cls == TrafficClass::kVideo) {
+        s.table.remove_flow(f.slot);
+        f.slot = kInvalidFlowSlot;
+      } else {
+        --s.fixed_live;
+      }
       return;
     }
   }
@@ -386,7 +414,8 @@ void ManyFlowDriver::on_control_tick(std::uint32_t shard) {
   // Cross-domain bottlenecks reach a shard the causal way — as loss on the
   // packets its flows push through them — not by peeking at a meter a
   // lookahead window into a peer's future. Meters publish nothing before
-  // their first epoch closes.
+  // their first epoch closes. The table holds exactly the shard's live
+  // video flows, so the update is one pass over its columns.
   double p = 0.0;
   double p_fgs = 0.0;
   bool valid = false;
@@ -396,21 +425,14 @@ void ManyFlowDriver::on_control_tick(std::uint32_t shard) {
     if (!valid || queue->current_fgs_loss() > p_fgs) p_fgs = queue->current_fgs_loss();
     valid = true;
   }
-  if (valid) {
-    for (const std::uint32_t i : s.members) {
-      const FlowRt& f = flows_[i];
-      if (!f.started || f.done || f.spec.cls != TrafficClass::kVideo) continue;
-      s.table.apply_feedback(f.slot, p);
-      s.table.apply_gamma(f.slot, p_fgs);
-    }
-  }
+  if (valid) s.table.apply_feedback_all(p, p_fgs);
   s.control_event = fabric_.sim(static_cast<int>(shard))
                         .after(cfg_.control_interval, [this, shard] { on_control_tick(shard); });
 }
 
 std::size_t ManyFlowDriver::live_flows() const {
   std::size_t total = 0;
-  for (const Shard& s : shards_) total += s.table.size();
+  for (const Shard& s : shards_) total += s.table.size() + s.fixed_live;
   return total;
 }
 
@@ -430,7 +452,7 @@ ManyFlowDriver::ClassCounts ManyFlowDriver::class_counts(TrafficClass cls) const
   ClassCounts c;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const FlowRt& f = flows_[i];
-    if (f.spec.cls != cls) continue;
+    if (f.cls != cls) continue;
     ++c.flows;
     c.packets_sent += f.next_seq;
     c.packets_delivered += sink_table_.packets(i);
@@ -458,9 +480,12 @@ std::uint64_t ManyFlowDriver::fingerprint() const {
     mix(f.next_seq);
     mix(static_cast<std::uint64_t>(f.done ? 1 : 0));
     if (f.started && !f.done) {
+      // Fixed-rate flows hold no slot: their rate is the spec rate and their
+      // gamma the configured initial one.
+      const bool video = f.cls == TrafficClass::kVideo;
       const FlowTable& t = shards_[f.shard].table;
-      mix_double(t.rate_bps(f.slot));
-      mix_double(t.gamma(f.slot));
+      mix_double(video ? t.rate_bps(f.slot) : f.rate_bps);
+      mix_double(video ? t.gamma(f.slot) : cfg_.gamma.initial_gamma);
     }
     mix(sink_table_.packets(i));
     mix(sink_table_.bytes(i));
@@ -469,7 +494,8 @@ std::uint64_t ManyFlowDriver::fingerprint() const {
 }
 
 std::size_t ManyFlowDriver::driver_memory_bytes() const {
-  std::size_t total = flows_.capacity() * sizeof(FlowRt) + sink_table_.memory_bytes();
+  std::size_t total = flows_.capacity() * sizeof(FlowRt) +
+                      starts_.capacity() * sizeof(SimTime) + sink_table_.memory_bytes();
   for (const Shard& s : shards_) {
     total += s.table.memory_bytes() + s.members.capacity() * sizeof(std::uint32_t) +
              s.meters.capacity() * sizeof(PelsQueue*);

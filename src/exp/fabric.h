@@ -26,11 +26,15 @@
 // domain (a FlowTable of control state, per-flow pacing events, and one
 // control tick reading that domain's bottleneck meters), so a
 // domain_per_pod fat tree runs one shard per pod under DomainRunner,
-// byte-identical at any thread count. Receiver state is a dense SinkTable
-// fed through host default agents — 16 bytes per flow instead of a map
-// entry plus sink object (no per-flow ACK path — the driver measures
-// simulator cost per packet, not end-to-end protocol dynamics;
-// bench/many_flows.cpp is the consumer).
+// byte-identical at any thread count. Only video flows hold FlowTable slots
+// (mice and elephants are fixed-rate and keep their rate in the per-flow
+// record), so a shard's control tick is one linear pass over its table. The
+// per-packet record a pacing event reads and writes is one 64-byte cache
+// line. Receiver state is a dense SinkTable fed through host default agents
+// — one 16-byte {packets, bytes} cell per flow instead of a map entry plus
+// sink object (no per-flow ACK path — the driver measures simulator cost
+// per packet, not end-to-end protocol dynamics; bench/many_flows.cpp is the
+// consumer).
 #pragma once
 
 #include <cstdint>
@@ -192,12 +196,20 @@ struct ManyFlowDriverConfig {
   /// starters ramp to the whole link and the aggregate event rate explodes
   /// before feedback reins them in.
   double max_rate_factor = 3.0;
+
+  /// Throws std::invalid_argument naming the field for control_interval <= 0
+  /// (the tick would reschedule itself at the same instant forever), a
+  /// non-finite or non-positive max_rate_factor (an infinite or negative
+  /// pacing gap) and green_fraction outside [0, 1] or NaN. mkc and gamma are
+  /// checked by FlowTable.
+  void validate() const;
 };
 
 /// Runs a flow mix over a fabric with population-scale machinery, sharded by
 /// domain: every flow belongs to the shard of its *source host's* domain,
-/// and each shard owns a FlowTable, an activation cursor, per-flow pacing
-/// events, and a control tick — all scheduled on the shard's own domain
+/// and each shard owns a FlowTable of its video flows' control state, an
+/// activation cursor, per-flow pacing events, and a control tick that makes
+/// one pass over the table — all scheduled on the shard's own domain
 /// Simulation, so DomainRunner executes shards in parallel and the result is
 /// byte-identical at any thread count (tests/fabric_test.cpp pins it).
 ///
@@ -208,16 +220,18 @@ struct ManyFlowDriverConfig {
 /// one shard reading every meter — the original shared-control-tick
 /// semantics.
 ///
-/// Per-flow receiver state is a SinkTable (dense SoA columns indexed by flow
-/// id) fed through each host's default agent — no per-flow map entries, no
-/// per-host sink objects; see cc/sink_table.h for the single-writer-per-cell
-/// argument that makes cross-domain delivery race-free.
+/// Per-flow receiver state is a SinkTable (one dense column of 16-byte
+/// {packets, bytes} cells indexed by flow id) fed through each host's default
+/// agent — no per-flow map entries, no per-host sink objects; see
+/// cc/sink_table.h for the single-writer-per-cell argument that makes
+/// cross-domain delivery race-free.
 class ManyFlowDriver {
  public:
-  /// Throws std::invalid_argument naming the flow's index in `flows` and
-  /// the field when a spec has a host outside Fabric::hosts(), src == dst,
-  /// a non-finite or non-positive rate, packet_bytes <= 0, total_bytes < 0
-  /// or start < 0.
+  /// Throws std::invalid_argument naming the field when cfg fails
+  /// ManyFlowDriverConfig::validate(), and naming the flow's index in
+  /// `flows` and the field when a spec has a host outside Fabric::hosts(),
+  /// src == dst, a non-finite or non-positive rate, packet_bytes <= 0,
+  /// total_bytes < 0 or start < 0.
   ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows, ManyFlowDriverConfig cfg);
   ~ManyFlowDriver();
 
@@ -238,10 +252,14 @@ class ManyFlowDriver {
   std::uint64_t packets_received() const { return sink_table_.totals().packets; }
   std::uint64_t bytes_received() const { return sink_table_.totals().bytes; }
   std::uint64_t control_ticks() const;
-  /// Shard-local flow table (shards are indexed by domain).
+  /// Shard-local flow table (shards are indexed by domain). It holds the
+  /// shard's live video flows only; fixed-rate flows take no slot.
   FlowTable& flow_table(std::size_t shard = 0) { return shards_[shard].table; }
+  /// Current rate of a started, unfinished flow: the table's controller rate
+  /// for video, the spec rate for fixed-rate mice and elephants.
   double flow_rate_bps(std::size_t i) const {
-    return shards_[flows_[i].shard].table.rate_bps(flows_[i].slot);
+    const FlowRt& f = flows_[i];
+    return f.cls == TrafficClass::kVideo ? shards_[f.shard].table.rate_bps(f.slot) : f.rate_bps;
   }
   bool flow_done(std::size_t i) const { return flows_[i].done; }
 
@@ -261,25 +279,31 @@ class ManyFlowDriver {
   /// this across thread counts.
   std::uint64_t fingerprint() const;
 
-  /// Heap footprint of the driver's per-flow state: the flow list, every
-  /// shard's FlowTable columns and member lists, and the SinkTable. The
-  /// bytes/flow budget gated by bench/many_flows is driver_memory_bytes() /
-  /// flow_count().
+  /// Heap footprint of the driver's per-flow state: the flow records and
+  /// start times, every shard's FlowTable columns and member lists, and the
+  /// SinkTable. The bytes/flow budget gated by bench/many_flows is
+  /// driver_memory_bytes() / flow_count().
   std::size_t driver_memory_bytes() const;
 
  private:
-  struct FlowRt {
-    FlowSpec spec;
-    FlowSlot slot = kInvalidFlowSlot;
-    std::uint32_t shard = 0;      // owning shard == source host's domain
+  /// The per-packet record: exactly what send_next reads or writes, on one
+  /// cache line. Construction-only spec fields stay out (the start time
+  /// lives in the cold starts_ column the activation cursor reads).
+  struct alignas(64) FlowRt {
     Host* src = nullptr;
-    NodeId dst = -1;
+    double rate_bps = 0.0;  // spec rate: the fixed rate, or video's cap base
     std::uint64_t next_seq = 0;
-    std::int64_t bytes_left = 0;  // < 0 = unbounded
-    EventId pace_event = 0;       // the flow's single self-rescheduling send
+    std::int64_t bytes_left = 0;       // < 0 = unbounded
+    EventId pace_event = 0;            // the flow's single self-rescheduling send
+    FlowSlot slot = kInvalidFlowSlot;  // FlowTable slot while a live video flow
+    std::uint32_t shard = 0;           // owning shard == source host's domain
+    NodeId dst = -1;
+    std::int32_t packet_bytes = 0;
+    TrafficClass cls = TrafficClass::kVideo;
     bool started = false;
     bool done = false;
   };
+  static_assert(sizeof(FlowRt) == 64, "a pacing event must touch one cache line");
 
   /// Per-domain driver state. Everything a shard touches while running —
   /// its table, cursor, counters, events — is written only by its domain's
@@ -287,9 +311,10 @@ class ManyFlowDriver {
   /// (or between) runs.
   struct Shard {
     explicit Shard(const ManyFlowDriverConfig& cfg) : table(cfg.mkc, cfg.gamma) {}
-    FlowTable table;
+    FlowTable table;                     // live video flows only
     std::vector<std::uint32_t> members;  // owned flow ids, activation order
     std::size_t next_to_start = 0;       // activation cursor into members
+    std::size_t fixed_live = 0;          // started, unfinished mice/elephants
     std::vector<PelsQueue*> meters;      // core-queue meters in this domain
     std::uint64_t packets_sent = 0;
     std::uint64_t control_ticks = 0;
@@ -304,10 +329,11 @@ class ManyFlowDriver {
 
   Fabric& fabric_;
   ManyFlowDriverConfig cfg_;
-  std::vector<FlowRt> flows_;   // sorted by spec.start (gen_mixed_traffic order)
-  std::vector<Shard> shards_;   // indexed by domain
-  SinkTable sink_table_;        // indexed by flow id; written at delivery
-  SinkTableAgent sink_agent_;   // shared default agent on every fabric host
+  std::vector<FlowRt> flows_;    // sorted by spec.start (gen_mixed_traffic order)
+  std::vector<SimTime> starts_;  // per-flow spec.start, read by the activation cursor
+  std::vector<Shard> shards_;    // indexed by domain
+  SinkTable sink_table_;         // indexed by flow id; written at delivery
+  SinkTableAgent sink_agent_;    // shared default agent on every fabric host
   bool started_ = false;
 };
 

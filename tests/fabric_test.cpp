@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
@@ -204,9 +206,10 @@ TEST(FabricTest, ManyFlowDriverIsDeterministic) {
 }
 
 TEST(FabricTest, ManyFlowDriverSlotReuseKeepsLiveFlowsCorrect) {
-  // Two waves of bounded mice around one unbounded video flow: the second
-  // wave must reuse the first wave's freed slots (no column growth), and
-  // live_flows() must settle back to just the video flow.
+  // Two waves of bounded video flows around one unbounded video flow: the
+  // second wave must reuse the first wave's freed slots (no column growth).
+  // An unbounded elephant and a bounded mouse per wave run alongside: they
+  // are fixed-rate, take no slot, and live_flows() still counts them.
   Fabric f(parking_lot(1));
   std::vector<FlowSpec> specs;
   FlowSpec video;
@@ -215,32 +218,46 @@ TEST(FabricTest, ManyFlowDriverSlotReuseKeepsLiveFlowsCorrect) {
   video.dst_host = 1;
   video.rate_bps = 128e3;
   specs.push_back(video);
+  FlowSpec elephant = video;
+  elephant.cls = TrafficClass::kElephant;
+  elephant.rate_bps = 2e6;
+  specs.push_back(elephant);
   for (int wave = 0; wave < 2; ++wave) {
     for (int i = 0; i < 4; ++i) {
-      FlowSpec mouse;
-      mouse.cls = TrafficClass::kMice;
-      mouse.src_host = 0;
-      mouse.dst_host = 1;
-      mouse.start = wave * kSecond;
-      mouse.rate_bps = 400e3;
-      mouse.total_bytes = 3000;  // 3 packets, done in ~60 ms
-      specs.push_back(mouse);
+      FlowSpec bounded = video;
+      bounded.start = wave * kSecond;
+      bounded.total_bytes = 3000;  // 3 packets, done in ~130 ms
+      specs.push_back(bounded);
     }
+    FlowSpec mouse = video;
+    mouse.cls = TrafficClass::kMice;
+    mouse.start = wave * kSecond;
+    mouse.rate_bps = 400e3;
+    mouse.total_bytes = 3000;
+    specs.push_back(mouse);
   }
   ManyFlowDriver driver(f, std::move(specs), ManyFlowDriverConfig{});
   f.reserve_runtime(driver.flow_count());
   driver.start();
-  driver.run_until(3 * kSecond);
 
+  // Mid wave 1: every flow is live, but only the five video flows hold slots.
+  driver.run_until(from_millis(10));
+  EXPECT_EQ(driver.live_flows(), 7u);
+  EXPECT_EQ(driver.flow_table().size(), 5u);
+
+  driver.run_until(3 * kSecond);
   std::size_t done = 0;
   for (std::size_t i = 0; i < driver.flow_count(); ++i) {
     if (driver.flow_done(i)) ++done;
   }
-  EXPECT_EQ(done, 8u);  // every mouse reached flow_done
-  EXPECT_EQ(driver.live_flows(), 1u);
-  // High-water concurrency was wave 1 (video + 4 mice); wave 2 reused the
+  EXPECT_EQ(done, 10u);  // every bounded video flow and mouse reached flow_done
+  EXPECT_EQ(driver.live_flows(), 2u);  // the unbounded video flow and the elephant
+  EXPECT_EQ(driver.flow_table().size(), 1u);
+  // High-water concurrency was wave 1 (5 video flows); wave 2 reused the
   // freed slots instead of growing the columns.
-  EXPECT_LE(driver.flow_table().capacity(), 5u);
+  EXPECT_EQ(driver.flow_table().capacity(), 5u);
+  // The elephant (flow id 1) reports its fixed rate.
+  EXPECT_EQ(driver.flow_rate_bps(1), 2e6);
 }
 
 TEST(FabricTest, ManyFlowDriverRunUntilRejectsMultiDomainFabrics) {
@@ -300,9 +317,9 @@ TEST(FabricTest, ManyFlowDriverShardedFatTreeByteIdenticalAcrossThreads) {
 }
 
 // Hand-built mix for the pinned digests below: video flows that overload the
-// 4 Mb/s core, one elephant, and two waves of finite mice whose freed slots
-// the second wave reuses. Mice sizes are fixed byte counts, not Pareto draws,
-// so no libm call feeds the hashed end state.
+// 4 Mb/s core, one elephant, and two waves of finite mice. Mice sizes are
+// fixed byte counts, not Pareto draws, so no libm call feeds the hashed end
+// state.
 std::vector<FlowSpec> pinned_mix(int hosts, int videos, int mice_per_wave) {
   const auto pair = [hosts](FlowSpec& s, int i) {
     s.src_host = i % hosts;
@@ -341,7 +358,9 @@ std::vector<FlowSpec> pinned_mix(int hosts, int videos, int mice_per_wave) {
 // Congestion reached the population: some core queue dropped packets and
 // still signals overload, every live video slot took MKC labels and gamma
 // updates, some gamma sits above the probing floor (FGS loss reached it),
-// mice finished, and the second mice wave reused the first wave's slots.
+// mice finished, and the tables hold the video flows alone: every video flow
+// in the mix is unbounded and live by 0.3 s, so the peak number of
+// concurrently live video flows — the tables' high-water mark — is `videos`.
 void expect_congested_and_churned(Fabric& fabric, ManyFlowDriver& driver, int videos) {
   std::uint64_t core_drops = 0;
   bool overloaded = false;
@@ -360,9 +379,11 @@ void expect_congested_and_churned(Fabric& fabric, ManyFlowDriver& driver, int vi
   EXPECT_GT(done, 0u);
   bool gamma_raised = false;
   std::size_t capacity = 0;
+  std::size_t live_slots = 0;
   for (std::size_t shard = 0; shard < driver.shard_count(); ++shard) {
     const FlowTable& t = driver.flow_table(shard);
     capacity += t.capacity();
+    live_slots += t.size();
     for (FlowSlot slot = 0; slot < t.capacity(); ++slot) {
       if (!t.is_live(slot) || t.mkc_updates(slot) == 0) continue;
       EXPECT_GT(t.gamma_updates(slot), 0u);
@@ -370,8 +391,10 @@ void expect_congested_and_churned(Fabric& fabric, ManyFlowDriver& driver, int vi
     }
   }
   EXPECT_TRUE(gamma_raised);
-  EXPECT_LT(capacity, driver.flow_count());
-  EXPECT_GE(capacity, static_cast<std::size_t>(videos));
+  EXPECT_EQ(capacity, static_cast<std::size_t>(videos));
+  EXPECT_EQ(live_slots, static_cast<std::size_t>(videos));
+  // The elephant and the unfinished mice are live without a slot.
+  EXPECT_EQ(driver.live_flows(), driver.flow_count() - done);
 }
 
 // Pins the population path's end state to committed constants (the
@@ -456,6 +479,54 @@ TEST(FabricTest, ManyFlowDriverRejectsBadSpecsNamingFlowAndField) {
   // The good spec alone constructs.
   EXPECT_NO_THROW(ManyFlowDriver(f, {good}, ManyFlowDriverConfig{}));
 }
+
+// One case per ManyFlowDriverConfig field validate() guards; each bad value
+// used to hang run_until (a zero-period tick, an infinite or 1 ns pacing gap).
+struct BadDriverField {
+  std::string field;
+  std::vector<double> values;
+  void (*spoil)(ManyFlowDriverConfig&, double);
+};
+
+// Names each case by its field in test listings.
+void PrintTo(const BadDriverField& bad, std::ostream* os) { *os << bad.field; }
+
+class ManyFlowDriverConfigTest : public ::testing::TestWithParam<BadDriverField> {};
+
+TEST_P(ManyFlowDriverConfigTest, RejectsFieldByName) {
+  Fabric f(parking_lot(1));
+  FlowSpec spec;
+  spec.src_host = 0;
+  spec.dst_host = 1;
+  spec.rate_bps = 128e3;
+  EXPECT_NO_THROW(ManyFlowDriverConfig{}.validate());
+  for (const double v : GetParam().values) {
+    ManyFlowDriverConfig cfg;
+    GetParam().spoil(cfg, v);
+    try {
+      cfg.validate();
+      ADD_FAILURE() << "validate() accepted " << GetParam().field << " = " << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(GetParam().field), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(ManyFlowDriver(f, {spec, spec}, cfg), std::invalid_argument);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ManyFlowDriverConfigTest,
+    ::testing::Values(
+        BadDriverField{"control_interval", {0.0, -1.0},
+                       [](ManyFlowDriverConfig& c, double v) {
+                         c.control_interval = static_cast<SimTime>(v);
+                       }},
+        BadDriverField{"max_rate_factor",
+                       {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()},
+                       [](ManyFlowDriverConfig& c, double v) { c.max_rate_factor = v; }},
+        BadDriverField{"green_fraction",
+                       {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()},
+                       [](ManyFlowDriverConfig& c, double v) { c.green_fraction = v; }}));
 
 TEST(FabricTest, ManyFlowDriverClassCountsSplitTheMix) {
   Fabric f(parking_lot(2));

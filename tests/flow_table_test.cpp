@@ -3,7 +3,10 @@
 // table slot (the determinism contract stated in cc/flow_table.h).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "cc/flow_table.h"
 #include "cc/mkc.h"
@@ -103,6 +106,76 @@ TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
   EXPECT_EQ(ctrl.updates(), direct.mkc_updates(slot));
   EXPECT_EQ(ctrl.silence_ticks(), direct.silence_ticks(slot));
   EXPECT_EQ(applied.gamma_updates(ctrl.slot()), direct.gamma_updates(slot));
+}
+
+// The population tick: one apply_feedback_all pass equals apply_feedback +
+// apply_gamma on each live slot, bit for bit, on a table with freed slots
+// (skipped, state untouched) and silent slots (the pass re-arms recovery).
+TEST(FlowTableTest, FeedbackAllMatchesPerSlotOpsBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  FlowTable all(mkc_config(), gamma_config());
+  FlowTable each(mkc_config(), gamma_config());
+  Rng rng(11, 0xA11);
+  constexpr FlowSlot kSlots = 16;
+  for (FlowSlot i = 0; i < kSlots; ++i) {
+    const double rate = rng.uniform(10e3, 2e6);
+    const double gamma = rng.uniform(0.0, 0.5);
+    ASSERT_EQ(all.add_flow(rate, gamma), i);
+    ASSERT_EQ(each.add_flow(rate, gamma), i);
+  }
+  const std::vector<FlowSlot> freed = {3, 7, 15};
+  for (const FlowSlot slot : freed) {
+    all.remove_flow(slot);
+    each.remove_flow(slot);
+  }
+  std::vector<std::uint64_t> freed_rate, freed_gamma;
+  for (const FlowSlot slot : freed) {
+    freed_rate.push_back(bits(all.rate_bps(slot)));
+    freed_gamma.push_back(bits(all.gamma(slot)));
+  }
+  for (FlowTable* t : {&all, &each}) {
+    t->apply_silence(5);
+    t->apply_silence(5);
+    t->apply_silence(9);
+  }
+  ASSERT_TRUE(all.in_silence(5));
+
+  for (int step = 0; step < 300; ++step) {
+    if (step % 17 == 4) {
+      // Silence a live slot now and then, so later passes re-arm recovery.
+      const auto slot = static_cast<FlowSlot>(rng.uniform_int(0, kSlots - 1));
+      if (all.is_live(slot)) {
+        all.apply_silence(slot);
+        each.apply_silence(slot);
+      }
+    }
+    const double p = rng.uniform(-2.0, 0.9);
+    const double p_fgs = rng.uniform(-0.2, 1.2);
+    all.apply_feedback_all(p, p_fgs);
+    for (FlowSlot slot = 0; slot < each.capacity(); ++slot) {
+      if (!each.is_live(slot)) continue;
+      each.apply_feedback(slot, p);
+      each.apply_gamma(slot, p_fgs);
+    }
+    if (step == 0) {
+      EXPECT_FALSE(all.in_silence(5));
+    }
+    for (FlowSlot slot = 0; slot < kSlots; ++slot) {
+      ASSERT_EQ(bits(all.rate_bps(slot)), bits(each.rate_bps(slot))) << "step " << step;
+      ASSERT_EQ(bits(all.gamma(slot)), bits(each.gamma(slot))) << "step " << step;
+      ASSERT_EQ(all.in_silence(slot), each.in_silence(slot)) << "step " << step;
+      ASSERT_EQ(all.mkc_updates(slot), each.mkc_updates(slot)) << "step " << step;
+      ASSERT_EQ(all.gamma_updates(slot), each.gamma_updates(slot)) << "step " << step;
+    }
+  }
+  for (std::size_t i = 0; i < freed.size(); ++i) {
+    EXPECT_EQ(bits(all.rate_bps(freed[i])), freed_rate[i]);
+    EXPECT_EQ(bits(all.gamma(freed[i])), freed_gamma[i]);
+    EXPECT_EQ(all.mkc_updates(freed[i]), 0u);
+    EXPECT_EQ(all.gamma_updates(freed[i]), 0u);
+  }
+  EXPECT_EQ(all.mkc_updates(0), 300u);
+  EXPECT_EQ(all.gamma_updates(0), 300u);
 }
 
 TEST(FlowTableTest, TableBackedControllerRoutesThroughTable) {

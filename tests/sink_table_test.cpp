@@ -39,7 +39,7 @@ TEST(SinkTableTest, ResizePreservesCountersAndReportsFootprint) {
   EXPECT_EQ(table.size(), 8u);
   EXPECT_EQ(table.packets(0), 1u);
   EXPECT_EQ(table.packets(7), 0u);
-  // Two u64 columns: 16 bytes per flow of committed capacity, minimum.
+  // One {packets, bytes} cell: 16 bytes per flow of committed capacity, minimum.
   EXPECT_GE(table.memory_bytes(), 8u * 16u);
 }
 

@@ -7,10 +7,7 @@
 // controllers differ exactly where the paper says they do — AIMD's rate
 // sawtooth vs MKC's flat stationary point.
 #include <iostream>
-#include <memory>
 
-#include "cc/aimd.h"
-#include "cc/tfrc_lite.h"
 #include "exp/sweep.h"
 #include "pels/scenario.h"
 #include "util/stats.h"
@@ -18,35 +15,19 @@
 
 using namespace pels;
 
-namespace {
-
-std::unique_ptr<CongestionController> make_controller(const std::string& name) {
-  if (name == "MKC") return std::make_unique<MkcController>(MkcConfig{});
-  if (name == "AIMD") {
-    AimdConfig cfg;
-    cfg.initial_rate_bps = 128e3;
-    return std::make_unique<AimdController>(cfg);
-  }
-  TfrcLiteConfig cfg;
-  cfg.initial_rate_bps = 128e3;
-  return std::make_unique<TfrcLiteController>(cfg);
-}
-
-}  // namespace
-
 int main() {
   print_banner(std::cout,
                "Ablation A2: PELS under MKC vs AIMD vs TFRC-lite (2 flows, 60 s)");
   TablePrinter table({"controller", "mean rate (kb/s)", "rate osc (% of mean)",
                       "mean utility", "mean PSNR (dB)", "yellow loss"});
   std::vector<std::function<SweepOutput()>> tasks;
-  for (const std::string name : {"MKC", "AIMD", "TFRC-lite"}) {
-    tasks.push_back([name] {
+  for (const CcKind kind : {CcKind::kMkc, CcKind::kAimd, CcKind::kTfrc}) {
+    tasks.push_back([kind] {
       ScenarioConfig cfg;
       cfg.pels_flows = 2;
       cfg.tcp_flows = 3;
       cfg.seed = 7;
-      cfg.make_controller = [&name](int) { return make_controller(name); };
+      cfg.cc_kinds = {kind};
       DumbbellScenario s(cfg);
       const SimTime duration = 60 * kSecond;
       s.run_until(duration);
@@ -58,7 +39,7 @@ int main() {
       for (const auto& q : s.sink(0).quality_for_frames(50, 550)) psnr.add(q.psnr_db);
       SweepOutput out;
       out.rows.push_back(
-          {name, TablePrinter::fmt(mean / 1e3, 0),
+          {cc_kind_name(kind), TablePrinter::fmt(mean / 1e3, 0),
            TablePrinter::fmt(100.0 * osc / mean, 1),
            TablePrinter::fmt(s.sink(0).mean_utility(), 3), TablePrinter::fmt(psnr.mean(), 2),
            TablePrinter::fmt(s.loss_series(Color::kYellow).mean_in(20 * kSecond, duration), 4)});

@@ -121,7 +121,7 @@ int main() {
   const ScenarioConfig ref;
   std::cout << "\nExpected: every faulted run returns to the stationary rate ("
             << TablePrinter::fmt(
-                   MkcController::stationary_rate(2e6, 2, ref.mkc) / 1e3, 0)
+                   mkc_stationary_rate(2e6, 2, ref.mkc) / 1e3, 0)
             << " kb/s) once the fault clears. The ACK blackout and link flap\n"
             << "show silent ticks (the watchdog decaying the rate instead of\n"
             << "driving an open loop); the restart shows none (labels resume\n"

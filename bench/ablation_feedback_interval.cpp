@@ -37,7 +37,7 @@ int main() {
       s.finish();
 
       const double r_star =
-          MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+          mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
       const SimTime settle =
           settling_time(s.source(0).rate_series(), r_star, 0.1 * r_star);
       const double mean = s.source(0).rate_series().mean_in(20 * kSecond, duration);

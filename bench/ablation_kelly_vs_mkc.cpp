@@ -56,12 +56,7 @@ int main() {
   cfg.pels_flows = 2;
   cfg.tcp_flows = 3;
   cfg.seed = 7;
-  cfg.make_controller = [](int) {
-    KellyClassicConfig kcfg;
-    kcfg.kappa = 0.5;
-    kcfg.willingness_bps = 40e3;
-    return std::make_unique<KellyClassicController>(kcfg);
-  };
+  cfg.cc_kinds = {CcKind::kKellyClassic};  // kappa = 0.5, w = 40 kb/s
   DumbbellScenario s(cfg);
   const SimTime duration = 40 * kSecond;
   s.run_until(duration);

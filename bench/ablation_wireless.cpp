@@ -9,10 +9,8 @@
 // punch holes in the FGS prefix that no AQM can prevent, bounding utility by
 // the best-effort analysis at the corruption rate.
 #include <iostream>
-#include <memory>
 
 #include "analysis/best_effort_model.h"
-#include "cc/tfrc_lite.h"
 #include "exp/sweep.h"
 #include "pels/scenario.h"
 #include "util/stats.h"
@@ -34,13 +32,7 @@ Result run(double wireless_loss, bool tfrc) {
   cfg.tcp_flows = 3;
   cfg.seed = 13;
   cfg.wireless_loss = wireless_loss;
-  if (tfrc) {
-    cfg.make_controller = [](int) {
-      TfrcLiteConfig tcfg;
-      tcfg.initial_rate_bps = 128e3;
-      return std::make_unique<TfrcLiteController>(tcfg);
-    };
-  }
+  if (tfrc) cfg.cc_kinds = {CcKind::kTfrc};
   DumbbellScenario s(cfg);
   const SimTime duration = 40 * kSecond;
   s.run_until(duration);

@@ -38,7 +38,7 @@ int main() {
       for (int i = 0; i < 3; ++i) tcp_sum += s.tcp_source(i).goodput_bps(s.sim().now());
       const double c_pels = s.video_capacity_bps();
       const double c_tcp = cfg.bottleneck_bps - c_pels;
-      const double r_star = 4.0 * MkcController::stationary_rate(c_pels, 4, cfg.mkc);
+      const double r_star = 4.0 * mkc_stationary_rate(c_pels, 4, cfg.mkc);
       SweepOutput out;
       out.rows.push_back({TablePrinter::fmt(share, 2), TablePrinter::fmt(c_pels / 1e6, 2),
                           TablePrinter::fmt(video_sum / 1e6, 2),

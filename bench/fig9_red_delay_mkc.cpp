@@ -87,7 +87,7 @@ int main() {
     }
     table.print(std::cout);
 
-    const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+    const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
     const double f1 = f1_rate.mean_in(30 * kSecond, duration);
     const double f2 = f2_rate.mean_in(30 * kSecond, duration);
     const double shares[] = {f1, f2};

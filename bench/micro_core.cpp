@@ -115,7 +115,7 @@ void BM_FlowTableFeedbackAll(benchmark::State& state) {
   for (auto _ : state) {
     // Alternate under- and overload so the rates keep moving.
     const double p = (tick++ & 1) != 0 ? 0.05 : -0.05;
-    table.apply_feedback_all(p, 0.02);
+    table.apply_feedback_all(p, 0.02, 0);
     benchmark::ClobberMemory();
   }
   const auto processed = static_cast<double>(state.iterations()) * static_cast<double>(flows);

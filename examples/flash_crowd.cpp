@@ -40,7 +40,7 @@ int main() {
     const SimTime t1 = t0 + 10 * kSecond;
     const int active = std::min(kFlows, 2 * (1 + static_cast<int>(t0 / (10 * kSecond))));
     const double r_star =
-        MkcController::stationary_rate(s.video_capacity_bps(), active, cfg.mkc);
+        mkc_stationary_rate(s.video_capacity_bps(), active, cfg.mkc);
     table.add_row({TablePrinter::fmt(to_seconds(t0), 0) + "-" +
                        TablePrinter::fmt(to_seconds(t1), 0),
                    TablePrinter::fmt_int(active),
@@ -64,7 +64,7 @@ int main() {
   summary.add_row({"per-flow rate (kb/s, mean)",
                    TablePrinter::fmt(rates[0] / 1e3, 0)});
   summary.add_row({"stationary prediction (kb/s)",
-                   TablePrinter::fmt(MkcController::stationary_rate(
+                   TablePrinter::fmt(mkc_stationary_rate(
                                          s.video_capacity_bps(), kFlows, cfg.mkc) / 1e3, 0)});
   summary.add_row({"mean FGS utility across flows", TablePrinter::fmt(utilities.mean(), 3)});
   summary.add_row({"worst FGS utility", TablePrinter::fmt(utilities.min(), 3)});

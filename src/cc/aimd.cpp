@@ -1,37 +1,18 @@
 #include "cc/aimd.h"
 
-#include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace pels {
 
-AimdController::AimdController(AimdConfig config) : cfg_(config), rate_(config.initial_rate_bps) {
-  assert(cfg_.increase_bps > 0.0);
-  assert(cfg_.decrease_factor > 0.0 && cfg_.decrease_factor < 1.0);
-  assert(cfg_.min_rate_bps > 0.0 && cfg_.min_rate_bps <= cfg_.initial_rate_bps);
-}
-
-void AimdController::on_router_feedback(double p, SimTime now) {
-  if (p > 0.0) {
-    if (last_decrease_ == kTimeNever || now - last_decrease_ >= cfg_.backoff_guard) {
-      rate_ *= cfg_.decrease_factor;
-      last_decrease_ = now;
-      ++decreases_;
-    }
-  } else {
-    rate_ += cfg_.increase_bps;
-  }
-  rate_ = std::clamp(rate_, cfg_.min_rate_bps, cfg_.max_rate_bps);
-}
-
-void AimdController::on_mark_fraction(double f, SimTime now) {
-  if (f <= 0.0) return;
-  if (last_decrease_ == kTimeNever || now - last_decrease_ >= cfg_.backoff_guard) {
-    rate_ = std::clamp(rate_ * cfg_.decrease_factor, cfg_.min_rate_bps,
-                       cfg_.max_rate_bps);
-    last_decrease_ = now;
-    ++decreases_;
-  }
+void AimdConfig::validate() const {
+  if (!(increase_bps > 0.0)) throw std::invalid_argument("AimdConfig: increase_bps must be > 0");
+  if (!(decrease_factor > 0.0 && decrease_factor < 1.0))
+    throw std::invalid_argument("AimdConfig: decrease_factor must be in (0, 1)");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "AimdConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= max_rate_bps");
+  if (backoff_guard < 0) throw std::invalid_argument("AimdConfig: backoff_guard must be >= 0");
 }
 
 }  // namespace pels

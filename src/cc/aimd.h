@@ -6,9 +6,15 @@
 // burst of positive-loss epochs counts as a single congestion event, as in
 // TCP). The paper cites AIMD's large rate oscillation as the reason MKC is
 // preferred for video (§5); the ablation bench quantifies that oscillation.
+//
+// Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
+// scalars, applied by FlowTable to the columns of a kAimd slot.
 #pragma once
 
-#include "cc/controller.h"
+#include <algorithm>
+#include <cstdint>
+
+#include "util/time.h"
 
 namespace pels {
 
@@ -18,29 +24,34 @@ struct AimdConfig {
   double initial_rate_bps = 128e3;
   double min_rate_bps = 1e3;
   double max_rate_bps = 1e9;
-  SimTime backoff_guard = from_millis(100);  // min spacing of decreases (~RTT)
+  /// Min spacing of decreases (~RTT) until the first RTT sample replaces it.
+  SimTime backoff_guard = from_millis(100);
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
-class AimdController : public CongestionController {
- public:
-  explicit AimdController(AimdConfig config);
+/// One multiplicative decrease, unless the last one lies within `guard` of
+/// `now` (the same congestion episode). last_decrease == kTimeNever means no
+/// decrease yet.
+inline void aimd_backoff_step(const AimdConfig& cfg, SimTime now, SimTime guard,
+                              double& rate, SimTime& last_decrease,
+                              std::int32_t& decreases) {
+  if (last_decrease != kTimeNever && now - last_decrease < guard) return;
+  rate = std::clamp(rate * cfg.decrease_factor, cfg.min_rate_bps, cfg.max_rate_bps);
+  last_decrease = now;
+  ++decreases;
+}
 
-  double rate_bps() const override { return rate_; }
-  void on_router_feedback(double p, SimTime now) override;
-  /// ECN marks back off like congestion feedback (marked-not-dropped packets
-  /// must reduce the rate), under the same one-per-guard-interval spacing so
-  /// a marked interval that also carries positive feedback halves once.
-  void on_mark_fraction(double f, SimTime now) override;
-  void set_rtt(SimTime rtt) override { cfg_.backoff_guard = rtt; }
-  const char* name() const override { return "AIMD"; }
-
-  std::uint64_t decreases() const { return decreases_; }
-
- private:
-  AimdConfig cfg_;
-  double rate_;
-  SimTime last_decrease_ = kTimeNever;  // sentinel: no decrease yet
-  std::uint64_t decreases_ = 0;
-};
+/// Router feedback: back off on congestion (p > 0), else add increase_bps.
+inline void aimd_feedback_step(const AimdConfig& cfg, double p, SimTime now, SimTime guard,
+                               double& rate, SimTime& last_decrease,
+                               std::int32_t& decreases) {
+  if (p > 0.0) {
+    aimd_backoff_step(cfg, now, guard, rate, last_decrease, decreases);
+  } else {
+    rate = std::clamp(rate + cfg.increase_bps, cfg.min_rate_bps, cfg.max_rate_bps);
+  }
+}
 
 }  // namespace pels

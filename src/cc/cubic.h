@@ -14,15 +14,15 @@
 // ECN marks are congestion events with a gentler backoff (ABE, RFC 8511).
 //
 // Kernel contract (see cc/mkc.h): the update maps are free inline kernels on
-// caller-owned scalars, applied by FlowTable to its contiguous columns;
-// CubicController is a view on one kCubic slot (cc/table_controller.h).
+// caller-owned scalars, applied by FlowTable to the columns of a kCubic
+// slot.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 
-#include "cc/table_controller.h"
+#include "util/time.h"
 
 namespace pels {
 
@@ -90,28 +90,5 @@ inline void cubic_tick_step(const CubicConfig& cfg, SimTime now, SimTime srtt,
   }
   rate = cubic_rate_from_cwnd(cfg, cwnd, srtt);
 }
-
-class CubicController : public TableController {
- public:
-  /// Standalone controller on a one-slot table it owns.
-  explicit CubicController(CubicConfig config);
-  /// View on `slot` of `table`, which must be a kCubic slot.
-  CubicController(FlowTable& table, FlowSlot slot);
-
-  /// Router feedback labels are MKC's signal; CUBIC steers by loss/marks.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_loss_interval(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  void on_control_tick(SimTime now) override;
-  void set_rtt(SimTime rtt) override;
-  const char* name() const override { return "CUBIC"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  double cwnd_pkts() const;
-  double w_max() const;
-  SimTime srtt() const;
-
-  const CubicConfig& config() const;
-};
 
 }  // namespace pels

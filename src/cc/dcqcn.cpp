@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "cc/flow_table.h"
-
 namespace pels {
 
 void DcqcnConfig::validate() const {
@@ -18,40 +16,6 @@ void DcqcnConfig::validate() const {
         initial_rate_bps <= max_rate_bps))
     throw std::invalid_argument(
         "DcqcnConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= max_rate_bps");
-}
-
-DcqcnController::DcqcnController(DcqcnConfig config)
-    : TableController(
-          std::make_unique<FlowTable>(MkcConfig{}, GammaConfig{}, CcZooConfig{.dcqcn = config}),
-          CcKind::kDcqcn) {}
-
-DcqcnController::DcqcnController(FlowTable& table, FlowSlot slot)
-    : TableController(table, slot, CcKind::kDcqcn) {}
-
-const DcqcnConfig& DcqcnController::config() const { return table_->zoo_config().dcqcn; }
-
-double DcqcnController::alpha() const { return table_->dcqcn_alpha(slot_); }
-
-double DcqcnController::target_rate_bps() const { return table_->dcqcn_target(slot_); }
-
-std::int32_t DcqcnController::recovery_stage() const { return table_->dcqcn_stage(slot_); }
-
-void DcqcnController::on_loss_interval(double p, SimTime now) {
-  // Loss == congestion on a lossy path: react like a marked interval. Clean
-  // intervals do not recover here — recovery rides the mark path, so a tick
-  // carrying both signals recovers at most once.
-  table_->apply_loss_interval(slot_, p, now);
-}
-
-void DcqcnController::on_mark_fraction(double f, SimTime now) {
-  table_->apply_mark_fraction(slot_, f, now);
-}
-
-void DcqcnController::register_metrics(MetricsRegistry& registry,
-                                       const std::string& prefix) {
-  CongestionController::register_metrics(registry, prefix);
-  registry.add_probe(prefix + ".dcqcn_alpha", [this] { return alpha(); });
-  registry.add_probe(prefix + ".dcqcn_target_bps", [this] { return target_rate_bps(); });
 }
 
 }  // namespace pels

@@ -15,14 +15,13 @@
 // ignored loss would be blind outside its native lossless fabric.
 //
 // Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
-// scalars, applied by FlowTable to its columns; DcqcnController is a view on
-// one kDcqcn slot (cc/table_controller.h).
+// scalars, applied by FlowTable to the columns of a kDcqcn slot.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/table_controller.h"
+#include "util/time.h"
 
 namespace pels {
 
@@ -58,26 +57,5 @@ inline void dcqcn_increase_step(const DcqcnConfig& cfg, double& rate, double& ta
     target = std::min(target + cfg.rate_ai_bps, cfg.max_rate_bps);
   rate = std::min(0.5 * (target + rate), cfg.max_rate_bps);
 }
-
-class DcqcnController : public TableController {
- public:
-  /// Standalone controller on a one-slot table it owns.
-  explicit DcqcnController(DcqcnConfig config);
-  /// View on `slot` of `table`, which must be a kDcqcn slot.
-  DcqcnController(FlowTable& table, FlowSlot slot);
-
-  /// Router labels are MKC's signal; DCQCN steers by the ECN echo stream.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_loss_interval(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  const char* name() const override { return "DCQCN"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  double alpha() const;
-  double target_rate_bps() const;
-  std::int32_t recovery_stage() const;
-
-  const DcqcnConfig& config() const;
-};
 
 }  // namespace pels

@@ -3,24 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace pels {
 
-KellyClassicController::KellyClassicController(KellyClassicConfig config)
-    : cfg_(config), rate_(config.initial_rate_bps) {
-  assert(cfg_.kappa > 0.0);
-  assert(cfg_.willingness_bps > 0.0);
-  assert(cfg_.min_rate_bps > 0.0 && cfg_.min_rate_bps <= cfg_.initial_rate_bps);
-}
-
-void KellyClassicController::on_router_feedback(double p, SimTime /*now*/) {
-  // The router's p = (R-C)/R can be negative (spare capacity); the classical
-  // law expects a nonnegative price, so clamp — spare capacity then grows
-  // the rate at the full willingness-to-pay slope kappa*w.
-  const double price = std::max(p, 0.0);
-  rate_ = rate_ + cfg_.kappa * (cfg_.willingness_bps - rate_ * price);
-  rate_ = std::clamp(rate_, cfg_.min_rate_bps, cfg_.max_rate_bps);
+void KellyClassicConfig::validate() const {
+  if (!(kappa > 0.0)) throw std::invalid_argument("KellyClassicConfig: kappa must be > 0");
+  if (!(willingness_bps > 0.0))
+    throw std::invalid_argument("KellyClassicConfig: willingness_bps must be > 0");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "KellyClassicConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= "
+        "max_rate_bps");
 }
 
 std::vector<double> kelly_classic_trajectory(double r0, double capacity, double kappa,

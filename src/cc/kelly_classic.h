@@ -10,11 +10,13 @@
 // the feedback delay D (kappa < ~pi/(2D) in the linearized single-link
 // case), whereas MKC's 0 < beta < 2 is delay-independent (Lemma 5).
 // bench/ablation_kelly_vs_mkc reproduces exactly that contrast.
+//
+// Kernel contract (see cc/mkc.h): kelly_classic_step runs on the rate of a
+// kKellyClassic FlowTable slot, its only state.
 #pragma once
 
+#include <algorithm>
 #include <vector>
-
-#include "cc/controller.h"
 
 namespace pels {
 
@@ -24,22 +26,20 @@ struct KellyClassicConfig {
   double initial_rate_bps = 128e3;
   double min_rate_bps = 1e3;
   double max_rate_bps = 1e9;
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
-class KellyClassicController : public CongestionController {
- public:
-  explicit KellyClassicController(KellyClassicConfig config);
-
-  double rate_bps() const override { return rate_; }
-  void on_router_feedback(double p, SimTime now) override;
-  const char* name() const override { return "Kelly-classic"; }
-
-  const KellyClassicConfig& config() const { return cfg_; }
-
- private:
-  KellyClassicConfig cfg_;
-  double rate_;
-};
+/// One router-feedback update. The router's p = (R-C)/R can be negative
+/// (spare capacity); the classical law expects a nonnegative price, so clamp
+/// — spare capacity then grows the rate at the full willingness-to-pay slope
+/// kappa*w.
+inline void kelly_classic_step(const KellyClassicConfig& cfg, double p, double& rate) {
+  const double price = std::max(p, 0.0);
+  rate = rate + cfg.kappa * (cfg.willingness_bps - rate * price);
+  rate = std::clamp(rate, cfg.min_rate_bps, cfg.max_rate_bps);
+}
 
 /// Pure iterate of the classical Kelly map for one flow against a
 /// single-link price p(k) = (r(k)/C)^b (a standard congestion-price law with

@@ -10,15 +10,12 @@
 //
 // The update maps live as free inline kernels (mkc_feedback_step /
 // mkc_silence_step) operating on caller-owned scalars. FlowTable applies them
-// to its contiguous columns, and MkcController is a view on one table slot
-// (cc/table_controller.h), so a controller and the population driver's tick
+// to its contiguous columns, so a PelsSource and the population driver's tick
 // (exp/fabric.h) update one storage through the same calls.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-
-#include "cc/table_controller.h"
 
 namespace pels {
 
@@ -36,7 +33,7 @@ struct MkcConfig {
   /// exponentially (128 kb/s -> 2 mb/s in four epochs, the paper's "~0.1 s").
   double max_growth_factor = 2.0;
 
-  // --- feedback-silence degradation (on_feedback_silence) ---------------
+  // --- feedback-silence degradation (FlowTable::apply_silence) ---------
   /// Multiplicative rate cut per silent control tick while the source's
   /// feedback watchdog fires. Eq. (8) is an open loop without p: holding the
   /// last rate congests a path whose capacity may have collapsed unseen.
@@ -90,32 +87,10 @@ inline void mkc_silence_step(const MkcConfig& cfg, double& rate, bool& silent,
   rate = std::max(std::min(rate, floor), rate * cfg.silence_decay);
 }
 
-class MkcController : public TableController {
- public:
-  /// Standalone controller on a one-slot table it owns.
-  explicit MkcController(MkcConfig config);
-  /// View on `slot` of `table` (rate, silence and recovery live in its
-  /// columns); the table must outlive the controller.
-  MkcController(FlowTable& table, FlowSlot slot);
-
-  void on_router_feedback(double p, SimTime now) override;
-  void on_feedback_silence(SimTime now) override;
-  const char* name() const override { return "MKC"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  /// Number of feedback updates applied (one per fresh epoch).
-  std::uint64_t updates() const;
-  /// Number of silence ticks absorbed (rate decays applied).
-  std::uint64_t silence_ticks() const;
-  /// True between a silence tick and the next fresh feedback.
-  bool in_silence() const;
-
-  const MkcConfig& config() const;
-
-  /// Stationary rate of eq. (10): C/N + alpha/beta.
-  static double stationary_rate(double capacity_bps, int flows, const MkcConfig& cfg) {
-    return capacity_bps / flows + cfg.alpha_bps / cfg.beta;
-  }
-};
+/// Stationary rate of eq. (10): C/N + alpha/beta (analysis/stability.h's
+/// mkc_stationary_rate on a config's gains).
+inline double mkc_stationary_rate(double capacity_bps, int flows, const MkcConfig& cfg) {
+  return capacity_bps / flows + cfg.alpha_bps / cfg.beta;
+}
 
 }  // namespace pels

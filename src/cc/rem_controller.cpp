@@ -1,29 +1,19 @@
 #include "cc/rem_controller.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <stdexcept>
 
 namespace pels {
 
-RemController::RemController(RemControllerConfig config)
-    : cfg_(config), rate_(config.initial_rate_bps) {
-  assert(cfg_.kappa > 0.0);
-  assert(cfg_.willingness > 0.0);
-  assert(cfg_.phi > 1.0);
-}
-
-void RemController::on_router_feedback(double /*p*/, SimTime /*now*/) {
-  // Intentionally ignored: a pure REM source reacts to marks only. (The PELS
-  // framework still delivers these labels; mixing both signals would
-  // double-count congestion.)
-}
-
-void RemController::on_mark_fraction(double f, SimTime /*now*/) {
-  f = std::clamp(f, 0.0, 0.999999);
-  price_ = -std::log1p(-f) / std::log(cfg_.phi);
-  rate_ = rate_ + cfg_.kappa * (cfg_.willingness - rate_ * price_);
-  rate_ = std::clamp(rate_, cfg_.min_rate_bps, cfg_.max_rate_bps);
+void RemControllerConfig::validate() const {
+  if (!(kappa > 0.0)) throw std::invalid_argument("RemControllerConfig: kappa must be > 0");
+  if (!(willingness > 0.0))
+    throw std::invalid_argument("RemControllerConfig: willingness must be > 0");
+  if (!(phi > 1.0)) throw std::invalid_argument("RemControllerConfig: phi must be > 1");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "RemControllerConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= "
+        "max_rate_bps");
 }
 
 }  // namespace pels

@@ -1,6 +1,6 @@
-// REM-responsive source controller (Lapsley & Low, the paper's §2.2 ref
-// [20]): utility-maximizing rate control driven by ECN mark fractions
-// instead of loss.
+// REM-responsive source control (Lapsley & Low, the paper's §2.2 ref [20]):
+// utility-maximizing rate control driven by ECN mark fractions instead of
+// loss.
 //
 // The REM router marks with probability 1 - phi^(-price); prices sum along
 // the path, so from an observed mark fraction f the source recovers the path
@@ -10,10 +10,15 @@
 //   r(k+1) = r(k) + kappa * (w - r(k) * p(k))
 //
 // whose fixed point is r* = w/p*: weighted proportional fairness with zero
-// packet loss (congestion is signalled, never enforced).
+// packet loss (congestion is signalled, never enforced). Router loss labels
+// are ignored: mixing both signals would double-count congestion.
+//
+// Kernel contract (see cc/mkc.h): rem_mark_step runs on the rate and price
+// columns of a kRem FlowTable slot.
 #pragma once
 
-#include "cc/controller.h"
+#include <algorithm>
+#include <cmath>
 
 namespace pels {
 
@@ -24,27 +29,19 @@ struct RemControllerConfig {
   double initial_rate_bps = 128e3;
   double min_rate_bps = 1e3;
   double max_rate_bps = 1e9;
+
+  /// Throws std::invalid_argument naming the first field outside its domain.
+  void validate() const;
 };
 
-class RemController : public CongestionController {
- public:
-  explicit RemController(RemControllerConfig config);
-
-  double rate_bps() const override { return rate_; }
-  /// Router loss feedback is ignored: REM signals through marks.
-  void on_router_feedback(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  const char* name() const override { return "REM"; }
-
-  /// Path price recovered from the last mark fraction.
-  double estimated_price() const { return price_; }
-
-  const RemControllerConfig& config() const { return cfg_; }
-
- private:
-  RemControllerConfig cfg_;
-  double rate_;
-  double price_ = 0.0;
-};
+/// One control interval's mark fraction f: recover the path price, then
+/// take one gradient step on the net utility.
+inline void rem_mark_step(const RemControllerConfig& cfg, double f, double& price,
+                          double& rate) {
+  f = std::clamp(f, 0.0, 0.999999);
+  price = -std::log1p(-f) / std::log(cfg.phi);
+  rate = rate + cfg.kappa * (cfg.willingness - rate * price);
+  rate = std::clamp(rate, cfg.min_rate_bps, cfg.max_rate_bps);
+}
 
 }  // namespace pels

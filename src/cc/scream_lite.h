@@ -13,14 +13,13 @@
 // inspection; the PELS pacing layer enforces the rate itself.
 //
 // Kernel contract (see cc/mkc.h): free inline kernels on caller-owned
-// scalars, applied by FlowTable to its columns; ScreamLiteController is a
-// view on one kScream slot (cc/table_controller.h).
+// scalars, applied by FlowTable to the columns of a kScream slot.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/table_controller.h"
+#include "util/time.h"
 
 namespace pels {
 
@@ -74,30 +73,5 @@ inline void scream_tick_step(const ScreamLiteConfig& cfg, SimTime srtt, SimTime 
                       cfg.max_rate_bps);
   }
 }
-
-class ScreamLiteController : public TableController {
- public:
-  /// Standalone controller on a one-slot table it owns.
-  explicit ScreamLiteController(ScreamLiteConfig config);
-  /// View on `slot` of `table`, which must be a kScream slot.
-  ScreamLiteController(FlowTable& table, FlowSlot slot);
-
-  /// Router labels are MKC's signal; SCReAM steers by delay/loss/marks.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_loss_interval(double p, SimTime now) override;
-  void on_mark_fraction(double f, SimTime now) override;
-  void on_control_tick(SimTime now) override;
-  void set_rtt(SimTime rtt) override;
-  const char* name() const override { return "SCReAM-lite"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  SimTime srtt() const;
-  SimTime min_rtt() const;
-  /// Congestion window the reference rate implies at the current sRTT
-  /// (bytes in flight); 0 until the first RTT sample.
-  double cwnd_bytes() const;
-
-  const ScreamLiteConfig& config() const;
-};
 
 }  // namespace pels

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "cc/flow_table.h"
-
 namespace pels {
 
 void SwiftConfig::validate() const {
@@ -18,33 +16,6 @@ void SwiftConfig::validate() const {
         initial_rate_bps <= max_rate_bps))
     throw std::invalid_argument(
         "SwiftConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= max_rate_bps");
-}
-
-SwiftController::SwiftController(SwiftConfig config)
-    : TableController(
-          std::make_unique<FlowTable>(MkcConfig{}, GammaConfig{}, CcZooConfig{.swift = config}),
-          CcKind::kSwift) {}
-
-SwiftController::SwiftController(FlowTable& table, FlowSlot slot)
-    : TableController(table, slot, CcKind::kSwift) {}
-
-const SwiftConfig& SwiftController::config() const { return table_->zoo_config().swift; }
-
-SimTime SwiftController::srtt() const { return table_->srtt(slot_); }
-
-SimTime SwiftController::min_rtt() const { return table_->min_rtt(slot_); }
-
-void SwiftController::on_control_tick(SimTime now) { table_->apply_control_tick(slot_, now); }
-
-void SwiftController::set_rtt(SimTime rtt) { table_->apply_rtt(slot_, rtt); }
-
-void SwiftController::register_metrics(MetricsRegistry& registry,
-                                       const std::string& prefix) {
-  CongestionController::register_metrics(registry, prefix);
-  registry.add_probe(prefix + ".swift_qdelay_ms", [this] {
-    const SimTime base = min_rtt();
-    return base > 0 ? to_millis(srtt() - base) : 0.0;
-  });
 }
 
 }  // namespace pels

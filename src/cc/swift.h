@@ -10,14 +10,14 @@
 // RTT a decrease proportional to the normalized gradient.
 //
 // Kernel contract (see cc/mkc.h): one free inline kernel on caller-owned
-// scalars, applied per control tick by FlowTable to its columns;
-// SwiftController is a view on one kSwift slot (cc/table_controller.h).
+// scalars, applied per control tick by FlowTable to the columns of a kSwift
+// slot.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "cc/table_controller.h"
+#include "util/time.h"
 
 namespace pels {
 
@@ -67,25 +67,5 @@ inline void swift_tick_step(const SwiftConfig& cfg, SimTime srtt, SimTime& prev_
     rate = std::max(rate * (1.0 - cfg.md_gain * std::min(grad, 1.0)), cfg.min_rate_bps);
   }
 }
-
-class SwiftController : public TableController {
- public:
-  /// Standalone controller on a one-slot table it owns.
-  explicit SwiftController(SwiftConfig config);
-  /// View on `slot` of `table`, which must be a kSwift slot.
-  SwiftController(FlowTable& table, FlowSlot slot);
-
-  /// Router labels are MKC's signal; Swift steers purely by delay.
-  void on_router_feedback(double /*p*/, SimTime /*now*/) override {}
-  void on_control_tick(SimTime now) override;
-  void set_rtt(SimTime rtt) override;
-  const char* name() const override { return "Swift"; }
-  void register_metrics(MetricsRegistry& registry, const std::string& prefix) override;
-
-  SimTime srtt() const;
-  SimTime min_rtt() const;
-
-  const SwiftConfig& config() const;
-};
 
 }  // namespace pels

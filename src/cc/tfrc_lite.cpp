@@ -1,52 +1,20 @@
 #include "cc/tfrc_lite.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <stdexcept>
 
 namespace pels {
 
-TfrcLiteController::TfrcLiteController(TfrcLiteConfig config)
-    : cfg_(config), rate_(config.initial_rate_bps), rtt_(config.initial_rtt) {
-  assert(cfg_.packet_size_bytes > 0.0);
-  assert(cfg_.loss_ewma > 0.0 && cfg_.loss_ewma <= 1.0);
-  assert(cfg_.initial_rtt > 0);
-}
-
-void TfrcLiteController::on_router_feedback(double p, SimTime /*now*/) {
-  if (!seen_loss_ && p <= 0.0) {
-    // No loss event yet and the bottleneck reports spare capacity: probe
-    // upward multiplicatively, as TFRC does before its first loss event.
-    rate_ = std::min(rate_ * 1.5, cfg_.max_rate_bps);
-  }
-}
-
-void TfrcLiteController::on_loss_interval(double p, SimTime /*now*/) {
-  p = std::clamp(p, 0.0, 1.0);
-  if (p > 0.0) seen_loss_ = true;
-  smoothed_loss_ = (1.0 - cfg_.loss_ewma) * smoothed_loss_ + cfg_.loss_ewma * p;
-  if (seen_loss_) recompute();
-}
-
-void TfrcLiteController::on_mark_fraction(double f, SimTime now) {
-  // Marks enter the loss-event EWMA only when present: mark-free intervals
-  // must not dilute the estimate a second time (on_loss_interval already
-  // decays it every control tick).
-  if (f > 0.0) on_loss_interval(f, now);
-}
-
-void TfrcLiteController::set_rtt(SimTime rtt) {
-  if (rtt > 0) rtt_ = rtt;
-  if (seen_loss_) recompute();
-}
-
-void TfrcLiteController::recompute() {
-  // Simplified response function; guard the p -> 0 divergence with the
-  // configured rate ceiling.
-  const double p = std::max(smoothed_loss_, 1e-6);
-  const double rtt_sec = to_seconds(rtt_);
-  const double r = cfg_.packet_size_bytes * 8.0 * std::sqrt(1.5) / (rtt_sec * std::sqrt(p));
-  rate_ = std::clamp(r, cfg_.min_rate_bps, cfg_.max_rate_bps);
+void TfrcLiteConfig::validate() const {
+  if (!(packet_size_bytes > 0.0))
+    throw std::invalid_argument("TfrcLiteConfig: packet_size_bytes must be > 0");
+  if (!(min_rate_bps > 0.0 && min_rate_bps <= initial_rate_bps &&
+        initial_rate_bps <= max_rate_bps))
+    throw std::invalid_argument(
+        "TfrcLiteConfig: rates must satisfy 0 < min_rate_bps <= initial_rate_bps <= "
+        "max_rate_bps");
+  if (!(loss_ewma > 0.0 && loss_ewma <= 1.0))
+    throw std::invalid_argument("TfrcLiteConfig: loss_ewma must be in (0, 1]");
+  if (initial_rtt <= 0) throw std::invalid_argument("TfrcLiteConfig: initial_rtt must be > 0");
 }
 
 }  // namespace pels

@@ -425,9 +425,9 @@ void ManyFlowDriver::on_control_tick(std::uint32_t shard) {
     if (!valid || queue->current_fgs_loss() > p_fgs) p_fgs = queue->current_fgs_loss();
     valid = true;
   }
-  if (valid) s.table.apply_feedback_all(p, p_fgs);
-  s.control_event = fabric_.sim(static_cast<int>(shard))
-                        .after(cfg_.control_interval, [this, shard] { on_control_tick(shard); });
+  Simulation& sim = fabric_.sim(static_cast<int>(shard));
+  if (valid) s.table.apply_feedback_all(p, p_fgs, sim.now());
+  s.control_event = sim.after(cfg_.control_interval, [this, shard] { on_control_tick(shard); });
 }
 
 std::size_t ManyFlowDriver::live_flows() const {

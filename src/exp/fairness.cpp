@@ -3,32 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "cc/cubic.h"
-#include "cc/dcqcn.h"
-#include "cc/mkc.h"
-#include "cc/scream_lite.h"
-#include "cc/swift.h"
 #include "pels/scenario.h"
 #include "util/stats.h"
 
 namespace pels {
-
-std::unique_ptr<CongestionController> make_zoo_controller(CcKind kind,
-                                                          const CcZooConfig& zoo) {
-  switch (kind) {
-    case CcKind::kMkc:
-      return std::make_unique<MkcController>(MkcConfig{});
-    case CcKind::kCubic:
-      return std::make_unique<CubicController>(zoo.cubic);
-    case CcKind::kDcqcn:
-      return std::make_unique<DcqcnController>(zoo.dcqcn);
-    case CcKind::kSwift:
-      return std::make_unique<SwiftController>(zoo.swift);
-    case CcKind::kScream:
-      return std::make_unique<ScreamLiteController>(zoo.scream);
-  }
-  throw std::invalid_argument("make_zoo_controller: unknown CcKind");
-}
 
 FairnessCellResult run_fairness_cell(const FairnessCellConfig& cfg) {
   if (cfg.flows_a <= 0 || cfg.flows_b < 0)
@@ -46,13 +24,9 @@ FairnessCellResult run_fairness_cell(const FairnessCellConfig& cfg) {
   scen.edge_delays = cfg.edge_delays;
   scen.seed = cfg.seed;
   scen.pels_queue.ecn_mark_threshold_pkts = cfg.ecn_mark_threshold_pkts;
-  const int flows_a = cfg.flows_a;
-  const CcZooConfig zoo = cfg.zoo;
-  const CcKind class_a = cfg.class_a;
-  const CcKind class_b = cfg.class_b;
-  scen.make_controller = [flows_a, zoo, class_a, class_b](int flow_index) {
-    return make_zoo_controller(flow_index < flows_a ? class_a : class_b, zoo);
-  };
+  scen.cc_kinds.assign(static_cast<std::size_t>(cfg.flows_a), cfg.class_a);
+  scen.cc_kinds.insert(scen.cc_kinds.end(), static_cast<std::size_t>(cfg.flows_b),
+                       cfg.class_b);
   DumbbellScenario s(scen);
 
   // Warmup boundary snapshot: goodput is measured over [warmup, duration] so

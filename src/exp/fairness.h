@@ -17,11 +17,9 @@
 // scenario set; bench/fairness_matrix.cpp runs it.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cc/controller.h"
 #include "cc/flow_table.h"
 #include "util/time.h"
 
@@ -46,7 +44,6 @@ struct FairnessCellConfig {
   /// Mark-driven zoo members (DCQCN, SCReAM's mark back-off) need this on.
   std::size_t ecn_mark_threshold_pkts = 8;
   std::uint64_t seed = 1;
-  CcZooConfig zoo;
 };
 
 struct FairnessCellResult {
@@ -63,12 +60,6 @@ struct FairnessCellResult {
   std::vector<double> video_goodputs_bps;  // class A flows first, then B
   std::vector<double> tcp_goodputs_bps;
 };
-
-/// Builds a per-object zoo controller (fairness cells bypass the FlowTable:
-/// every flow carries its own kind, so there is no homogeneous batch to
-/// vectorize).
-std::unique_ptr<CongestionController> make_zoo_controller(CcKind kind,
-                                                          const CcZooConfig& zoo);
 
 /// Runs one cell to completion. Throws std::invalid_argument on nonsense
 /// (non-positive flow counts, warmup >= duration).

@@ -2,8 +2,9 @@
 //
 // Combines, per flow:
 //  * a frame clock generating FGS video frames at the configured rate;
-//  * a pluggable congestion controller (MKC by default) driven by
-//    epoch-filtered router feedback from ACK labels (§5.2 freshness rule);
+//  * a pluggable congestion controller — its FlowTable slot's kind (MKC by
+//    default) — driven by epoch-filtered router feedback from ACK labels
+//    (§5.2 freshness rule) and by receiver-measured loss and ECN marks;
 //  * the gamma control law (eq. (4)) partitioning each frame's FGS prefix into
 //    yellow and red segments from receiver-measured FGS loss;
 //  * packet pacing: each frame's packets are spread evenly over the frame
@@ -18,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cc/controller.h"
 #include "cc/flow_table.h"
 #include "net/host.h"
 #include "net/tcm.h"
@@ -74,11 +74,11 @@ struct PelsSourceConfig {
 
 class PelsSource : public Agent {
  public:
-  /// The flow's gamma and pacing EWMA live in `table` at `slot` (see
-  /// cc/flow_table.h). Both are borrowed: the table must outlive the source,
-  /// and whoever allocated the slot owns its lifetime.
-  PelsSource(Simulation& sim, Host& host, FlowId flow, NodeId dst,
-             std::unique_ptr<CongestionController> controller, FlowTable& table,
+  /// The flow's controller state (its slot's kind picks the controller),
+  /// gamma and pacing EWMA live in `table` at `slot` (see cc/flow_table.h).
+  /// Both are borrowed: the table must outlive the source, and whoever
+  /// allocated the slot owns its lifetime.
+  PelsSource(Simulation& sim, Host& host, FlowId flow, NodeId dst, FlowTable& table,
              FlowSlot slot, PelsSourceConfig config);
   ~PelsSource() override;
 
@@ -89,7 +89,7 @@ class PelsSource : public Agent {
   void on_packet(const Packet& pkt) override;
 
   // --- observable state -------------------------------------------------
-  double rate_bps() const { return controller_->rate_bps(); }
+  double rate_bps() const { return table_.rate_bps(slot_); }
   double gamma() const { return table_.gamma(slot_); }
   double measured_loss() const { return last_measured_loss_; }
   /// Router id of the most recently consumed feedback label (-1 before any).
@@ -114,7 +114,8 @@ class PelsSource : public Agent {
   SimTime last_feedback_at() const { return last_label_at_; }
   SimTime srtt() const { return srtt_; }
   FlowId flow() const { return flow_; }
-  CongestionController& controller() { return *controller_; }
+  /// This flow's slot in the FlowTable it was built on.
+  FlowSlot slot() const { return slot_; }
 
   std::uint64_t packets_sent(Color c) const { return sent_[static_cast<std::size_t>(c)]; }
   std::uint64_t fgs_bytes_sent() const { return sent_fgs_bytes_; }
@@ -128,8 +129,9 @@ class PelsSource : public Agent {
   const PelsSourceConfig& config() const { return cfg_; }
 
   /// Registers this flow's sender-side instruments under `prefix.` (see
-  /// DESIGN.md "Telemetry"): the congestion controller's probes (rate,
-  /// silence-watchdog state), the flow's gamma probes, and the source's
+  /// DESIGN.md "Telemetry"): its slot's controller probes (rate and the
+  /// kind's state, FlowTable::register_slot_metrics), the flow's gamma
+  /// probes, and the source's
   /// own loss/feedback/transmission state. Probes only — the packet and
   /// control paths are untouched.
   void register_metrics(MetricsRegistry& registry, const std::string& prefix);
@@ -147,8 +149,7 @@ class PelsSource : public Agent {
   Host& host_;
   FlowId flow_;
   NodeId dst_;
-  std::unique_ptr<CongestionController> controller_;
-  FlowTable& table_;  // gamma and pacing EWMA columns at slot_
+  FlowTable& table_;  // controller, gamma and pacing EWMA columns at slot_
   FlowSlot slot_;
   PelsSourceConfig cfg_;
 

@@ -196,9 +196,7 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   if (cfg_.rd_aware_scaling) src_cfg.rd_scaling = &rd_;
 
   // Every PELS flow owns a slot of one structure-of-arrays FlowTable: its
-  // gamma and pacing EWMA live there, and so does the state of the default
-  // MKC controller. Custom (make_controller) and REM controllers keep their
-  // own state; their flows use the slot for gamma and pacing only.
+  // controller state, gamma and pacing EWMA live there.
   flow_table_ = std::make_unique<FlowTable>(cfg_.mkc, src_cfg.gamma);
   flow_table_->reserve(static_cast<std::size_t>(cfg_.pels_flows));
 
@@ -221,23 +219,16 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
     topo_.connect(src_host, *routers[span.first_hop], cfg_.edge_bps, edge_delay, edge_queue);
     topo_.connect(*routers[span.last_hop + 1], dst_host, cfg_.edge_bps, edge_delay, edge_queue);
 
-    const FlowSlot slot = flow_table_->add_flow();
-    std::unique_ptr<CongestionController> controller;
-    if (cfg_.make_controller) {
-      controller = cfg_.make_controller(i);
-    } else if (cfg_.bottleneck == BottleneckKind::kRem) {
-      // The REM bottleneck signals through marks, not feedback labels.
-      controller = std::make_unique<RemController>(cfg_.rem);
-    } else {
-      controller = std::make_unique<MkcController>(*flow_table_, slot);
-    }
+    CcKind kind = cfg_.bottleneck == BottleneckKind::kRem ? CcKind::kRem : CcKind::kMkc;
+    if (!cfg_.cc_kinds.empty())
+      kind = cfg_.cc_kinds[static_cast<std::size_t>(i) % cfg_.cc_kinds.size()];
+    const FlowSlot slot = flow_table_->add_flow(kind);
     const auto flow = static_cast<FlowId>(i);
     sinks_.push_back(std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(),
                                                 src_cfg.video, rd_,
                                                 src_cfg.ack_size_bytes));
     sources_.push_back(std::make_unique<PelsSource>(sim_, src_host, flow, dst_host.id(),
-                                                    std::move(controller), *flow_table_,
-                                                    slot, src_cfg));
+                                                    *flow_table_, slot, src_cfg));
   }
 
   for (int i = 0; i < cfg_.tcp_flows; ++i) {

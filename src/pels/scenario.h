@@ -22,13 +22,11 @@
 // re-binds when the bottleneck moves.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cc/flow_table.h"
 #include "cc/mkc.h"
-#include "cc/rem_controller.h"
 #include "cc/tcp_like.h"
 #include "fault/fault_plan.h"
 #include "net/topology.h"
@@ -85,7 +83,11 @@ struct ScenarioConfig {
   BestEffortQueueConfig best_effort_queue;  // ditto
   RemQueueConfig rem_queue;                 // ditto
   MkcConfig mkc;
-  RemControllerConfig rem;  // used when bottleneck == kRem (unless overridden)
+  /// Controller kind of PELS flow k: entry k % size(), the way hop_spans is
+  /// read (CC-independence ablations, fairness-matrix cells). Every kind
+  /// runs its CcZooConfig defaults. Empty (default) = MKC, or REM on a kRem
+  /// bottleneck (it signals through marks, not feedback labels).
+  std::vector<CcKind> cc_kinds;
   PelsSourceConfig source;  // `partition` is forced by `bottleneck` kind
   RdModelConfig rd;
   /// Constant-quality R-D scaling (paper's [5] extension): sources allocate
@@ -100,10 +102,6 @@ struct ScenarioConfig {
   /// non-congestive loss that happens *after* the AQM and signals nothing to
   /// it. Exercises the loss-vs-congestion confusion (bench/ablation_wireless).
   double wireless_loss = 0.0;
-
-  /// Optional custom controller per flow (CC-independence ablation);
-  /// default builds an MkcController on the flow's FlowTable slot.
-  std::function<std::unique_ptr<CongestionController>(int flow_index)> make_controller;
 
   /// Scripted fault schedule applied to the bottleneck: link flaps and
   /// brown-outs on the forward direction, ACK blackouts on the reverse,
@@ -206,9 +204,8 @@ class DumbbellScenario {
   const RdModel& rd_model() const { return rd_; }
   const ScenarioConfig& config() const { return cfg_; }
 
-  /// Shared SoA flow state (see cc/flow_table.h). Every PELS flow's gamma
-  /// and pacing EWMA live in its slot, and so does the default MKC
-  /// controller's state (custom and REM controllers keep their own).
+  /// Shared SoA flow state (see cc/flow_table.h). Every PELS flow's
+  /// controller state, gamma and pacing EWMA live in its slot.
   FlowTable& flow_table() { return *flow_table_; }
 
   /// Telemetry views; null unless config().telemetry.enabled. The registry

@@ -1,16 +1,13 @@
-// Tests for src/cc: MKC, continuous Kelly, AIMD, TFRC-lite, and the TCP-like
-// cross-traffic agents.
+// Tests for src/cc: MKC, AIMD and TFRC-lite on FlowTable slots, and the
+// TCP-like cross-traffic agents.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
-#include "cc/aimd.h"
-#include "cc/kelly_continuous.h"
-#include "cc/mkc.h"
 #include "cc/tcp_like.h"
-#include "cc/tfrc_lite.h"
 #include "net/topology.h"
+#include "one_flow.h"
 #include "queue/drop_tail.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
@@ -25,8 +22,8 @@ TEST(MkcTest, PositiveLossDecreasesRate) {
   cfg.initial_rate_bps = 1e6;
   cfg.alpha_bps = 20e3;
   cfg.beta = 0.5;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(0.2, 0);
+  OneFlow mkc(cfg);
+  mkc.feedback(0.2);
   // r' = r + alpha - beta * r * p = 1e6 + 2e4 - 0.5 * 1e6 * 0.2 = 920 kb/s.
   EXPECT_NEAR(mkc.rate_bps(), 920e3, 1.0);
 }
@@ -36,8 +33,8 @@ TEST(MkcTest, NegativeLossRampsExponentially) {
   // capped factor per epoch: 128 kb/s reaches 2 mb/s within four updates.
   MkcConfig cfg;
   cfg.initial_rate_bps = 128e3;
-  MkcController mkc(cfg);
-  for (int i = 0; i < 4; ++i) mkc.on_router_feedback(-10.0, 0);
+  OneFlow mkc(cfg);
+  for (int i = 0; i < 4; ++i) mkc.feedback(-10.0);
   EXPECT_NEAR(mkc.rate_bps(), 128e3 * 16.0, 1.0);
 }
 
@@ -45,8 +42,8 @@ TEST(MkcTest, GrowthCapBoundsSingleUpdate) {
   MkcConfig cfg;
   cfg.initial_rate_bps = 128e3;
   cfg.max_growth_factor = 2.0;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(-100.0, 0);
+  OneFlow mkc(cfg);
+  mkc.feedback(-100.0);
   EXPECT_DOUBLE_EQ(mkc.rate_bps(), 256e3);
 }
 
@@ -55,12 +52,12 @@ TEST(MkcTest, FixedPointIsStationary) {
   MkcConfig cfg;
   const double capacity = 2e6;
   const int flows = 4;
-  const double r_star = MkcController::stationary_rate(capacity, flows, cfg);
+  const double r_star = mkc_stationary_rate(capacity, flows, cfg);
   const double total = r_star * flows;
   const double p_star = (total - capacity) / total;
   cfg.initial_rate_bps = r_star;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(p_star, 0);
+  OneFlow mkc(cfg);
+  mkc.feedback(p_star);
   EXPECT_NEAR(mkc.rate_bps(), r_star, r_star * 1e-9);
 }
 
@@ -68,14 +65,13 @@ TEST(MkcTest, ConvergesToStationaryRateSingleFlow) {
   // Closed loop against the eq. (9) feedback law, one flow.
   MkcConfig cfg;
   cfg.initial_rate_bps = 128e3;
-  MkcController mkc(cfg);
+  OneFlow mkc(cfg);
   const double capacity = 2e6;
   for (int k = 0; k < 200; ++k) {
     const double total = mkc.rate_bps();
-    mkc.on_router_feedback((total - capacity) / total, 0);
+    mkc.feedback((total - capacity) / total);
   }
-  EXPECT_NEAR(mkc.rate_bps(), MkcController::stationary_rate(capacity, 1, cfg),
-              1e3);
+  EXPECT_NEAR(mkc.rate_bps(), mkc_stationary_rate(capacity, 1, cfg), 1e3);
 }
 
 TEST(MkcTest, RateClampedToBounds) {
@@ -83,20 +79,20 @@ TEST(MkcTest, RateClampedToBounds) {
   cfg.initial_rate_bps = 128e3;
   cfg.min_rate_bps = 64e3;
   cfg.max_rate_bps = 1e6;
-  MkcController mkc(cfg);
-  mkc.on_router_feedback(0.999, 0);  // huge loss
-  for (int i = 0; i < 50; ++i) mkc.on_router_feedback(0.999, 0);
+  OneFlow mkc(cfg);
+  mkc.feedback(0.999);  // huge loss
+  for (int i = 0; i < 50; ++i) mkc.feedback(0.999);
   EXPECT_GE(mkc.rate_bps(), cfg.min_rate_bps);
-  for (int i = 0; i < 200; ++i) mkc.on_router_feedback(-20.0, 0);
+  for (int i = 0; i < 200; ++i) mkc.feedback(-20.0);
   EXPECT_LE(mkc.rate_bps(), cfg.max_rate_bps);
 }
 
 TEST(MkcTest, UpdateCounterAdvances) {
-  MkcController mkc(MkcConfig{});
-  EXPECT_EQ(mkc.updates(), 0u);
-  mkc.on_router_feedback(0.0, 0);
-  mkc.on_router_feedback(0.1, 0);
-  EXPECT_EQ(mkc.updates(), 2u);
+  OneFlow mkc(MkcConfig{});
+  EXPECT_EQ(mkc.table.mkc_updates(mkc.slot), 0u);
+  mkc.feedback(0.0);
+  mkc.feedback(0.1);
+  EXPECT_EQ(mkc.table.mkc_updates(mkc.slot), 2u);
 }
 
 TEST(MkcTest, StationaryRateFormula) {
@@ -104,24 +100,7 @@ TEST(MkcTest, StationaryRateFormula) {
   cfg.alpha_bps = 20e3;
   cfg.beta = 0.5;
   // C/N + a/b = 2e6/2 + 4e4 = 1.04 mb/s (paper Fig. 9: ~1 mb/s per flow).
-  EXPECT_DOUBLE_EQ(MkcController::stationary_rate(2e6, 2, cfg), 1.04e6);
-}
-
-// ------------------------------------------------------- continuous Kelly
-
-TEST(KellyContinuousTest, EquilibriumUnderConstantLoss) {
-  KellyContinuousController k(20e3, 0.5, 128e3);
-  const double p = 0.1;
-  for (int i = 0; i < 200000; ++i) k.step(p, 0.001);
-  EXPECT_NEAR(k.rate(), k.equilibrium(p), k.equilibrium(p) * 0.01);
-  EXPECT_NEAR(k.equilibrium(p), 20e3 / (0.5 * 0.1), 1e-9);
-}
-
-TEST(KellyContinuousTest, RateGrowsWithoutLoss) {
-  KellyContinuousController k(20e3, 0.5, 128e3);
-  const double before = k.rate();
-  for (int i = 0; i < 100; ++i) k.step(0.0, 0.01);
-  EXPECT_NEAR(k.rate(), before + 20e3 * 1.0, 1.0);  // dr/dt = alpha
+  EXPECT_DOUBLE_EQ(mkc_stationary_rate(2e6, 2, cfg), 1.04e6);
 }
 
 // ------------------------------------------------------------------- AIMD
@@ -130,9 +109,9 @@ TEST(AimdTest, AdditiveIncreaseWithoutCongestion) {
   AimdConfig cfg;
   cfg.initial_rate_bps = 500e3;
   cfg.increase_bps = 20e3;
-  AimdController aimd(cfg);
-  aimd.on_router_feedback(-1.0, 0);
-  aimd.on_router_feedback(0.0, kMillisecond);
+  OneFlow aimd(CcKind::kAimd, {.aimd = cfg});
+  aimd.feedback(-1.0, 0);
+  aimd.feedback(0.0, kMillisecond);
   EXPECT_DOUBLE_EQ(aimd.rate_bps(), 540e3);
 }
 
@@ -140,23 +119,23 @@ TEST(AimdTest, MultiplicativeDecreaseOnCongestion) {
   AimdConfig cfg;
   cfg.initial_rate_bps = 1e6;
   cfg.decrease_factor = 0.5;
-  AimdController aimd(cfg);
-  aimd.on_router_feedback(0.1, kSecond);
+  OneFlow aimd(CcKind::kAimd, {.aimd = cfg});
+  aimd.feedback(0.1, kSecond);
   EXPECT_DOUBLE_EQ(aimd.rate_bps(), 500e3);
-  EXPECT_EQ(aimd.decreases(), 1u);
+  EXPECT_EQ(aimd.table.aimd_decreases(aimd.slot), 1);
 }
 
 TEST(AimdTest, BackoffGuardLimitsDecreaseFrequency) {
   AimdConfig cfg;
   cfg.initial_rate_bps = 1e6;
   cfg.backoff_guard = from_millis(100);
-  AimdController aimd(cfg);
-  aimd.on_router_feedback(0.1, kSecond);
-  aimd.on_router_feedback(0.1, kSecond + from_millis(10));  // same episode
-  EXPECT_EQ(aimd.decreases(), 1u);
+  OneFlow aimd(CcKind::kAimd, {.aimd = cfg});
+  aimd.feedback(0.1, kSecond);
+  aimd.feedback(0.1, kSecond + from_millis(10));  // same episode
+  EXPECT_EQ(aimd.table.aimd_decreases(aimd.slot), 1);
   EXPECT_DOUBLE_EQ(aimd.rate_bps(), 500e3);
-  aimd.on_router_feedback(0.1, kSecond + from_millis(200));  // new episode
-  EXPECT_EQ(aimd.decreases(), 2u);
+  aimd.feedback(0.1, kSecond + from_millis(200));  // new episode
+  EXPECT_EQ(aimd.table.aimd_decreases(aimd.slot), 2);
 }
 
 TEST(AimdTest, OscillatesInSteadyStateUnlikeMkc) {
@@ -166,18 +145,18 @@ TEST(AimdTest, OscillatesInSteadyStateUnlikeMkc) {
   AimdConfig acfg;
   acfg.initial_rate_bps = 128e3;
   acfg.backoff_guard = 0;
-  AimdController aimd(acfg);
+  OneFlow aimd(CcKind::kAimd, {.aimd = acfg});
   MkcConfig mcfg;
   mcfg.initial_rate_bps = 128e3;
-  MkcController mkc(mcfg);
+  OneFlow mkc(mcfg);
 
   double aimd_min = 1e18, aimd_max = 0, mkc_min = 1e18, mkc_max = 0;
   for (int k = 0; k < 400; ++k) {
     const SimTime now = k * from_millis(30);
     const double pa = (aimd.rate_bps() - capacity) / aimd.rate_bps();
-    aimd.on_router_feedback(pa, now);
+    aimd.feedback(pa, now);
     const double pm = (mkc.rate_bps() - capacity) / mkc.rate_bps();
-    mkc.on_router_feedback(pm, now);
+    mkc.feedback(pm, now);
     if (k > 200) {  // steady state
       aimd_min = std::min(aimd_min, aimd.rate_bps());
       aimd_max = std::max(aimd_max, aimd.rate_bps());
@@ -191,13 +170,25 @@ TEST(AimdTest, OscillatesInSteadyStateUnlikeMkc) {
   EXPECT_GT(aimd_swing, 10 * mkc_swing);
 }
 
+TEST(AimdTest, RttSampleReplacesBackoffGuard) {
+  AimdConfig cfg;
+  cfg.initial_rate_bps = 1e6;
+  cfg.backoff_guard = from_millis(100);
+  OneFlow aimd(CcKind::kAimd, {.aimd = cfg});
+  aimd.rtt(from_millis(20));
+  aimd.feedback(0.1, kSecond);
+  aimd.feedback(0.1, kSecond + from_millis(30));  // past a 20 ms guard
+  EXPECT_EQ(aimd.table.aimd_decreases(aimd.slot), 2);
+  EXPECT_DOUBLE_EQ(aimd.rate_bps(), 250e3);
+}
+
 // -------------------------------------------------------------- TFRC-lite
 
 TEST(TfrcLiteTest, SlowStartBeforeFirstLoss) {
   TfrcLiteConfig cfg;
   cfg.initial_rate_bps = 128e3;
-  TfrcLiteController tfrc(cfg);
-  tfrc.on_router_feedback(-1.0, 0);
+  OneFlow tfrc(CcKind::kTfrc, {.tfrc = cfg});
+  tfrc.feedback(-1.0);
   EXPECT_GT(tfrc.rate_bps(), 128e3);
 }
 
@@ -205,43 +196,56 @@ TEST(TfrcLiteTest, ResponseFunctionAfterLoss) {
   TfrcLiteConfig cfg;
   cfg.packet_size_bytes = 500;
   cfg.initial_rtt = from_millis(100);
-  TfrcLiteController tfrc(cfg);
+  OneFlow tfrc(CcKind::kTfrc, {.tfrc = cfg});
   // Saturate the loss EWMA at p = 0.04.
-  for (int i = 0; i < 100; ++i) tfrc.on_loss_interval(0.04, 0);
-  EXPECT_NEAR(tfrc.smoothed_loss(), 0.04, 1e-6);
+  for (int i = 0; i < 100; ++i) tfrc.loss(0.04);
+  EXPECT_NEAR(tfrc.table.tfrc_smoothed_loss(tfrc.slot), 0.04, 1e-6);
   const double expected = 500 * 8 * std::sqrt(1.5) / (0.1 * std::sqrt(0.04));
   EXPECT_NEAR(tfrc.rate_bps(), expected, expected * 0.01);
 }
 
 TEST(TfrcLiteTest, HigherLossLowersRate) {
-  TfrcLiteController a{TfrcLiteConfig{}};
-  TfrcLiteController b{TfrcLiteConfig{}};
+  OneFlow a(CcKind::kTfrc);
+  OneFlow b(CcKind::kTfrc);
   for (int i = 0; i < 100; ++i) {
-    a.on_loss_interval(0.01, 0);
-    b.on_loss_interval(0.09, 0);
+    a.loss(0.01);
+    b.loss(0.09);
   }
   // sqrt(p) law: 3x loss ratio in rate.
   EXPECT_NEAR(a.rate_bps() / b.rate_bps(), 3.0, 0.1);
 }
 
 TEST(TfrcLiteTest, LongerRttLowersRate) {
-  TfrcLiteConfig cfg;
-  TfrcLiteController a(cfg), b(cfg);
-  a.set_rtt(from_millis(50));
-  b.set_rtt(from_millis(200));
+  OneFlow a(CcKind::kTfrc);
+  OneFlow b(CcKind::kTfrc);
+  a.rtt(from_millis(50));
+  b.rtt(from_millis(200));
   for (int i = 0; i < 100; ++i) {
-    a.on_loss_interval(0.04, 0);
-    b.on_loss_interval(0.04, 0);
+    a.loss(0.04);
+    b.loss(0.04);
   }
   EXPECT_NEAR(a.rate_bps() / b.rate_bps(), 4.0, 0.1);
 }
 
 TEST(TfrcLiteTest, NoSlowStartAfterLossSeen) {
-  TfrcLiteController tfrc{TfrcLiteConfig{}};
-  tfrc.on_loss_interval(0.05, 0);
+  OneFlow tfrc(CcKind::kTfrc);
+  tfrc.loss(0.05);
   const double r = tfrc.rate_bps();
-  tfrc.on_router_feedback(-5.0, 0);  // spare capacity reported
+  tfrc.feedback(-5.0);  // spare capacity reported
   EXPECT_DOUBLE_EQ(tfrc.rate_bps(), r);  // but no multiplicative probe
+}
+
+TEST(TfrcLiteTest, LossFreeIntervalDecaysTheEstimate) {
+  // The loss EWMA folds in clean intervals too: after a loss event, a
+  // zero-loss interval shrinks the estimate and raises the rate.
+  OneFlow tfrc(CcKind::kTfrc);
+  tfrc.loss(0.2);
+  const double smoothed = tfrc.table.tfrc_smoothed_loss(tfrc.slot);
+  const double rate = tfrc.rate_bps();
+  tfrc.loss(0.0);
+  EXPECT_DOUBLE_EQ(tfrc.table.tfrc_smoothed_loss(tfrc.slot),
+                   (1.0 - TfrcLiteConfig{}.loss_ewma) * smoothed);
+  EXPECT_GT(tfrc.rate_bps(), rate);
 }
 
 // ---------------------------------------------------------------- TCP-like

@@ -1,11 +1,13 @@
 // FlowTable unit tests: slot lifecycle, config validation, and the
-// bit-for-bit equivalence of controller views and direct apply_* calls on a
-// table slot (the determinism contract stated in cc/flow_table.h).
+// bit-for-bit equivalence of the population tick and per-slot apply_* calls
+// (the determinism contract stated in cc/flow_table.h).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cc/flow_table.h"
@@ -72,42 +74,6 @@ TEST(FlowTableTest, ReserveKeepsColumnsStable) {
   EXPECT_EQ(cell, &table.paced_rate_ref(first));
 }
 
-// The core contract: any interleaving of feedback / silence / gamma inputs
-// produces exactly the same doubles through (a) a standalone controller's
-// calls (on its own one-slot table) and (b) direct apply_* calls on a slot of
-// a second table, the way the population driver updates its flows.
-TEST(FlowTableTest, SingleFlowOpsMatchControllersBitForBit) {
-  const MkcConfig mkc = mkc_config();
-  const GammaConfig gc = gamma_config();
-  MkcController ctrl(mkc);
-  FlowTable& applied = ctrl.table();
-  FlowTable direct(mkc, gc);
-  const FlowSlot slot = direct.add_flow();
-
-  Rng rng(7, 0xF10);
-  for (int step = 0; step < 2000; ++step) {
-    const int op = static_cast<int>(rng.uniform_int(0, 2));
-    if (op == 0) {
-      const double p = rng.uniform(-2.0, 0.9);
-      ctrl.on_router_feedback(p, 0);
-      direct.apply_feedback(slot, p);
-    } else if (op == 1) {
-      ctrl.on_feedback_silence(0);
-      direct.apply_silence(slot);
-    } else {
-      const double p_fgs = rng.uniform(-0.2, 1.2);
-      applied.apply_gamma(ctrl.slot(), p_fgs);
-      direct.apply_gamma(slot, p_fgs);
-    }
-    ASSERT_EQ(ctrl.rate_bps(), direct.rate_bps(slot)) << "step " << step;
-    ASSERT_EQ(ctrl.in_silence(), direct.in_silence(slot)) << "step " << step;
-    ASSERT_EQ(applied.gamma(ctrl.slot()), direct.gamma(slot)) << "step " << step;
-  }
-  EXPECT_EQ(ctrl.updates(), direct.mkc_updates(slot));
-  EXPECT_EQ(ctrl.silence_ticks(), direct.silence_ticks(slot));
-  EXPECT_EQ(applied.gamma_updates(ctrl.slot()), direct.gamma_updates(slot));
-}
-
 // The population tick: one apply_feedback_all pass equals apply_feedback +
 // apply_gamma on each live slot, bit for bit, on a table with freed slots
 // (skipped, state untouched) and silent slots (the pass re-arms recovery).
@@ -151,10 +117,10 @@ TEST(FlowTableTest, FeedbackAllMatchesPerSlotOpsBitForBit) {
     }
     const double p = rng.uniform(-2.0, 0.9);
     const double p_fgs = rng.uniform(-0.2, 1.2);
-    all.apply_feedback_all(p, p_fgs);
+    all.apply_feedback_all(p, p_fgs, 0);
     for (FlowSlot slot = 0; slot < each.capacity(); ++slot) {
       if (!each.is_live(slot)) continue;
-      each.apply_feedback(slot, p);
+      each.apply_feedback(slot, p, 0);
       each.apply_gamma(slot, p_fgs);
     }
     if (step == 0) {
@@ -178,27 +144,6 @@ TEST(FlowTableTest, FeedbackAllMatchesPerSlotOpsBitForBit) {
   EXPECT_EQ(all.gamma_updates(0), 300u);
 }
 
-TEST(FlowTableTest, TableBackedControllerRoutesThroughTable) {
-  const MkcConfig mkc = mkc_config();
-  FlowTable table(mkc, gamma_config());
-  const FlowSlot slot = table.add_flow();
-  MkcController routed(table, slot);
-  MkcController standalone(mkc);
-
-  routed.on_router_feedback(0.2, 0);
-  standalone.on_router_feedback(0.2, 0);
-  EXPECT_EQ(routed.rate_bps(), standalone.rate_bps());
-  EXPECT_EQ(routed.rate_bps(), table.rate_bps(slot));
-  EXPECT_EQ(routed.updates(), 1u);
-
-  routed.on_feedback_silence(0);
-  standalone.on_feedback_silence(0);
-  EXPECT_EQ(routed.rate_bps(), standalone.rate_bps());
-  EXPECT_TRUE(routed.in_silence());
-  EXPECT_TRUE(table.in_silence(slot));
-  EXPECT_EQ(routed.silence_ticks(), 1u);
-}
-
 // Every config the table holds is validated at construction, in any build
 // type: a bad gain throws instead of slipping past a compiled-out assert.
 TEST(FlowTableTest, DefaultConfigsAreAccepted) {
@@ -208,6 +153,10 @@ TEST(FlowTableTest, DefaultConfigsAreAccepted) {
   EXPECT_NO_THROW(DcqcnConfig{}.validate());
   EXPECT_NO_THROW(SwiftConfig{}.validate());
   EXPECT_NO_THROW(ScreamLiteConfig{}.validate());
+  EXPECT_NO_THROW(AimdConfig{}.validate());
+  EXPECT_NO_THROW(TfrcLiteConfig{}.validate());
+  EXPECT_NO_THROW(KellyClassicConfig{}.validate());
+  EXPECT_NO_THROW(RemControllerConfig{}.validate());
   EXPECT_NO_THROW(FlowTable(MkcConfig{}, GammaConfig{}, CcZooConfig{}));
 }
 
@@ -216,7 +165,6 @@ TEST(FlowTableTest, MkcConfigRejectsUnstableBeta) {
   cfg.beta = 2.0;  // outside Lemma 5's stability region
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   EXPECT_THROW(FlowTable(cfg, GammaConfig{}), std::invalid_argument);
-  EXPECT_THROW(MkcController{cfg}, std::invalid_argument);
 }
 
 TEST(FlowTableTest, GammaConfigRejectsBadThresholdButNotUnstableSigma) {
@@ -234,7 +182,6 @@ TEST(FlowTableTest, CubicConfigRejectsBetaAboveOne) {
   zoo.cubic.beta = 1.5;
   EXPECT_THROW(zoo.cubic.validate(), std::invalid_argument);
   EXPECT_THROW(FlowTable(MkcConfig{}, GammaConfig{}, zoo), std::invalid_argument);
-  EXPECT_THROW(CubicController{zoo.cubic}, std::invalid_argument);
 }
 
 TEST(FlowTableTest, DcqcnConfigRejectsZeroGain) {
@@ -257,6 +204,64 @@ TEST(FlowTableTest, ScreamLiteConfigRejectsNonGrowingRamp) {
   EXPECT_THROW(zoo.scream.validate(), std::invalid_argument);
   EXPECT_THROW(FlowTable(MkcConfig{}, GammaConfig{}, zoo), std::invalid_argument);
 }
+
+// AIMD, TFRC-lite, Kelly-classic and REM are validated with the rest of the
+// zoo: one row per rejected field, each naming its field in the message.
+struct ZooFieldCase {
+  const char* name;   // gtest-safe row name
+  const char* field;  // must appear in the exception message
+  void (*break_it)(CcZooConfig&);
+};
+
+// Names each case by its row in test listings.
+void PrintTo(const ZooFieldCase& row, std::ostream* os) { *os << row.name; }
+
+class ZooConfigFieldTest : public ::testing::TestWithParam<ZooFieldCase> {};
+
+TEST_P(ZooConfigFieldTest, RejectsFieldByName) {
+  CcZooConfig zoo;
+  GetParam().break_it(zoo);
+  try {
+    FlowTable table(MkcConfig{}, GammaConfig{}, zoo);
+    FAIL() << "accepted a bad " << GetParam().field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().field), std::string::npos) << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AimdTfrcKellyRem, ZooConfigFieldTest,
+    ::testing::Values(
+        ZooFieldCase{"AimdIncrease", "increase_bps",
+                     [](CcZooConfig& z) { z.aimd.increase_bps = 0.0; }},
+        ZooFieldCase{"AimdDecreaseFactor", "decrease_factor",
+                     [](CcZooConfig& z) { z.aimd.decrease_factor = 1.5; }},
+        ZooFieldCase{"AimdRates", "min_rate_bps",
+                     [](CcZooConfig& z) { z.aimd.min_rate_bps = 0.0; }},
+        ZooFieldCase{"AimdBackoffGuard", "backoff_guard",
+                     [](CcZooConfig& z) { z.aimd.backoff_guard = -1; }},
+        ZooFieldCase{"TfrcPacketSize", "packet_size_bytes",
+                     [](CcZooConfig& z) { z.tfrc.packet_size_bytes = 0.0; }},
+        ZooFieldCase{"TfrcRates", "initial_rate_bps",
+                     [](CcZooConfig& z) { z.tfrc.initial_rate_bps = 2e9; }},
+        ZooFieldCase{"TfrcLossEwma", "loss_ewma",
+                     [](CcZooConfig& z) { z.tfrc.loss_ewma = 0.0; }},
+        ZooFieldCase{"TfrcInitialRtt", "initial_rtt",
+                     [](CcZooConfig& z) { z.tfrc.initial_rtt = 0; }},
+        ZooFieldCase{"KellyKappa", "kappa", [](CcZooConfig& z) { z.kelly.kappa = -1.0; }},
+        ZooFieldCase{"KellyWillingness", "willingness_bps",
+                     [](CcZooConfig& z) { z.kelly.willingness_bps = 0.0; }},
+        ZooFieldCase{"KellyRates", "min_rate_bps",
+                     [](CcZooConfig& z) { z.kelly.min_rate_bps = -1.0; }},
+        ZooFieldCase{"RemKappa", "kappa", [](CcZooConfig& z) { z.rem.kappa = 0.0; }},
+        ZooFieldCase{"RemWillingness", "willingness",
+                     [](CcZooConfig& z) { z.rem.willingness = -1.0; }},
+        ZooFieldCase{"RemPhi", "phi", [](CcZooConfig& z) { z.rem.phi = 1.0; }},
+        ZooFieldCase{"RemRates", "max_rate_bps",
+                     [](CcZooConfig& z) { z.rem.max_rate_bps = 1e3; }}),
+    [](const ::testing::TestParamInfo<ZooFieldCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pels

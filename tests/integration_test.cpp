@@ -4,12 +4,9 @@
 
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "analysis/stability.h"
-#include "cc/aimd.h"
-#include "cc/tfrc_lite.h"
 #include "pels/metrics.h"
 #include "pels/scenario.h"
 #include "util/stats.h"
@@ -32,7 +29,7 @@ TEST(IntegrationMkc, SingleFlowConvergesToPelsCapacity) {
   DumbbellScenario s(cfg);
   s.run_until(20 * kSecond);
   // r* = C + alpha/beta = 2 mb/s + 40 kb/s.
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 1, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 1, cfg.mkc);
   EXPECT_NEAR(s.source(0).rate_bps(), r_star, r_star * 0.05);
 }
 
@@ -42,7 +39,7 @@ TEST(IntegrationMkc, TwoFlowsConvergeToFairShare) {
   cfg.start_times = {0, 10 * kSecond};
   DumbbellScenario s(cfg);
   s.run_until(40 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   EXPECT_NEAR(s.source(0).rate_bps(), r_star, r_star * 0.08);
   EXPECT_NEAR(s.source(1).rate_bps(), r_star, r_star * 0.08);
   const double shares[] = {s.source(0).rate_bps(), s.source(1).rate_bps()};
@@ -70,7 +67,7 @@ TEST(IntegrationMkc, SteadyStateHasNoOscillation) {
   ScenarioConfig cfg = base_config(2);
   DumbbellScenario s(cfg);
   s.run_until(40 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   const double mean = s.source(0).rate_series().mean_in(20 * kSecond, 40 * kSecond);
   EXPECT_NEAR(mean, r_star, r_star * 0.03);
   const double osc = s.source(0).rate_series().oscillation_in(20 * kSecond, 40 * kSecond);
@@ -83,10 +80,10 @@ TEST(IntegrationMkc, EpochFilteringConsumesEachEpochOnce) {
   ScenarioConfig cfg = base_config(1);
   DumbbellScenario s(cfg);
   s.run_until(10 * kSecond);
-  auto& mkc = dynamic_cast<MkcController&>(s.source(0).controller());
+  const auto updates = s.flow_table().mkc_updates(s.source(0).slot());
   const auto epochs = s.pels_queue()->epoch();
-  EXPECT_LE(mkc.updates(), epochs);
-  EXPECT_GT(mkc.updates(), epochs / 2);  // and it does consume most of them
+  EXPECT_LE(updates, epochs);
+  EXPECT_GT(updates, epochs / 2);  // and it does consume most of them
 }
 
 // ------------------------------------------------------- gamma behaviour
@@ -281,11 +278,7 @@ TEST(IntegrationIsolation, PelsUnaffectedByTcpCount) {
 
 TEST(IntegrationCc, PelsWorksWithAimd) {
   ScenarioConfig cfg = base_config(2);
-  cfg.make_controller = [](int) {
-    AimdConfig acfg;
-    acfg.initial_rate_bps = 128e3;
-    return std::make_unique<AimdController>(acfg);
-  };
+  cfg.cc_kinds = {CcKind::kAimd};
   DumbbellScenario s(cfg);
   s.run_until(40 * kSecond);
   s.finish();
@@ -296,9 +289,7 @@ TEST(IntegrationCc, PelsWorksWithAimd) {
 
 TEST(IntegrationCc, PelsWorksWithTfrc) {
   ScenarioConfig cfg = base_config(2);
-  cfg.make_controller = [](int) {
-    return std::make_unique<TfrcLiteController>(TfrcLiteConfig{});
-  };
+  cfg.cc_kinds = {CcKind::kTfrc};
   DumbbellScenario s(cfg);
   s.run_until(40 * kSecond);
   s.finish();

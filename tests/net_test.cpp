@@ -6,13 +6,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cc/mkc.h"
 #include "net/host.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "net/router.h"
 #include "net/tcm.h"
 #include "net/topology.h"
+#include "one_flow.h"
 #include "queue/drop_tail.h"
 #include "sim/simulation.h"
 
@@ -147,18 +147,18 @@ TEST(FeedbackLabelTest, SenderRateRecoversAfterBottleneckClears) {
   // collapses; once the same router reports a cleared bottleneck (negative
   // loss in fresh epochs) the rate must ramp back up. With the latched
   // label the controller kept seeing p = 0.5 forever and stayed pinned.
-  MkcController mkc(MkcConfig{});
+  OneFlow mkc(CcKind::kMkc);
   FeedbackLabel label;
   std::uint64_t z = 1;
   for (int i = 0; i < 50; ++i) {
     label.maybe_override(7, z++, 0.5, 0.5);
-    mkc.on_router_feedback(label.loss, 0);
+    mkc.feedback(label.loss);
   }
   const double congested_rate = mkc.rate_bps();
-  EXPECT_LT(congested_rate, mkc.config().initial_rate_bps);
+  EXPECT_LT(congested_rate, MkcConfig{}.initial_rate_bps);
   for (int i = 0; i < 50; ++i) {
     label.maybe_override(7, z++, -0.5, -0.5);
-    mkc.on_router_feedback(label.loss, 0);
+    mkc.feedback(label.loss);
   }
   EXPECT_DOUBLE_EQ(label.loss, -0.5);
   EXPECT_GT(mkc.rate_bps(), 10.0 * congested_rate);

@@ -145,7 +145,7 @@ TEST_P(MkcGainGrid, FullStackConvergesToStationaryRate) {
   cfg.mkc.beta = beta;
   DumbbellScenario s(cfg);
   s.run_until(30 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   const double mean = s.source(0).rate_series().mean_in(20 * kSecond, 30 * kSecond);
   // Per-epoch measurement noise biases the packetized loop as beta grows
   // (the deterministic map converges exactly for all beta < 2 —

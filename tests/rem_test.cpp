@@ -1,4 +1,4 @@
-// Tests for the REM marking AQM and the REM-responsive controller (paper
+// Tests for the REM marking AQM and REM-responsive source control (paper
 // §2.2 ref [20]), including the full-stack marking-based streaming path.
 #include <gtest/gtest.h>
 
@@ -7,11 +7,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "cc/rem_controller.h"
 #include "pels/scenario.h"
 #include "queue/rem.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "one_flow.h"
 #include "pop_packet.h"
 
 namespace pels {
@@ -154,32 +154,34 @@ TEST(RemQueueTest, InternetTrafficNeverMarked) {
   EXPECT_EQ(internet_marked, 0u);
 }
 
-// --------------------------------------------------------- RemController
+// ------------------------------------------------- REM on a FlowTable slot
 
 TEST(RemControllerTest, FixedPointIsWillingnessOverPrice) {
   RemControllerConfig cfg;
   cfg.willingness = 100e3;
   cfg.phi = 1.2;
-  RemController ctl(cfg);
+  OneFlow ctl(CcKind::kRem, {.rem = cfg});
   // Mark fraction corresponding to price 0.1: f = 1 - phi^-0.1.
   const double price = 0.1;
   const double f = 1.0 - std::pow(cfg.phi, -price);
-  for (int i = 0; i < 500; ++i) ctl.on_mark_fraction(f, 0);
-  EXPECT_NEAR(ctl.estimated_price(), price, 1e-9);
+  for (int i = 0; i < 500; ++i) ctl.mark(f);
+  EXPECT_NEAR(ctl.table.rem_price(ctl.slot), price, 1e-9);
   EXPECT_NEAR(ctl.rate_bps(), cfg.willingness / price, cfg.willingness / price * 0.01);
 }
 
 TEST(RemControllerTest, NoMarksMeansGrowth) {
-  RemController ctl(RemControllerConfig{});
+  OneFlow ctl(CcKind::kRem);
   const double before = ctl.rate_bps();
-  ctl.on_mark_fraction(0.0, 0);
+  ctl.mark(0.0);
   EXPECT_GT(ctl.rate_bps(), before);
 }
 
 TEST(RemControllerTest, IgnoresLossFeedback) {
-  RemController ctl(RemControllerConfig{});
+  OneFlow ctl(CcKind::kRem);
   const double before = ctl.rate_bps();
-  ctl.on_router_feedback(0.5, 0);
+  ctl.feedback(0.5);
+  ctl.silence();
+  ctl.loss(0.5);
   EXPECT_DOUBLE_EQ(ctl.rate_bps(), before);
 }
 
@@ -187,11 +189,12 @@ TEST(RemControllerTest, HigherWillingnessGetsMoreRate) {
   RemControllerConfig a_cfg, b_cfg;
   a_cfg.willingness = 50e3;
   b_cfg.willingness = 150e3;
-  RemController a(a_cfg), b(b_cfg);
+  OneFlow a(CcKind::kRem, {.rem = a_cfg});
+  OneFlow b(CcKind::kRem, {.rem = b_cfg});
   const double f = 1.0 - std::pow(1.2, -0.1);
   for (int i = 0; i < 500; ++i) {
-    a.on_mark_fraction(f, 0);
-    b.on_mark_fraction(f, 0);
+    a.mark(f);
+    b.mark(f);
   }
   // Weighted proportional fairness: rates scale with w.
   EXPECT_NEAR(b.rate_bps() / a.rate_bps(), 3.0, 0.05);

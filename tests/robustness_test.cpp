@@ -40,7 +40,7 @@ TEST(RobustnessTest, CapacityDegradationReconverges) {
   s.set_bottleneck_bandwidth(2e6);  // PELS share drops 2 mb/s -> 1 mb/s
   s.run_until(50 * kSecond);
   const double after = s.source(0).rate_series().mean_in(40 * kSecond, 50 * kSecond);
-  const double r_star_new = MkcController::stationary_rate(1e6, 2, cfg.mkc);
+  const double r_star_new = mkc_stationary_rate(1e6, 2, cfg.mkc);
   EXPECT_NEAR(after, r_star_new, r_star_new * 0.08);
   EXPECT_LT(after, before * 0.65);
   EXPECT_LT(s.loss_series(Color::kGreen).mean_in(30 * kSecond, 50 * kSecond), 1e-6);
@@ -53,7 +53,7 @@ TEST(RobustnessTest, CapacityUpgradeIsClaimed) {
   s.set_bottleneck_bandwidth(8e6);  // PELS share 2 mb/s -> 4 mb/s
   s.run_until(50 * kSecond);
   const double after = s.source(0).rate_series().mean_in(40 * kSecond, 50 * kSecond);
-  const double r_star_new = MkcController::stationary_rate(4e6, 2, cfg.mkc);
+  const double r_star_new = mkc_stationary_rate(4e6, 2, cfg.mkc);
   EXPECT_NEAR(after, r_star_new, r_star_new * 0.08);
 }
 
@@ -112,7 +112,7 @@ TEST(RobustnessTest, HeavyAckLossDegradesGracefully) {
   DumbbellScenario s(cfg);
   s.run_until(30 * kSecond);
   const double rate = s.source(0).rate_series().mean_in(20 * kSecond, 30 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   EXPECT_GT(rate, r_star * 0.7);
   EXPECT_LT(rate, r_star * 1.3);
   EXPECT_LT(s.loss_series(Color::kGreen).mean_in(10 * kSecond, 30 * kSecond), 1e-6);
@@ -166,7 +166,7 @@ TEST(RobustnessTest, DepartingFlowReleasesBandwidth) {
   s.source(3).stop();
   s.run_until(50 * kSecond);
   const double after = s.source(0).rate_series().mean_in(40 * kSecond, 50 * kSecond);
-  const double r_star_2 = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star_2 = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   EXPECT_GT(after, shared * 1.5);
   EXPECT_NEAR(after, r_star_2, r_star_2 * 0.08);
 }
@@ -206,7 +206,7 @@ TEST(RobustnessTest, AckBlackoutDecaysAndRecovers) {
   s.run_until(35 * kSecond);
   EXPECT_FALSE(s.source(0).feedback_silent());
   const double after = s.source(0).rate_series().mean_in(31 * kSecond, 35 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   EXPECT_NEAR(after, r_star, r_star * 0.08);
   EXPECT_LT(s.loss_series(Color::kGreen).mean_in(10 * kSecond, 35 * kSecond), 1e-6);
 }
@@ -233,7 +233,7 @@ TEST(RobustnessTest, RouterRestartDoesNotDeafenSenders) {
   s.set_bottleneck_bandwidth(2e6);
   s.run_until(40 * kSecond);
   const double after = s.source(0).rate_series().mean_in(34 * kSecond, 40 * kSecond);
-  const double r_star_new = MkcController::stationary_rate(1e6, 2, cfg.mkc);
+  const double r_star_new = mkc_stationary_rate(1e6, 2, cfg.mkc);
   EXPECT_NEAR(after, r_star_new, r_star_new * 0.08);
 }
 
@@ -251,7 +251,7 @@ TEST(RobustnessTest, ForwardLinkFlapRecovers) {
   EXPECT_LT(s.source(0).rate_bps(), 0.7 * before);
   s.run_until(35 * kSecond);
   const double after = s.source(0).rate_series().mean_in(30 * kSecond, 35 * kSecond);
-  const double r_star = MkcController::stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
+  const double r_star = mkc_stationary_rate(s.video_capacity_bps(), 2, cfg.mkc);
   EXPECT_NEAR(after, r_star, r_star * 0.08);
 }
 
@@ -263,11 +263,11 @@ TEST(RobustnessTest, BrownoutTracksDegradedCapacityAndRestores) {
   DumbbellScenario s(cfg);
   s.run_until(35 * kSecond);
   const double during = s.source(0).rate_series().mean_in(30 * kSecond, 35 * kSecond);
-  const double r_low = MkcController::stationary_rate(1e6, 2, cfg.mkc);
+  const double r_low = mkc_stationary_rate(1e6, 2, cfg.mkc);
   EXPECT_NEAR(during, r_low, r_low * 0.10);
   s.run_until(50 * kSecond);
   const double after = s.source(0).rate_series().mean_in(45 * kSecond, 50 * kSecond);
-  const double r_full = MkcController::stationary_rate(2e6, 2, cfg.mkc);
+  const double r_full = mkc_stationary_rate(2e6, 2, cfg.mkc);
   EXPECT_NEAR(after, r_full, r_full * 0.08);
   EXPECT_LT(s.loss_series(Color::kGreen).mean_in(30 * kSecond, 50 * kSecond), 1e-6);
 }

@@ -10,7 +10,6 @@
 #include "pels/scenario.h"
 #include "queue/drop_tail.h"
 #include "queue/pels_queue.h"
-#include "queue/red.h"
 #include "sim/scheduler.h"
 #include "video/decoder.h"
 #include "video/fgs.h"
@@ -64,19 +63,6 @@ void BM_PelsQueueEnqueueDequeue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PelsQueueEnqueueDequeue);
-
-void BM_RedEnqueueDequeue(benchmark::State& state) {
-  Scheduler sched;
-  RedQueue q(sched, Rng(1), RedConfig{});
-  Packet out;
-  for (auto _ : state) {
-    q.enqueue(make_packet(500, Color::kInternet));
-    benchmark::DoNotOptimize(q.dequeue(out));
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RedEnqueueDequeue);
 
 void BM_PacketizeFrame(benchmark::State& state) {
   const VideoConfig video;

@@ -52,7 +52,6 @@ class Link {
 
   double bandwidth_bps() const { return bandwidth_bps_; }
   SimTime prop_delay() const { return prop_delay_; }
-  NodeId dst_id() const { return dst_.id(); }
   /// The simulation that executes this link's events (its source node's
   /// domain), for callers that schedule link-scoped events of their own.
   Simulation& sim() const { return sim_; }
@@ -98,7 +97,6 @@ class Link {
   /// delivery (only safe while nothing is in flight).
   using RemoteDelivery = std::function<void(Packet&&, SimTime deliver_at)>;
   void set_remote_delivery(RemoteDelivery handler);
-  bool has_remote_delivery() const { return static_cast<bool>(remote_); }
 
   /// Takes the link down / brings it back up (fault injection). While down,
   /// nothing serializes: the queue keeps accepting (and eventually

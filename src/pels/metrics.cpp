@@ -15,7 +15,8 @@ void emit_series(std::ofstream& out, const TimeSeries& series, const char* metri
 }
 
 void emit_delay_windows(std::ofstream& out, const TimeSeries& series, const char* metric,
-                        int index, SimTime window) {
+                        int index) {
+  constexpr SimTime window = kSecond;
   if (series.empty()) return;
   const SimTime end = series[series.size() - 1].t;
   for (SimTime t0 = 0; t0 <= end; t0 += window) {
@@ -29,8 +30,7 @@ void emit_delay_windows(std::ofstream& out, const TimeSeries& series, const char
 
 }  // namespace
 
-bool write_metrics_csv(DumbbellScenario& scenario, const std::string& path,
-                       const MetricsExportOptions& options) {
+bool write_metrics_csv(DumbbellScenario& scenario, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   out << "t_seconds,metric,index,value\n";
@@ -45,15 +45,10 @@ bool write_metrics_csv(DumbbellScenario& scenario, const std::string& path,
   emit_series(out, scenario.loss_series(Color::kRed), "queue_loss_red", -1);
   emit_series(out, scenario.fgs_loss_series(), "queue_fgs_loss", -1);
 
-  if (options.include_delays) {
-    for (int i = 0; i < scenario.pels_flow_count(); ++i) {
-      emit_delay_windows(out, scenario.sink(i).delay_series(Color::kGreen),
-                         "delay_green_ms", i, options.delay_window);
-      emit_delay_windows(out, scenario.sink(i).delay_series(Color::kYellow),
-                         "delay_yellow_ms", i, options.delay_window);
-      emit_delay_windows(out, scenario.sink(i).delay_series(Color::kRed), "delay_red_ms",
-                         i, options.delay_window);
-    }
+  for (int i = 0; i < scenario.pels_flow_count(); ++i) {
+    emit_delay_windows(out, scenario.sink(i).delay_series(Color::kGreen), "delay_green_ms", i);
+    emit_delay_windows(out, scenario.sink(i).delay_series(Color::kYellow), "delay_yellow_ms", i);
+    emit_delay_windows(out, scenario.sink(i).delay_series(Color::kRed), "delay_red_ms", i);
   }
   return static_cast<bool>(out);
 }

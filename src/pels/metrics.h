@@ -19,19 +19,11 @@
 
 namespace pels {
 
-struct MetricsExportOptions {
-  /// Window for aggregating per-packet delay samples into means.
-  SimTime delay_window = kSecond;
-  /// Export per-colour one-way delay series (can be large otherwise).
-  bool include_delays = true;
-};
-
 /// Writes all recorded trajectories of `scenario` as long-format CSV.
 /// Returns false on I/O failure. Metrics emitted:
 ///   rate_bps, gamma, measured_fgs_loss         (per flow; index = flow)
 ///   queue_loss_green/yellow/red, queue_fgs_loss (index = -1)
-///   delay_green_ms/delay_yellow_ms/delay_red_ms (per flow, windowed means)
-bool write_metrics_csv(DumbbellScenario& scenario, const std::string& path,
-                       const MetricsExportOptions& options = {});
+///   delay_green_ms/delay_yellow_ms/delay_red_ms (per flow, 1 s window means)
+bool write_metrics_csv(DumbbellScenario& scenario, const std::string& path);
 
 }  // namespace pels

@@ -7,6 +7,8 @@
 namespace pels {
 
 namespace {
+constexpr std::int32_t kAckBytes = 40;
+
 /// Resets a recycled reception record for a new frame, keeping the chunk
 /// vector's capacity.
 void start_reception(FrameReception& rx, std::int64_t frame_id, std::int64_t base_bytes) {
@@ -19,14 +21,8 @@ void start_reception(FrameReception& rx, std::int64_t frame_id, std::int64_t bas
 }  // namespace
 
 PelsSink::PelsSink(Simulation& sim, Host& host, FlowId flow, NodeId src_node,
-                   VideoConfig video, const RdModel& rd, std::int32_t ack_size_bytes)
-    : sim_(sim),
-      host_(host),
-      flow_(flow),
-      src_node_(src_node),
-      video_(video),
-      decoder_(rd),
-      ack_size_bytes_(ack_size_bytes) {
+                   VideoConfig video, const RdModel& rd)
+    : sim_(sim), host_(host), flow_(flow), src_node_(src_node), video_(video), decoder_(rd) {
   host_.register_agent(flow_, this);
 }
 
@@ -173,7 +169,7 @@ void PelsSink::send_ack(const Packet& data) {
   ack.uid = data.uid | (1ULL << 63);
   ack.flow = flow_;
   ack.seq = data.seq;
-  ack.size_bytes = ack_size_bytes_;
+  ack.size_bytes = kAckBytes;
   ack.color = Color::kAck;
   ack.src = host_.id();
   ack.dst = src_node_;
@@ -218,18 +214,6 @@ std::vector<FrameQuality> PelsSink::quality_for_frames(std::int64_t first,
       q.psnr_db = decoder_.decode(FrameReception{want, 1, 0, {}}).psnr_db;
       out.push_back(q);
     }
-  }
-  return out;
-}
-
-std::vector<FrameArrival> PelsSink::frame_arrivals() const {
-  std::vector<FrameArrival> out;
-  out.reserve(qualities_.size());
-  std::int64_t seq = 0;
-  for (const auto& q : qualities_) {
-    // Use the decode order as the playback frame index: frame ids wrap when
-    // the source loops, but playback is strictly sequential.
-    out.push_back(FrameArrival{seq++, q.completed_at, q.base_ok});
   }
   return out;
 }

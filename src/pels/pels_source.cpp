@@ -5,6 +5,15 @@
 
 namespace pels {
 
+namespace {
+
+constexpr int kRdWindowFrames = 8;   // R-D scaling lookahead, frames
+constexpr double kSrttGain = 0.125;  // RFC 6298's alpha
+// Minimum FGS bytes sent per measurement window for a loss sample to count.
+constexpr std::uint64_t kMinMeasuredBytes = 2000;
+
+}  // namespace
+
 PelsSource::PelsSource(Simulation& sim, Host& host, FlowId flow, NodeId dst,
                        FlowTable& table, FlowSlot slot, PelsSourceConfig config)
     : sim_(sim),
@@ -57,13 +66,12 @@ void PelsSource::on_frame_clock() {
     // Receding-horizon constant-quality scaling: allocate the window's FGS
     // budget by max-min PSNR and spend this frame's share.
     const RdAllocator allocator(*cfg_.rd_scaling);
-    const int window = std::max(1, cfg_.rd_window_frames);
     const double frame_budget = rate_bps() / 8.0 * to_seconds(cfg_.video.frame_period());
     const auto total = static_cast<std::int64_t>(
-        (frame_budget - static_cast<double>(cfg_.video.base_layer_bytes)) * window);
+        (frame_budget - static_cast<double>(cfg_.video.base_layer_bytes)) * kRdWindowFrames);
     const std::int64_t frame_cap = cap >= 0 ? cap : cfg_.video.max_fgs_bytes();
-    const auto alloc = allocator.allocate(next_frame_, window, std::max<std::int64_t>(total, 0),
-                                          frame_cap);
+    const auto alloc = allocator.allocate(next_frame_, kRdWindowFrames,
+                                          std::max<std::int64_t>(total, 0), frame_cap);
     plan = plan_frame_bytes(cfg_.video, next_frame_, alloc[0], gamma(),
                             cfg_.partition);
   } else {
@@ -144,9 +152,8 @@ void PelsSource::handle_ack(const AckInfo& ack) {
     const SimTime sample = sim_.now() - ack.data_created_at;
     if (sample > 0) {
       srtt_ = srtt_ == 0 ? sample
-                         : static_cast<SimTime>((1.0 - cfg_.srtt_gain) *
-                                                    static_cast<double>(srtt_) +
-                                                cfg_.srtt_gain * static_cast<double>(sample));
+                         : static_cast<SimTime>((1.0 - kSrttGain) * static_cast<double>(srtt_) +
+                                                kSrttGain * static_cast<double>(sample));
       table_.apply_rtt(slot_, srtt_);
     }
   }
@@ -169,7 +176,6 @@ void PelsSource::handle_ack(const AckInfo& ack) {
       last = ack.echoed.epoch;
       table_.apply_feedback(slot_, ack.echoed.loss, sim_.now());
       latest_router_fgs_loss_ = ack.echoed.fgs_loss;
-      last_feedback_router_ = ack.echoed.router_id;
       last_label_at_ = sim_.now();
       silent_ = false;
       ++consumed_[ack.echoed.router_id];
@@ -243,7 +249,7 @@ void PelsSource::on_control_clock() {
       std::max(sent_fgs_bytes_at(sim_.now() - srtt_), meas_sent_anchor_);
   const std::uint64_t d_sent = sent_aligned - meas_sent_anchor_;
   const std::uint64_t d_recv = recv_fgs_bytes_ - meas_recv_anchor_;
-  if (d_sent >= static_cast<std::uint64_t>(cfg_.min_measured_bytes)) {
+  if (d_sent >= kMinMeasuredBytes) {
     double p = 1.0 - static_cast<double>(d_recv) / static_cast<double>(d_sent);
     p = std::clamp(p, 0.0, 1.0);
     last_measured_loss_ = p;

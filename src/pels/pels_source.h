@@ -52,14 +52,9 @@ struct PelsSourceConfig {
   std::shared_ptr<const FrameSizeModel> frame_sizes;
   /// R-D-aware constant-quality scaling (the paper's [5] extension): when
   /// set, each frame's FGS budget comes from a receding-horizon max-min PSNR
-  /// allocation over `rd_window_frames` upcoming frames instead of a flat
-  /// rate/fps split. The model is borrowed and must outlive the source.
+  /// allocation over the next 8 frames instead of a flat rate/fps split.
+  /// The model is borrowed and must outlive the source.
   const RdModel* rd_scaling = nullptr;
-  int rd_window_frames = 8;
-  double srtt_gain = 0.125;
-  std::int32_t ack_size_bytes = 40;
-  /// Minimum FGS bytes per measurement window for a loss sample to count.
-  std::int64_t min_measured_bytes = 2000;
   /// Feedback-staleness watchdog: when no *fresh* router label arrives for
   /// this long (K·T in router epochs; ACK blackout, dead or restarted
   /// bottleneck), every control tick (a) forwards a silence signal to the
@@ -92,12 +87,6 @@ class PelsSource : public Agent {
   double rate_bps() const { return table_.rate_bps(slot_); }
   double gamma() const { return table_.gamma(slot_); }
   double measured_loss() const { return last_measured_loss_; }
-  /// Router id of the most recently consumed feedback label (-1 before any).
-  /// Noisy on multi-bottleneck paths (per-epoch loss estimates jitter, so the
-  /// quieter router's label occasionally wins the max-min override); prefer
-  /// governing_router() for a stable identification.
-  std::int32_t last_feedback_router() const { return last_feedback_router_; }
-
   /// Number of feedback labels consumed from `router` (fresh epochs only).
   std::uint64_t feedback_consumed(std::int32_t router) const;
 
@@ -110,8 +99,6 @@ class PelsSource : public Agent {
   bool feedback_silent() const { return silent_; }
   /// Control ticks spent in feedback silence so far.
   std::uint64_t silent_intervals() const { return silent_intervals_; }
-  /// Time the last fresh router label was consumed (start time before any).
-  SimTime last_feedback_at() const { return last_label_at_; }
   SimTime srtt() const { return srtt_; }
   FlowId flow() const { return flow_; }
   /// This flow's slot in the FlowTable it was built on.
@@ -177,7 +164,6 @@ class PelsSource : public Agent {
   // order breaks governing_router() ties.
   std::unordered_map<std::int32_t, std::uint64_t> consumed_;
   double latest_router_fgs_loss_ = 0.0;  // from the freshest consumed label
-  std::int32_t last_feedback_router_ = -1;
   SimTime last_label_at_ = 0;   // watchdog anchor; reset at start()
   bool silent_ = false;
   std::uint64_t silent_intervals_ = 0;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "fault/chaos.h"
-#include "queue/bernoulli.h"
 #include "queue/drop_tail.h"
 
 namespace pels {
@@ -42,7 +41,6 @@ void ScenarioConfig::validate() const {
   for (const SimTime d : edge_delays)
     require(d >= 0, "edge_delays entries must be >= 0");
   require(edge_queue_limit > 0, "edge_queue_limit must be > 0");
-  require(ack_loss >= 0.0 && ack_loss < 1.0, "ack_loss must be in [0, 1)");
   require(wireless_loss >= 0.0 && wireless_loss < 1.0,
           "wireless_loss must be in [0, 1)");
   mkc.validate();
@@ -51,7 +49,6 @@ void ScenarioConfig::validate() const {
           "gamma.sigma must be in (0, 2) — eq. (4) stability region (Lemma 2)");
   require(source.control_interval > 0, "source.control_interval must be > 0");
   require(source.feedback_timeout >= 0, "source.feedback_timeout must be >= 0");
-  require(sample_interval > 0, "sample_interval must be > 0");
   telemetry.validate();
   invariants.validate();
   // Each AQM config's link_bandwidth_bps is overwritten with its hop's rate
@@ -157,16 +154,7 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   };
   Link& forward =
       topo_.add_link(r1, r2, cfg_.bottleneck_bps, cfg_.bottleneck_delay, bottleneck_factory);
-  // Reverse direction carries ACKs; optionally lossy for robustness tests.
-  const QueueFactory reverse_queue = [this](double) -> std::unique_ptr<QueueDisc> {
-    if (cfg_.ack_loss > 0.0) {
-      return std::make_unique<BernoulliDropQueue>(sim_.make_rng(0xACC), cfg_.ack_loss,
-                                                  cfg_.edge_queue_limit);
-    }
-    return std::make_unique<DropTailQueue>(cfg_.edge_queue_limit);
-  };
-  Link& reverse =
-      topo_.add_link(r2, r1, cfg_.bottleneck_bps, cfg_.bottleneck_delay, reverse_queue);
+  Link& reverse = topo_.add_link(r2, r1, cfg_.bottleneck_bps, cfg_.bottleneck_delay, edge_queue);
   bottleneck_ = &forward.queue();
   hop_links_.push_back(&forward);
   // Downstream hops: forward then reverse per hop, after links 0 and 1.
@@ -224,9 +212,8 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
       kind = cfg_.cc_kinds[static_cast<std::size_t>(i) % cfg_.cc_kinds.size()];
     const FlowSlot slot = flow_table_->add_flow(kind);
     const auto flow = static_cast<FlowId>(i);
-    sinks_.push_back(std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(),
-                                                src_cfg.video, rd_,
-                                                src_cfg.ack_size_bytes));
+    sinks_.push_back(
+        std::make_unique<PelsSink>(sim_, dst_host, flow, src_host.id(), src_cfg.video, rd_));
     sources_.push_back(std::make_unique<PelsSource>(sim_, src_host, flow, dst_host.id(),
                                                     *flow_table_, slot, src_cfg));
   }
@@ -259,7 +246,7 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
   }
   for (auto& tcp : tcp_sources_) tcp->start(0);
 
-  sampler_ = std::make_unique<PeriodicTimer>(sim_.scheduler(), cfg_.sample_interval,
+  sampler_ = std::make_unique<PeriodicTimer>(sim_.scheduler(), kSecond,
                                              [this] { sample_losses(); });
   sampler_->start();
 

@@ -58,8 +58,8 @@ struct ScenarioConfig {
   double bottleneck_bps = 4e6;  // §6.1
   /// Rates of further PELS hops chained after R1 -> R2: entry h-1 is hop h,
   /// R(h+1) -> R(h+2), whose queue stamps router id pels_queue.router_id + h.
-  /// Each has bottleneck_delay and a plain reverse FIFO; TCP flows, `faults`,
-  /// ack_loss and wireless_loss stay on hop 0. Empty (default) = the
+  /// Each has bottleneck_delay and a plain reverse FIFO; TCP flows, `faults`
+  /// and wireless_loss stay on hop 0. Empty (default) = the
   /// single-bottleneck bar-bell.
   std::vector<double> downstream_bps;
   /// Hops PELS flow k crosses, first to last inclusive: entry k % size(), the
@@ -94,10 +94,6 @@ struct ScenarioConfig {
   /// FGS budget across a lookahead window by max-min PSNR.
   bool rd_aware_scaling = false;
 
-  /// Random drop probability on the reverse (ACK) bottleneck direction, for
-  /// feedback-robustness experiments. 0 = clean reverse path.
-  double ack_loss = 0.0;
-
   /// Wireless-style corruption probability on the forward bottleneck wire:
   /// non-congestive loss that happens *after* the AQM and signals nothing to
   /// it. Exercises the loss-vs-congestion confusion (bench/ablation_wireless).
@@ -109,7 +105,6 @@ struct ScenarioConfig {
   /// the forward wire. Deterministic given `seed`. Empty = fault-free run.
   FaultPlan faults;
 
-  SimTime sample_interval = kSecond;  // per-colour loss sampling
   std::uint64_t seed = 1;
 
   /// Scheduler calendar tier (see DESIGN.md "Event model"): false pins the
@@ -192,13 +187,13 @@ class DumbbellScenario {
   /// injection): adjusts both the wire rate and the AQM's capacity share.
   void set_bottleneck_bandwidth(double bandwidth_bps);
 
-  /// Loss rate of `c`-coloured packets at the bottleneck per sample interval
-  /// (drops/arrivals within the interval; 0 when no arrivals).
+  /// Loss rate of `c`-coloured packets at the bottleneck per second
+  /// (drops/arrivals within the second; 0 when no arrivals).
   const TimeSeries& loss_series(Color c) const {
     return loss_series_[static_cast<std::size_t>(c)];
   }
 
-  /// Aggregate FGS (yellow+red) loss rate per sample interval.
+  /// Aggregate FGS (yellow+red) loss rate per second.
   const TimeSeries& fgs_loss_series() const { return fgs_loss_series_; }
 
   const RdModel& rd_model() const { return rd_; }

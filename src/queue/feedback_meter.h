@@ -76,11 +76,9 @@ class FeedbackMeter {
                              ? loss_floor_
                              : std::clamp(overshoot / smoothed_fgs_rate_, loss_floor_,
                                           loss_ceiling_);
-    // A sticky injection (set_fgs_loss(p, /*sticky=*/true)) survives closes
-    // until the next injection; a non-sticky one drives labels only for the
-    // epoch it was reported in and reverts to the estimate here. The
-    // estimate stays available via fgs_loss_estimate() either way.
-    if (!fgs_loss_sticky_) fgs_loss_ = fgs_loss_estimate_;
+    // An injection (set_fgs_loss) drives labels only for the epoch it was
+    // reported in; the estimate takes over again here.
+    fgs_loss_ = fgs_loss_estimate_;
     ++epoch_;
     interval_bytes_ = 0;
     interval_fgs_bytes_ = 0;
@@ -109,7 +107,6 @@ class FeedbackMeter {
     loss_ = 0.0;
     fgs_loss_ = 0.0;
     fgs_loss_estimate_ = 0.0;
-    fgs_loss_sticky_ = false;
     epoch_ = 0;
   }
 
@@ -120,25 +117,17 @@ class FeedbackMeter {
   /// of two large, quantization-noisy rates, and gamma driven by it hunts.
   ///
   /// Ordering contract (tested in pels_queue_test): call this *after*
-  /// close_interval(). A non-sticky injection (the default) drives the
-  /// stamped labels for the epoch it was reported in and reverts to the
-  /// overshoot estimate at the next close_interval(); with sticky = true it
-  /// survives closes and is only replaced by the next injection. Sticky mode
-  /// pins gamma to pure drop-count feedback; the default preserves the
-  /// paper-figure dynamics, where the responsive fluid estimate steers gamma
-  /// between exact refreshes (see DESIGN.md §feedback).
-  void set_fgs_loss(double p_fgs, bool sticky = false) {
-    fgs_loss_ = p_fgs;
-    fgs_loss_sticky_ = sticky;
-  }
+  /// close_interval(). The injection drives the stamped labels for the epoch
+  /// it was reported in and reverts to the overshoot estimate at the next
+  /// close_interval(), so the responsive fluid estimate steers gamma between
+  /// exact refreshes: the paper-figure dynamics (see DESIGN.md §feedback).
+  void set_fgs_loss(double p_fgs) { fgs_loss_ = p_fgs; }
 
   double loss() const { return loss_; }
   double fgs_loss() const { return fgs_loss_; }
   /// The rate-overshoot FGS loss estimate of the last interval, regardless
   /// of whether an injected value currently drives fgs_loss().
   double fgs_loss_estimate() const { return fgs_loss_estimate_; }
-  /// True while a sticky injection is holding the FGS loss channel.
-  bool fgs_loss_is_sticky() const { return fgs_loss_sticky_; }
   std::uint64_t epoch() const { return epoch_; }
   double capacity_bps() const { return capacity_bps_; }
   SimTime interval() const { return interval_; }
@@ -157,7 +146,6 @@ class FeedbackMeter {
   double loss_ = 0.0;
   double fgs_loss_ = 0.0;
   double fgs_loss_estimate_ = 0.0;
-  bool fgs_loss_sticky_ = false;
   std::uint64_t epoch_ = 0;
 };
 

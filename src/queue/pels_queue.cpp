@@ -191,13 +191,10 @@ void PelsQueue::on_feedback_interval() {
   meter_.close_interval();
   update_feedback_telemetry();
   // Every few intervals, refresh the gamma-facing FGS loss from exact drop
-  // counts: p_fgs = FGS drops / FGS arrivals over the window. By default the
-  // injection drives the stamped labels for one epoch and the responsive
-  // overshoot estimate resumes until the next refresh — the dynamics the
-  // paper figures (and tier-1 convergence tests) are tuned to. With
-  // cfg_.sticky_fgs_loss the injected value instead holds until the next
-  // refresh, so gamma sees pure drop-count feedback (see DESIGN.md
-  // §feedback for the trade-off).
+  // counts: p_fgs = FGS drops / FGS arrivals over the window. The injection
+  // drives the stamped labels for one epoch and the responsive overshoot
+  // estimate resumes until the next refresh — the dynamics the paper figures
+  // (and tier-1 convergence tests) are tuned to (see DESIGN.md §feedback).
   if (++intervals_since_fgs_update_ < cfg_.fgs_loss_window_intervals) return;
   intervals_since_fgs_update_ = 0;
   const auto& c = counters();
@@ -211,7 +208,7 @@ void PelsQueue::on_feedback_interval() {
   fgs_drops_anchor_ = drops;
   const double p_fgs =
       d_arr > 0 ? static_cast<double>(d_drop) / static_cast<double>(d_arr) : 0.0;
-  meter_.set_fgs_loss(p_fgs, cfg_.sticky_fgs_loss);
+  meter_.set_fgs_loss(p_fgs);
   // The drop-count injection just replaced the label-facing FGS loss; keep
   // the telemetry gauge in sync with what departing packets will carry.
   if (g_fgs_loss_ != nullptr) g_fgs_loss_->set(meter_.fgs_loss());

@@ -50,13 +50,6 @@ struct PelsQueueConfig {
   /// counts over this many feedback intervals (a longer window than T: drop
   /// counts per 30 ms are too quantized to steer gamma).
   int fgs_loss_window_intervals = 8;            // ~ 240 ms at T = 30 ms
-  /// When true, an injected drop-count FGS loss stays in force across
-  /// close_interval() calls until the next injection, so gamma is driven
-  /// purely by exact drop fractions. When false (default) the injection
-  /// drives the labels for one epoch and the responsive overshoot estimate
-  /// resumes in between — the dynamics the paper figures are tuned to
-  /// (see FeedbackMeter::set_fgs_loss and DESIGN.md §feedback).
-  bool sticky_fgs_loss = false;
   std::size_t green_limit = 100;  // packets; green demand never fills this
   /// Yellow sized to ~100 ms of PELS capacity: large enough to absorb frame
   /// pacing bursts, small enough that a transient backlog (gamma briefly too

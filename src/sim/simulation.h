@@ -35,8 +35,6 @@ class Simulation {
   /// stream ids; the same (seed, stream) always produces the same sequence.
   Rng make_rng(std::uint64_t stream) const { return Rng(master_seed_, stream); }
 
-  std::uint64_t master_seed() const { return master_seed_; }
-
   void run_until(SimTime t_end) { scheduler_.run_until(t_end); }
   void run() { scheduler_.run(); }
 

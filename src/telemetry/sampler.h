@@ -65,7 +65,6 @@ class TimeSeriesSampler {
   /// Takes one snapshot immediately (also what the periodic tick does).
   void sample_now();
 
-  std::size_t probe_count() const { return probe_count_; }
   std::size_t sample_count() const { return times_.size(); }
   /// Snapshots discarded after capacity ran out.
   std::uint64_t samples_dropped() const { return dropped_; }

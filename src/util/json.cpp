@@ -235,11 +235,6 @@ JsonValue JsonValue::parse(const std::string& text) {
   return v;
 }
 
-bool JsonValue::as_bool() const {
-  if (kind_ != Kind::kBool) kind_error("bool");
-  return bool_;
-}
-
 std::int64_t JsonValue::as_int64() const {
   if (kind_ == Kind::kInt) return int_;
   if (kind_ == Kind::kDouble && std::nearbyint(double_) == double_) {

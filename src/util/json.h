@@ -45,11 +45,9 @@ class JsonValue {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_number() const { return kind_ == Kind::kInt || kind_ == Kind::kDouble; }
 
   /// Typed accessors throw std::invalid_argument on a kind mismatch (numbers
   /// interconvert: as_int64 accepts an integral double and vice versa).
-  bool as_bool() const;
   std::int64_t as_int64() const;
   double as_double() const;
   const std::string& as_string() const;

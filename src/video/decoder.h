@@ -22,8 +22,7 @@ struct FrameReception {
   std::int64_t base_bytes_received = 0;
   /// Received FGS byte ranges as (offset, length) pairs, any order.
   std::vector<std::pair<std::int32_t, std::int32_t>> fgs_chunks;
-  /// Arrival time of the last decodable-class (green/yellow) byte; feeds
-  /// playout-deadline evaluation (video/playout.h).
+  /// Arrival time of the last decodable-class (green/yellow) byte.
   SimTime completed_at = 0;
 };
 

@@ -8,7 +8,6 @@
 #include "cc/tcp_like.h"
 #include "net/topology.h"
 #include "pels/arq.h"
-#include "queue/bernoulli.h"
 #include "queue/drop_tail.h"
 #include "util/rng.h"
 #include "video/fec.h"
@@ -92,11 +91,10 @@ struct ArqHarness {
     Router& r1 = topo.add_router("r1");
     Host& vdst = topo.add_host("vdst");
     const QueueFactory edge = [](double) { return std::make_unique<DropTailQueue>(2000); };
-    const QueueFactory lossy = [this, loss](double) {
-      return std::make_unique<BernoulliDropQueue>(sim.make_rng(4), loss, 2000);
-    };
-    topo.connect(vsrc, r1, 10e6, from_millis(2), edge);
-    topo.add_link(r1, vdst, 2e6, from_millis(10) + extra_delay, lossy);
+    // Random loss on the uncontended source edge: a corrupted packet still
+    // takes wire time, which on the 2 mb/s hop would also starve the repairs.
+    topo.connect(vsrc, r1, 10e6, from_millis(2), edge).first->set_corruption(loss, sim.make_rng(4));
+    topo.add_link(r1, vdst, 2e6, from_millis(10) + extra_delay, edge);
     topo.add_link(vdst, r1, 2e6, from_millis(10) + extra_delay, edge);
     topo.compute_routes();
     source = std::make_unique<ArqSource>(sim, vsrc, 1, vdst.id(), cfg);

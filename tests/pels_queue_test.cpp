@@ -107,14 +107,13 @@ TEST(FeedbackMeterTest, StampRespectsMaxMinOverride) {
 }
 
 TEST(FeedbackMeterTest, InjectedFgsLossRevertsToEstimateAtNextClose) {
-  // Ordering contract of set_fgs_loss: a non-sticky injection (the default)
-  // drives the stamped labels for the epoch it was reported in and reverts
-  // to the overshoot estimate at the next close_interval().
+  // Ordering contract of set_fgs_loss: the injection drives the stamped
+  // labels for the epoch it was reported in and reverts to the overshoot
+  // estimate at the next close_interval().
   FeedbackMeter m(1, 2e6, from_millis(100));
   m.add_bytes(30'000, true);
   m.close_interval();
   m.set_fgs_loss(0.42);
-  EXPECT_FALSE(m.fgs_loss_is_sticky());
   EXPECT_DOUBLE_EQ(m.fgs_loss(), 0.42);
   Packet p = make_packet(500, Color::kYellow);
   m.stamp(p);
@@ -123,28 +122,6 @@ TEST(FeedbackMeterTest, InjectedFgsLossRevertsToEstimateAtNextClose) {
   m.close_interval();
   EXPECT_DOUBLE_EQ(m.fgs_loss(), m.fgs_loss_estimate());
   EXPECT_NEAR(m.fgs_loss(), (2.4e6 - 2e6) / 2.4e6, 1e-9);  // not 0.42
-}
-
-TEST(FeedbackMeterTest, StickyInjectedFgsLossSurvivesCloses) {
-  FeedbackMeter m(1, 2e6, from_millis(100));
-  m.add_bytes(30'000, true);
-  m.close_interval();
-  m.set_fgs_loss(0.42, /*sticky=*/true);
-  EXPECT_TRUE(m.fgs_loss_is_sticky());
-  for (int i = 0; i < 3; ++i) {
-    m.add_bytes(30'000, true);
-    m.close_interval();
-    EXPECT_DOUBLE_EQ(m.fgs_loss(), 0.42);
-  }
-  // The estimate keeps tracking the rates underneath the sticky value.
-  EXPECT_NEAR(m.fgs_loss_estimate(), (2.4e6 - 2e6) / 2.4e6, 1e-9);
-  // The next injection replaces the value and resets the sticky mode.
-  m.set_fgs_loss(0.10);
-  EXPECT_DOUBLE_EQ(m.fgs_loss(), 0.10);
-  EXPECT_FALSE(m.fgs_loss_is_sticky());
-  m.add_bytes(30'000, true);
-  m.close_interval();
-  EXPECT_DOUBLE_EQ(m.fgs_loss(), m.fgs_loss_estimate());
 }
 
 // -------------------------------------------------------------- PelsQueue
@@ -372,27 +349,10 @@ TEST(PelsQueueTest, TwoPriorityModeDropsHitBothColors) {
   EXPECT_GT(c.drops[static_cast<std::size_t>(Color::kRed)], 0u);
 }
 
-TEST(PelsQueueTest, StickyFgsLossHoldsBetweenWindowRefreshes) {
-  Simulation sim;
-  PelsQueueConfig cfg = test_config();
-  cfg.red_limit = 2;
-  cfg.fgs_loss_window_intervals = 4;
-  cfg.sticky_fgs_loss = true;
-  PelsQueue q(sim.scheduler(), cfg);
-  // 10 red offered, 8 dropped (red_limit = 2): drop-count p_fgs = 0.8,
-  // injected when the 4-interval window closes at t = 120 ms.
-  for (int i = 0; i < 10; ++i) q.enqueue(make_packet(500, Color::kRed));
-  sim.run_until(from_millis(125));
-  EXPECT_NEAR(q.current_fgs_loss(), 0.8, 1e-9);
-  // Two more idle intervals close without an injection; sticky mode keeps
-  // gamma's input pinned at the drop-count value.
-  sim.run_until(from_millis(185));
-  EXPECT_NEAR(q.current_fgs_loss(), 0.8, 1e-9);
-}
-
 TEST(PelsQueueTest, DefaultFgsLossRevertsToEstimateBetweenRefreshes) {
-  // Same scenario without sticky_fgs_loss: the injected 0.8 drives labels
-  // for the epoch it was reported in, then the responsive overshoot
+  // 10 red offered, 8 dropped (red_limit = 2): drop-count p_fgs = 0.8,
+  // injected when the 4-interval window closes at t = 120 ms. It drives
+  // labels for the epoch it was reported in, then the responsive overshoot
   // estimate resumes (deeply negative here, since the queue went idle).
   Simulation sim;
   PelsQueueConfig cfg = test_config();

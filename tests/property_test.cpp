@@ -11,7 +11,6 @@
 #include "pels/scenario.h"
 #include "queue/best_effort.h"
 #include "queue/pels_queue.h"
-#include "queue/red.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "pop_packet.h"
@@ -92,44 +91,6 @@ TEST_P(PriorityTrafficSweep, NeverServesLowerBandWhileHigherOccupied) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PriorityTrafficSweep, ::testing::Values(1u, 2u, 3u, 4u));
-
-// ----------------------------------------------- RED configuration sweep
-
-class RedConfigSweep
-    : public ::testing::TestWithParam<std::tuple<double, double, double>> {};
-
-TEST_P(RedConfigSweep, DropRateIncreasesWithLoadAndStaysBounded) {
-  const auto [min_th, max_th, max_p] = GetParam();
-  RedConfig cfg;
-  cfg.min_th = min_th;
-  cfg.max_th = max_th;
-  cfg.max_p = max_p;
-  cfg.weight = 0.02;
-  cfg.limit_packets = static_cast<std::size_t>(4 * max_th);
-
-  auto run_load = [&](int drain_every) {
-    Scheduler sched;
-    RedQueue q(sched, Rng(11), cfg);
-    int drops = 0;
-    for (int i = 0; i < 20'000; ++i) {
-      if (!q.enqueue(make_packet(500, Color::kInternet))) ++drops;
-      if (i % drain_every == 0) pop_packet(q);
-      if (i % 2 == 0) pop_packet(q);
-    }
-    return static_cast<double>(drops) / 20'000.0;
-  };
-  const double light = run_load(2);   // drain ~1.5 per arrival: queue stays low
-  const double heavy = run_load(50);  // drain ~0.52 per arrival: overload
-  EXPECT_LE(light, heavy);
-  EXPECT_GT(heavy, 0.0);
-  EXPECT_LT(light, 0.05) << "min=" << min_th << " max=" << max_th << " p=" << max_p;
-}
-
-INSTANTIATE_TEST_SUITE_P(Configs, RedConfigSweep,
-                         ::testing::Values(std::tuple{5.0, 15.0, 0.1},
-                                           std::tuple{10.0, 30.0, 0.05},
-                                           std::tuple{20.0, 60.0, 0.2},
-                                           std::tuple{2.0, 8.0, 0.5}));
 
 // -------------------------------------------- MKC gain grid, full stack
 

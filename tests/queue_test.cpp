@@ -1,5 +1,5 @@
-// Tests for src/queue: DropTail, Bernoulli random-drop, RED, and the router
-// queues' strict-priority bands and two-class deficit round robin.
+// Tests for src/queue: DropTail and the router queues' strict-priority bands
+// and two-class deficit round robin.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -8,12 +8,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "queue/bernoulli.h"
 #include "queue/best_effort.h"
 #include "queue/drop_tail.h"
 #include "queue/drr.h"
 #include "queue/pels_queue.h"
-#include "queue/red.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 #include "pop_packet.h"
@@ -126,134 +124,6 @@ TEST(DropTailTest, FullLimitFromEmptyThenFifoAcrossTheWrap) {
   for (std::uint64_t i = 600; i < 1600; ++i) ASSERT_EQ(pop_packet(q)->seq, i);
   EXPECT_FALSE(pop_packet(q).has_value());
   EXPECT_EQ(q.byte_count(), 0);
-}
-
-// -------------------------------------------------------------- Bernoulli
-
-TEST(BernoulliTest, ZeroProbabilityDropsNothing) {
-  BernoulliDropQueue q(Rng(1), 0.0, 1000);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(q.enqueue(make_packet(100)));
-  EXPECT_EQ(q.counters().total_drops(), 0u);
-}
-
-TEST(BernoulliTest, UnitProbabilityDropsEverything) {
-  BernoulliDropQueue q(Rng(1), 1.0, 1000);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(q.enqueue(make_packet(100)));
-  EXPECT_EQ(q.counters().total_drops(), 100u);
-  EXPECT_EQ(q.packet_count(), 0u);
-}
-
-TEST(BernoulliTest, DropRateMatchesProbability) {
-  BernoulliDropQueue q(Rng(2), 0.1, 1u << 20);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) q.enqueue(make_packet(100));
-  const double rate = static_cast<double>(q.counters().total_drops()) / n;
-  EXPECT_NEAR(rate, 0.1, 0.01);
-}
-
-TEST(BernoulliTest, ExemptColorNeverRandomDropped) {
-  BernoulliDropQueue q(Rng(3), 1.0, 1u << 20);
-  q.set_exempt(Color::kGreen, true);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(q.enqueue(make_packet(100, Color::kGreen)));
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(q.enqueue(make_packet(100, Color::kYellow)));
-  EXPECT_EQ(q.packet_count(), 100u);
-}
-
-TEST(BernoulliTest, CapacityStillBounds) {
-  BernoulliDropQueue q(Rng(4), 0.0, 5);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.enqueue(make_packet(100)));
-  EXPECT_FALSE(q.enqueue(make_packet(100)));
-}
-
-TEST(BernoulliTest, SurvivorsKeepFifoOrder) {
-  BernoulliDropQueue q(Rng(5), 0.5, 1000);
-  for (std::uint64_t i = 0; i < 1000; ++i) q.enqueue(make_packet(100, Color::kGreen, i));
-  std::uint64_t last = 0;
-  bool first = true;
-  while (auto p = pop_packet(q)) {
-    if (!first) {
-      EXPECT_GT(p->seq, last);
-    }
-    last = p->seq;
-    first = false;
-  }
-}
-
-// -------------------------------------------------------------------- RED
-
-RedConfig small_red() {
-  RedConfig cfg;
-  cfg.min_th = 2.0;
-  cfg.max_th = 6.0;
-  cfg.max_p = 0.5;
-  cfg.weight = 0.5;  // fast-moving average for compact tests
-  cfg.limit_packets = 12;
-  cfg.mean_tx_time = from_millis(1);
-  return cfg;
-}
-
-TEST(RedTest, NoDropsBelowMinThreshold) {
-  Scheduler sched;
-  RedQueue q(sched, Rng(1), small_red());
-  // Keep instantaneous queue at 1: avg stays below min_th.
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(q.enqueue(make_packet(100)));
-    pop_packet(q);
-  }
-  EXPECT_EQ(q.counters().total_drops(), 0u);
-}
-
-TEST(RedTest, DropsAppearUnderSustainedLoad) {
-  Scheduler sched;
-  RedQueue q(sched, Rng(2), small_red());
-  int drops = 0;
-  for (int i = 0; i < 200; ++i) {
-    if (!q.enqueue(make_packet(100))) ++drops;
-    if (i % 3 == 0) pop_packet(q);  // drain slower than arrivals
-  }
-  EXPECT_GT(drops, 0);
-  // RED must start dropping before the hard limit is the binding constraint.
-  EXPECT_GT(q.average_queue(), small_red().min_th);
-}
-
-TEST(RedTest, ForcedDropAboveGentleCeiling) {
-  Scheduler sched;
-  RedConfig cfg = small_red();
-  cfg.gentle = true;
-  RedQueue q(sched, Rng(3), cfg);
-  // Fill without draining: avg climbs past 2*max_th -> every arrival drops.
-  int consecutive_drops = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (!q.enqueue(make_packet(100))) {
-      ++consecutive_drops;
-    } else {
-      consecutive_drops = 0;
-    }
-  }
-  EXPECT_GT(consecutive_drops, 5);
-}
-
-TEST(RedTest, AverageDecaysWhileIdle) {
-  Scheduler sched;
-  RedConfig cfg = small_red();
-  RedQueue q(sched, Rng(4), cfg);
-  for (int i = 0; i < 8; ++i) q.enqueue(make_packet(100));
-  while (pop_packet(q).has_value()) {
-  }
-  const double avg_before = q.average_queue();
-  ASSERT_GT(avg_before, 0.0);
-  // Let the queue sit idle for many mean-tx-times, then touch it.
-  sched.schedule_at(from_millis(100), [] {});
-  sched.run();
-  q.enqueue(make_packet(100));
-  EXPECT_LT(q.average_queue(), avg_before * 0.1);
-}
-
-TEST(RedTest, HardLimitNeverExceeded) {
-  Scheduler sched;
-  RedQueue q(sched, Rng(5), small_red());
-  for (int i = 0; i < 500; ++i) q.enqueue(make_packet(100));
-  EXPECT_LE(q.packet_count(), small_red().limit_packets);
 }
 
 // -------------------------------------------- Strict priority (PelsQueue)

@@ -88,8 +88,6 @@ class TcpSink : public Agent {
 
   std::uint64_t packets_received() const { return received_; }
   std::uint64_t cumulative_ack() const { return cum_ack_; }
-  /// Cumulative ECN-marked data packets seen; echoed on every ACK.
-  std::uint64_t marked_received() const { return recv_marked_; }
 
  private:
   /// Records `seq` (> cum_ack_) as received out of order.
@@ -109,7 +107,7 @@ class TcpSink : public Agent {
   std::vector<std::uint64_t> out_of_order_;
   std::size_t out_of_order_count_ = 0;
   std::uint64_t received_ = 0;
-  std::uint64_t recv_marked_ = 0;
+  std::uint64_t recv_marked_ = 0;  // ECN-marked data packets; echoed on every ACK
 };
 
 }  // namespace pels

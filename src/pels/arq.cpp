@@ -111,11 +111,7 @@ void ArqSink::on_packet(const Packet& pkt) {
     st.first_packet_sent = std::min(st.first_packet_sent, pkt.created_at);
   }
   const SimTime deadline = st.first_packet_sent + cfg_.deadline;
-  if (sim_.now() <= deadline) {
-    if (!st.on_time.insert(pkt.frame_offset).second) ++duplicates_;
-  } else {
-    ++late_;
-  }
+  if (sim_.now() <= deadline) st.on_time.insert(pkt.frame_offset);
 }
 
 void ArqSink::check_gaps(std::int64_t frame) {

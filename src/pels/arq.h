@@ -98,8 +98,6 @@ class ArqSink : public Agent {
   double mean_prefix_fraction() const;
 
   std::uint64_t nacks_sent() const { return nacks_; }
-  std::uint64_t late_arrivals() const { return late_; }
-  std::uint64_t duplicate_arrivals() const { return duplicates_; }
 
  private:
   struct FrameState {
@@ -121,8 +119,6 @@ class ArqSink : public Agent {
   std::vector<double> on_time_fraction_;
   std::vector<double> prefix_fraction_;
   std::uint64_t nacks_ = 0;
-  std::uint64_t late_ = 0;
-  std::uint64_t duplicates_ = 0;
 };
 
 }  // namespace pels

@@ -262,7 +262,6 @@ class Scheduler {
   /// default; the off switch exists so benches and determinism tests can
   /// measure a heap-only baseline against the exact same workload.
   void set_wheel_enabled(bool enabled) { wheel_enabled_ = enabled; }
-  bool wheel_enabled() const { return wheel_enabled_; }
 
   /// Bytes of one pooled callback slot and of one queue entry, at compile
   /// time so layout contracts can be static_asserted.

@@ -6,14 +6,6 @@
 
 namespace pels {
 
-ConstantFrameSize::ConstantFrameSize(std::int64_t bytes) : bytes_(bytes) {
-  assert(bytes_ >= 0);
-}
-
-std::int64_t ConstantFrameSize::fgs_frame_bytes(std::int64_t /*frame_id*/) const {
-  return bytes_;
-}
-
 LognormalFrameSize::LognormalFrameSize(std::int64_t mean_bytes, double sigma_log,
                                        std::int64_t min_bytes, std::int64_t max_bytes,
                                        std::uint64_t seed)

@@ -4,9 +4,10 @@
 // arbitrary i.i.d. frame-size distributions {q_k} (eq. (1), Lemma 1): "the
 // exact distribution of {H_j} depends on the frame rate, variation in scene
 // complexity, and the bitrate of the sequence". These models supply that
-// variation for the VBR experiments: a constant reference, a lognormal model
-// (the classic fit for compressed-frame sizes), and a GOP-structured model
-// (periodic large I-frames over smaller P/B frames).
+// variation for the VBR experiments: a lognormal model (the classic fit for
+// compressed-frame sizes) and a GOP-structured model (periodic large I-frames
+// over smaller P/B frames). The constant setting of eq. (2) needs no model:
+// a source without one codes every frame at video.max_fgs_bytes().
 //
 // All models are deterministic functions of (seed, frame index): the same
 // frame always has the same coded size, across runs and across the sender
@@ -30,17 +31,6 @@ class FrameSizeModel {
 
   /// Model name for traces and tables.
   virtual const char* name() const = 0;
-};
-
-/// Every frame coded at the same FGS budget (the paper's eq. (2) setting).
-class ConstantFrameSize : public FrameSizeModel {
- public:
-  explicit ConstantFrameSize(std::int64_t bytes);
-  std::int64_t fgs_frame_bytes(std::int64_t frame_id) const override;
-  const char* name() const override { return "constant"; }
-
- private:
-  std::int64_t bytes_;
 };
 
 /// Lognormal i.i.d. frame sizes, clamped to [min, max]; mean is the target

@@ -93,13 +93,16 @@ TEST(GilbertElliottTest, BurstsAreBurstierThanBernoulli) {
   cfg.loss_good = 0.0;
   cfg.loss_bad = 1.0;
   GilbertElliottLoss ge(cfg, Rng(9, 1));
-  BernoulliLoss iid(cfg.stationary_loss(), Rng(9, 2));
+  Rng iid_rng(9, 2);
+  const auto iid = [&iid_rng, p = cfg.stationary_loss()](SimTime) {
+    return iid_rng.bernoulli(p);
+  };
   const int n = 200'000;
-  auto adjacency = [n](auto& process) {
+  auto adjacency = [n](auto process) {
     int pairs = 0;
     bool prev = false;
     for (int i = 0; i < n; ++i) {
-      const bool l = process.lost(i);
+      const bool l = process(i);
       if (l && prev) ++pairs;
       prev = l;
     }

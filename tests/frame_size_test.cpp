@@ -12,13 +12,16 @@
 namespace pels {
 namespace {
 
-// ------------------------------------------------------------- constant
+/// Every frame the same size: the point-mass oracle for the PMF tests.
+class FixedFrameSize : public FrameSizeModel {
+ public:
+  explicit FixedFrameSize(std::int64_t bytes) : bytes_(bytes) {}
+  std::int64_t fgs_frame_bytes(std::int64_t) const override { return bytes_; }
+  const char* name() const override { return "fixed"; }
 
-TEST(ConstantFrameSizeTest, AlwaysSameValue) {
-  ConstantFrameSize m(50'000);
-  for (std::int64_t f = 0; f < 100; ++f) EXPECT_EQ(m.fgs_frame_bytes(f), 50'000);
-  EXPECT_STREQ(m.name(), "constant");
-}
+ private:
+  std::int64_t bytes_;
+};
 
 // ------------------------------------------------------------ lognormal
 
@@ -86,7 +89,7 @@ TEST(GopFrameSizeTest, JitterBounded) {
 // ------------------------------------------------------------------ PMF
 
 TEST(FrameSizePmfTest, ConstantModelIsPointMass) {
-  ConstantFrameSize m(5'000);  // 10 packets of 500 B
+  FixedFrameSize m(5'000);  // 10 packets of 500 B
   const auto pmf = frame_size_pmf_packets(m, 100, 500);
   ASSERT_EQ(pmf.size(), 10u);
   for (std::size_t k = 0; k < 9; ++k) EXPECT_DOUBLE_EQ(pmf[k], 0.0);
@@ -94,7 +97,7 @@ TEST(FrameSizePmfTest, ConstantModelIsPointMass) {
 }
 
 TEST(FrameSizePmfTest, PartialPacketsRoundUp) {
-  ConstantFrameSize m(5'001);  // 11 packets: 10 full + 1-byte tail
+  FixedFrameSize m(5'001);  // 11 packets: 10 full + 1-byte tail
   const auto pmf = frame_size_pmf_packets(m, 10, 500);
   ASSERT_EQ(pmf.size(), 11u);
   EXPECT_DOUBLE_EQ(pmf[10], 1.0);

@@ -275,7 +275,7 @@ TEST(LinkFaultTest, GilbertElliottChainComposesWithBernoulli) {
     ++*calls;
     return chain(now);
   });
-  link.add_corruption(BernoulliLoss(0.01, sim.make_rng(0xBEE)));
+  link.set_corruption(0.01, sim.make_rng(0xBEE));
   const int n = 500;
   for (int i = 0; i < n; ++i) link.send(make_packet(500));
   sim.run();

@@ -9,7 +9,6 @@
 //
 // Run: ./build/examples/multihop_streaming [--hop1 N] [--hop2 N] [--seed N] [--seconds S]
 #include <climits>
-#include <cmath>
 #include <iostream>
 #include <string>
 
@@ -24,7 +23,8 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: multihop_streaming [--hop1 N] [--hop2 N] [--seed N] [--seconds S]\n"
-    "  --hop1/--hop2: cross flows on each hop (>= 1), --seconds: simulated time (> 0)\n";
+    "  --hop1/--hop2: cross flows on each hop (>= 1), --seed: >= 0,\n"
+    "  --seconds: simulated time, 1 ns to one day (1e-9 to 86400)\n";
 
 /// Bad command line: the message, the usage line, exit status 2.
 int usage_error(const std::string& what) {
@@ -37,16 +37,14 @@ int usage_error(const std::string& what) {
 int main(int argc, char** argv) {
   const StrictCliArgs args(argc, argv, {}, {"hop1", "hop2", "seed", "seconds"});
   // The report below reads cross flow 0 of each hop.
-  const long long hop1 = args.get_int_at_least("hop1", 1, 1);
-  const long long hop2 = args.get_int_at_least("hop2", 3, 1);
-  const long long seed = args.get_int_at_least("seed", 11, 0);
-  const double seconds = args.get_double("seconds", 40.0);
+  const long long hop1 = args.get_int("hop1", 1, /*min=*/1);
+  const long long hop2 = args.get_int("hop2", 3, /*min=*/1);
+  const long long seed = args.get_int("seed", 11, /*min=*/0);
+  const double seconds = args.get_double("seconds", 40.0, 1e-9, 86400.0);
   if (args.reject("multihop_streaming", kUsage)) return 2;
   // Both are >= 1 here, so this is hop1 + hop2 >= INT_MAX without overflow.
   if (hop1 >= INT_MAX - hop2)
     return usage_error("--hop1 + --hop2 must be below " + std::to_string(INT_MAX));
-  if (!(std::isfinite(seconds) && seconds > 0.0))
-    return usage_error("--seconds must be a positive number");
 
   // Flow 0 is the long flow, then hop1 cross flows on hop 1, then hop2 on hop 2.
   const int x1 = static_cast<int>(hop1);

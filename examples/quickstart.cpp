@@ -7,8 +7,6 @@
 //                    [--seed N] [--tcp N] [--rd-scaling]
 //                    [--telemetry-csv FILE | --telemetry-json FILE]
 #include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -27,7 +25,9 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: quickstart [flows] [seconds] [--seed N] [--tcp N] [--rd-scaling]\n"
-    "                  [--csv FILE] [--telemetry-csv FILE | --telemetry-json FILE]\n";
+    "                  [--csv FILE] [--telemetry-csv FILE | --telemetry-json FILE]\n"
+    "  flows >= 1, seconds: simulated time, 1 ns to one day (1e-9 to 86400),\n"
+    "  --seed >= 0, --tcp: TCP cross flows >= 0\n";
 
 /// Bad command line: the message, the usage line, exit status 2.
 int usage_error(const std::string& what) {
@@ -35,53 +35,33 @@ int usage_error(const std::string& what) {
   return 2;
 }
 
-/// Whole-token parses: "abc" or "3x" are errors, not 0 or 3.
-bool parse_int(const std::string& s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return !s.empty() && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::vector<std::string> valued = {"seed", "tcp", "csv", "telemetry-csv", "telemetry-json"};
   const StrictCliArgs args(argc, argv, {"rd-scaling"}, valued, /*max_positional=*/2);
-  const auto& pos = args.positional();
-  int flows = 1;
-  double seconds = 30.0;
-  if (pos.size() > 0 && !parse_int(pos[0], flows))
-    return usage_error("flows must be an integer, got '" + pos[0] + "'");
-  if (pos.size() > 1 && !(parse_double(pos[1], seconds) && std::isfinite(seconds) &&
-                          seconds > 0.0))
-    return usage_error("seconds must be a positive number, got '" + pos[1] + "'");
+  const int flows = static_cast<int>(args.positional_int(0, "flows", 1, 1, INT_MAX));
+  const double seconds = args.positional_double(1, "seconds", 30.0, 1e-9, 86400.0);
+  const int tcp_flows = static_cast<int>(args.get_int("tcp", 1, 0, INT_MAX));
+  const long long seed = args.get_int("seed", 1, /*min=*/0);
+  const std::string tel_csv = args.get_string("telemetry-csv", "");
+  const std::string tel_json = args.get_string("telemetry-json", "");
+  const std::string csv = args.get_string("csv", "");
+  if (args.reject("quickstart", kUsage)) return 2;
 
   ScenarioConfig cfg;
   cfg.pels_flows = flows;
-  cfg.tcp_flows = static_cast<int>(args.get_int("tcp", 1));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  cfg.tcp_flows = tcp_flows;
+  cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.rd_aware_scaling = args.has("rd-scaling");
 
   // Declarative telemetry (DESIGN.md "Telemetry"): asking for an export file
   // flips the scenario switch; everything else is wired by the scenario.
-  const std::string tel_csv = args.get_string("telemetry-csv", "");
-  const std::string tel_json = args.get_string("telemetry-json", "");
   if (!tel_csv.empty() || !tel_json.empty()) {
     cfg.telemetry.enabled = true;
     cfg.telemetry.max_samples =
         static_cast<std::size_t>(from_seconds(seconds) / cfg.telemetry.period) + 16;
   }
-
-  const std::string csv = args.get_string("csv", "");
-  if (args.reject("quickstart", kUsage)) return 2;
 
   std::optional<DumbbellScenario> scenario;
   try {
@@ -90,7 +70,8 @@ int main(int argc, char** argv) {
     return usage_error(e.what());
   }
   DumbbellScenario& s = *scenario;
-  std::cout << "PELS quickstart: " << flows << " video flow(s) + 1 TCP flow, "
+  std::cout << "PELS quickstart: " << flows << " video flow(s) + " << tcp_flows << " TCP flow"
+            << (tcp_flows == 1 ? "" : "s") << ", "
             << "bottleneck 4 mb/s (PELS share " << s.video_capacity_bps() / 1e6
             << " mb/s), " << seconds << " s simulated\n\n";
 

@@ -1,84 +1,76 @@
-// Minimal command-line flag parsing for examples and bench harnesses.
+// Strict command-line parsing for examples and bench harnesses.
 //
-// Supports --name=value and --name value forms plus boolean switches
-// (--flag). CliArgs collects whatever it is given so callers can reject or
-// ignore it; StrictCliArgs checks the command line against an allow-list.
-// No external dependencies, no global state.
+// Supports --name=value and --name value forms plus switches (--flag),
+// checked against an allow-list. Binaries whose typo could overwrite an
+// artifact or run the wrong experiment read every value first, then reject
+// the whole command line. No external dependencies, no global state.
 //
-//   CliArgs args(argc, argv);
-//   const int flows = args.get_int("flows", 4);
-//   const double secs = args.get_double("seconds", 30.0);
-//   const std::string csv = args.get_string("csv", "");
-//   if (args.has("help")) { ... }
-//
-// Binaries whose typo could overwrite an artifact or run the wrong
-// experiment read flags first, then reject the whole command line:
-//
-//   const StrictCliArgs cli(argc, argv, {"smoke"}, {"json", "label"});
+//   const StrictCliArgs cli(argc, argv, {"smoke"}, {"json", "count"});
 //   const bool smoke = cli.has("smoke");
 //   const std::string json_path = cli.get_string("json", "BENCH_x.json");
+//   const long long count = cli.get_int("count", 4, /*min=*/1);
 //   if (cli.reject("x", kUsage)) return 2;
 #pragma once
 
-#include <cstdint>
+#include <climits>
+#include <cstddef>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace pels {
 
-class CliArgs {
+class StrictCliArgs {
  public:
-  CliArgs(int argc, const char* const* argv);
+  /// Allows the switches (--smoke), the flags that need a value (--json
+  /// PATH) and at most `max_positional` positional arguments.
+  StrictCliArgs(int argc, const char* const* argv, std::vector<std::string> switches,
+                std::vector<std::string> valued, std::size_t max_positional = 0);
 
   /// True if --name was present (with or without a value).
   bool has(const std::string& name) const;
 
-  /// Value accessors with defaults; malformed numbers fall back to the
-  /// default (and are reported via parse_errors()).
+  /// Value reads with defaults. A malformed number, one past the type's
+  /// range, a NaN or infinite double, or a value outside [min, max] is
+  /// recorded for errors() and the read returns the default.
   std::string get_string(const std::string& name, const std::string& def) const;
-  long long get_int(const std::string& name, long long def) const;
-  double get_double(const std::string& name, double def) const;
-  bool get_bool(const std::string& name, bool def) const;
+  long long get_int(const std::string& name, long long def, long long min = LLONG_MIN,
+                    long long max = LLONG_MAX) const;
+  double get_double(const std::string& name, double def,
+                    double min = std::numeric_limits<double>::lowest(),
+                    double max = std::numeric_limits<double>::max()) const;
 
-  /// Positional (non-flag) arguments in order.
+  /// Positional arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Flags that were parsed (for unknown-flag checks by the caller).
-  std::vector<std::string> flag_names() const;
-
-  /// Human-readable descriptions of values that failed to parse.
-  const std::vector<std::string>& parse_errors() const { return errors_; }
-
- private:
-  std::map<std::string, std::string> flags_;  // name -> value ("" for switches)
-  std::vector<std::string> positional_;
-  mutable std::vector<std::string> errors_;
-};
-
-/// CliArgs restricted to an allow-list: switches (--smoke), flags that need a
-/// value (--json PATH) and at most `max_positional` positional arguments.
-class StrictCliArgs : public CliArgs {
- public:
-  StrictCliArgs(int argc, const char* const* argv, std::vector<std::string> switches,
-                std::vector<std::string> valued, std::size_t max_positional = 0);
-
-  /// get_int that also rejects a well-formed value below `min`.
-  long long get_int_at_least(const std::string& name, long long def, long long min) const;
+  /// Positional argument `index` read like a flag value; `name` labels it in
+  /// errors. Absent arguments read as `def`.
+  long long positional_int(std::size_t index, const std::string& name, long long def,
+                           long long min = LLONG_MIN, long long max = LLONG_MAX) const;
+  double positional_double(std::size_t index, const std::string& name, double def,
+                           double min = std::numeric_limits<double>::lowest(),
+                           double max = std::numeric_limits<double>::max()) const;
 
   /// Everything wrong with the command line: surplus positional arguments,
-  /// unknown flags, switches given a value, value flags given none, and the
-  /// values the caller's get_* reads could not parse. Read the flags first.
+  /// unknown flags, switches given a value, value flags given none, then the
+  /// values the caller's reads rejected, in read order. Read the values first.
   std::vector<std::string> errors() const;
 
   /// Prints every error and the usage text to stderr; true if there were any.
   bool reject(const std::string& program, const std::string& usage) const;
 
  private:
+  long long parse_int(const std::string& label, const std::string& text, long long def,
+                      long long min, long long max) const;
+  double parse_double(const std::string& label, const std::string& text, double def,
+                      double min, double max) const;
+
+  std::map<std::string, std::string> flags_;  // name -> value ("" for switches)
+  std::vector<std::string> positional_;
   std::vector<std::string> switches_;
   std::vector<std::string> valued_;
   std::size_t max_positional_;
-  mutable std::vector<std::string> range_errors_;
+  mutable std::vector<std::string> value_errors_;
 };
 
 }  // namespace pels

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "ab_overhead.h"
 #include "exp/domain_runner.h"
 #include "exp/sweep.h"
 #include "net/topology.h"
@@ -284,53 +285,31 @@ int main(int argc, char** argv) {
   if (cli.reject("micro_pipeline", kUsage)) return 2;
   const SimTime pipeline_duration = (smoke ? 2 : 30) * kSecond;
   const SimTime sweep_duration = (smoke ? 1 : 10) * kSecond;
-  const int reps = smoke ? 1 : 5;
+  const int reps = smoke ? kAbMinReps : 5;
 
   print_banner(std::cout, "micro_pipeline: end-to-end packets/sec (4-flow dumbbell)");
-  // Interleaved A/B: alternate plain and telemetry-enabled runs so clock
-  // drift and cache state hit both modes equally; compare the medians.
-  std::vector<PipelineResult> runs;
-  std::vector<PipelineResult> tel_runs;
-  for (int r = 0; r < reps; ++r) {
-    runs.push_back(run_pipeline(pipeline_duration, /*telemetry=*/false));
-    tel_runs.push_back(run_pipeline(pipeline_duration, /*telemetry=*/true));
-  }
-  const auto by_wall = [](const PipelineResult& a, const PipelineResult& b) {
-    return a.wall_ms < b.wall_ms;
-  };
-  std::sort(runs.begin(), runs.end(), by_wall);
-  std::sort(tel_runs.begin(), tel_runs.end(), by_wall);
-  const PipelineResult& med = runs[runs.size() / 2];
-  const PipelineResult& tel_med = tel_runs[tel_runs.size() / 2];
-  const double pkts_per_sec = 1e3 * static_cast<double>(med.data_packets) / med.wall_ms;
+  // Interleaved A/B against telemetry-enabled twins (bench/ab_overhead.h).
+  const auto ab = measure_ab_overhead(
+      reps, [&](bool telemetry) { return run_pipeline(pipeline_duration, telemetry); });
+  const PipelineResult& med = ab.plain;
   const double events_per_sec = 1e3 * static_cast<double>(med.events) / med.wall_ms;
   const double events_per_data_packet =
       static_cast<double>(med.events) / static_cast<double>(med.data_packets);
-  const double tel_pkts_per_sec =
-      1e3 * static_cast<double>(tel_med.data_packets) / tel_med.wall_ms;
-  // A negative raw overhead only means the telemetry twin won the coin toss
-  // against run-to-run noise; clamp the reported fraction at zero and report
-  // the measurement's own noise floor (wall-clock spread across the plain
-  // reps) alongside, so "overhead 0%" can be read as "below the noise".
-  const double tel_overhead_frac_raw = 1.0 - tel_pkts_per_sec / pkts_per_sec;
-  const double tel_overhead_frac = std::max(0.0, tel_overhead_frac_raw);
-  const double noise_floor_frac =
-      (runs.back().wall_ms - runs.front().wall_ms) / med.wall_ms;
   std::cout << "sizeof(Packet) = " << sizeof(Packet) << " bytes\n"
             << "median wall    = " << TablePrinter::fmt(med.wall_ms, 1) << " ms for "
             << med.data_packets << " delivered data packets\n"
-            << "throughput     = " << TablePrinter::fmt(pkts_per_sec / 1e3, 1)
+            << "throughput     = " << TablePrinter::fmt(ab.plain_pkts_per_sec / 1e3, 1)
             << " k data pkts/s, " << TablePrinter::fmt(events_per_sec / 1e6, 2)
             << " M events/s (" << TablePrinter::fmt(events_per_data_packet, 2)
             << " events per delivered data packet, timers and acks included)\n"
-            << "with telemetry = " << TablePrinter::fmt(tel_pkts_per_sec / 1e3, 1)
+            << "with telemetry = " << TablePrinter::fmt(ab.treated_pkts_per_sec / 1e3, 1)
             << " k data pkts/s (overhead "
-            << TablePrinter::fmt(100.0 * tel_overhead_frac, 2) << "%, budget 2%, noise floor "
-            << TablePrinter::fmt(100.0 * noise_floor_frac, 2) << "%)\n";
+            << TablePrinter::fmt(100.0 * ab.overhead_frac, 2) << "%, budget 2%, noise floor "
+            << TablePrinter::fmt(100.0 * ab.noise_floor_frac, 2) << "%)\n";
   // Telemetry must observe, not perturb: the same scenario with sampling on
   // delivers exactly the same packets.
-  if (tel_med.data_packets != med.data_packets) {
-    std::cerr << "FATAL: telemetry perturbed the simulation (" << tel_med.data_packets
+  if (ab.treated.data_packets != med.data_packets) {
+    std::cerr << "FATAL: telemetry perturbed the simulation (" << ab.treated.data_packets
               << " data packets vs " << med.data_packets << " plain)\n";
     return 1;
   }
@@ -414,17 +393,17 @@ int main(int argc, char** argv) {
        << "    \"reps\": " << reps << ",\n"
        << "    \"median_wall_ms\": " << med.wall_ms << ",\n"
        << "    \"data_packets\": " << med.data_packets << ",\n"
-       << "    \"data_pkts_per_sec\": " << pkts_per_sec << ",\n"
+       << "    \"data_pkts_per_sec\": " << ab.plain_pkts_per_sec << ",\n"
        << "    \"events_per_sec\": " << events_per_sec << ",\n"
        << "    \"events_per_data_packet\": " << events_per_data_packet << "\n"
        << "  },\n"
        << "  \"telemetry\": {\n"
-       << "    \"median_wall_ms\": " << tel_med.wall_ms << ",\n"
-       << "    \"data_packets\": " << tel_med.data_packets << ",\n"
-       << "    \"data_pkts_per_sec\": " << tel_pkts_per_sec << ",\n"
-       << "    \"overhead_frac\": " << tel_overhead_frac << ",\n"
-       << "    \"overhead_frac_raw\": " << tel_overhead_frac_raw << ",\n"
-       << "    \"noise_floor_frac\": " << noise_floor_frac << "\n"
+       << "    \"median_wall_ms\": " << ab.treated.wall_ms << ",\n"
+       << "    \"data_packets\": " << ab.treated.data_packets << ",\n"
+       << "    \"data_pkts_per_sec\": " << ab.treated_pkts_per_sec << ",\n"
+       << "    \"overhead_frac\": " << ab.overhead_frac << ",\n"
+       << "    \"overhead_frac_raw\": " << ab.overhead_frac_raw << ",\n"
+       << "    \"noise_floor_frac\": " << ab.noise_floor_frac << "\n"
        << "  },\n"
        << "  \"alloc_probe\": {\n"
        << "    \"packets\": " << probe.packets << ",\n"

@@ -37,6 +37,13 @@
 //   --smoke shortens churn ops, simulated durations, and the sharded mix
 //   for CI; every section (including 1M flows and the thread sweep) still
 //   runs.
+//
+// stdout carries only simulated counts (flows, packets, events, allocs,
+// pool growth, bytes/flow, handoffs, the byte-identity verdict), so the
+// golden digest of `many_flows --smoke` pins the sharded fat tree at every
+// thread count. Wall-clock and hardware-dependent fields (ms, ns/packet,
+// Mev/s, speedups, the effective worker count, hw=) go to stderr; the JSON
+// carries both.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -261,10 +268,10 @@ ManyFlowsResult run_many_flows(const ManyFlowsLoad& load, SimTime warmup, SimTim
   return r;
 }
 
+/// The simulated counts go to stdout (pinned by the golden digest), the
+/// wall-clock fields to stderr.
 void print_many_flows(const char* tag, const ManyFlowsResult& r) {
-  std::cout << tag << ": " << r.flows << " flows, " << r.packets << " packets in "
-            << TablePrinter::fmt(r.wall_ms, 1) << " ms -> "
-            << TablePrinter::fmt(r.ns_per_packet, 1) << " ns/packet, "
+  std::cout << tag << ": " << r.flows << " flows, " << r.packets << " packets, "
             << TablePrinter::fmt(r.events_per_packet, 2) << " events/packet, "
             << r.steady_allocs << " allocs (" << TablePrinter::fmt(r.allocs_per_packet, 4)
             << "/packet), pool growth +" << r.heap_capacity_growth << " heap +"
@@ -272,6 +279,8 @@ void print_many_flows(const char* tag, const ManyFlowsResult& r) {
             << r.run_capacity_growth << " run, "
             << TablePrinter::fmt(r.bytes_per_flow, 1) << " driver + "
             << TablePrinter::fmt(r.scheduler_bytes_per_flow, 1) << " scheduler bytes/flow\n";
+  std::cerr << tag << ": " << r.packets << " packets in " << TablePrinter::fmt(r.wall_ms, 1)
+            << " ms -> " << TablePrinter::fmt(r.ns_per_packet, 1) << " ns/packet\n";
 }
 
 void json_many_flows(std::ofstream& json, const char* key, const ManyFlowsResult& r,
@@ -381,7 +390,10 @@ int main(int argc, char** argv) {
                         TablePrinter::fmt(t.wheel_ev_per_sec / 1e6, 2),
                         TablePrinter::fmt(t.speedup, 2)});
   }
-  tier_table.print(std::cout);
+  tier_table.print(std::cerr);
+  std::cout << "pending populations:";
+  for (const TierResult& t : tiers) std::cout << " " << t.pending;
+  std::cout << " (rates and speedups on stderr)\n";
 
   print_banner(std::cout, "many flows: flat per-packet cost, 1k / 100k / 1M PELS sources");
   // Warmup must outlast the rate-clamp pin-in (a few control epochs) plus a
@@ -427,7 +439,7 @@ int main(int argc, char** argv) {
   print_many_flows("  1k", small);
   print_many_flows("100k", large);
   print_many_flows("  1M", huge);
-  std::cout << "cost ratio (100k / 1k) = " << TablePrinter::fmt(cost_ratio, 3)
+  std::cerr << "cost ratio (100k / 1k) = " << TablePrinter::fmt(cost_ratio, 3)
             << ", (1M / 1k) = " << TablePrinter::fmt(huge_cost_ratio, 3) << "\n";
 
   print_banner(std::cout, "sharded fat tree: DomainRunner thread sweep");
@@ -437,19 +449,21 @@ int main(int argc, char** argv) {
   const unsigned hardware = std::thread::hardware_concurrency();
   const unsigned thread_sweep[] = {1, 2, 8};
   std::vector<ShardedRun> sharded_runs;
-  TablePrinter sharded_table(
-      {"threads", "workers", "wall ms", "speedup", "per-worker", "handoffs"});
+  TablePrinter sharded_table({"threads", "handoffs"});
+  TablePrinter sharded_timing({"threads", "workers", "wall ms", "speedup", "per-worker"});
   for (const unsigned t : thread_sweep) {
     sharded_runs.push_back(run_sharded(t, sharded_mix, sharded_warmup, sharded_window));
     const ShardedRun& r = sharded_runs.back();
     const double speedup = sharded_runs.front().wall_ms / r.wall_ms;
     const double per_worker = speedup / static_cast<double>(r.effective_threads);
-    sharded_table.add_row({std::to_string(r.requested_threads),
-                           std::to_string(r.effective_threads),
-                           TablePrinter::fmt(r.wall_ms, 1), TablePrinter::fmt(speedup, 2),
-                           TablePrinter::fmt(per_worker, 2), std::to_string(r.handoffs)});
+    sharded_table.add_row({std::to_string(r.requested_threads), std::to_string(r.handoffs)});
+    sharded_timing.add_row({std::to_string(r.requested_threads),
+                            std::to_string(r.effective_threads),
+                            TablePrinter::fmt(r.wall_ms, 1), TablePrinter::fmt(speedup, 2),
+                            TablePrinter::fmt(per_worker, 2)});
   }
   sharded_table.print(std::cout);
+  sharded_timing.print(std::cerr);
   bool sharded_byte_identical = true;
   for (const ShardedRun& r : sharded_runs) {
     if (r.fingerprint != sharded_runs.front().fingerprint ||
@@ -458,8 +472,9 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "byte-identical across thread counts: "
-            << (sharded_byte_identical ? "yes" : "NO") << " (hw=" << hardware << ", "
-            << "requested 8 clamps to min(threads, domains, hw))\n";
+            << (sharded_byte_identical ? "yes" : "NO")
+            << " (requested 8 clamps to min(threads, domains, hw))\n";
+  std::cerr << "hw=" << hardware << "\n";
 
   // Schema v1 (tools/bench_compare.py gates on it):
   // scheduler_tiers[].{pending,heap_ev_per_sec,wheel_ev_per_sec,speedup} and

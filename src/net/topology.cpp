@@ -97,22 +97,59 @@ std::pair<Link*, Link*> Topology::connect(Node& a, Node& b, double bandwidth_bps
 }
 
 void Topology::reserve_runtime(std::size_t expected_flows) {
-  // One coalesced pipeline event per link, one pacing/feedback timer pair
-  // per flow, plus slack for scenario samplers and fault injectors: a
-  // generous constant factor costs a few KB once, and warm-up then never
-  // grows the scheduler's pools mid-run — heap, slot pool, run buffer, AND
-  // wheel buckets (Scheduler::reserve distributes the estimate across the
+  // Bandwidth-delay product in packets, assuming ~1000-byte packets: the
+  // deepest a link's in-flight ring can get in steady state.
+  const auto in_flight = [](const Link& link) {
+    const double bdp_packets =
+        link.bandwidth_bps() * (static_cast<double>(link.prop_delay()) / kSecond) / 8000.0;
+    return static_cast<std::size_t>(bdp_packets) + 2;
+  };
+
+  // Each domain's scheduler is sized for the work that lands on it: one
+  // coalesced pipeline event per link it drives, one pacing/feedback timer
+  // pair per flow its hosts source, one arrival event per packet in flight
+  // on its inbound boundary links, plus slack for samplers and fault
+  // injectors. The generous constants cost a few KB once, and warm-up then
+  // never grows the pools mid-run — heap, slot pool, run buffer, AND wheel
+  // buckets (Scheduler::reserve distributes the estimate across the
   // calendar tiers; the Scheduler::Stats *_capacity probes let benches
   // assert zero growth, see bench/many_flows.cpp).
-  const std::size_t events = 16 + 2 * links_.size() + 4 * expected_flows;
-  for (Simulation* sim : domain_sims_) sim->scheduler().reserve(events);
-  for (auto& link : links_) {
-    // Bandwidth-delay product in packets, assuming ~1000-byte packets: the
-    // deepest the in-flight ring can get in steady state.
-    const double bdp_packets =
-        link->bandwidth_bps() * (static_cast<double>(link->prop_delay()) / kSecond) / 8000.0;
-    link->reserve_in_flight(static_cast<std::size_t>(bdp_packets) + 2);
+  //
+  // A domain's flows are expected_flows split by the hosts it owns, with
+  // 2x headroom (capped at expected_flows): sources need not spread evenly
+  // (gen_mixed_traffic draws them at random), and a wheel bucket's reserve
+  // is the estimate / 256, so the even share leaves the busiest pod's
+  // buckets short. Every domain of a partitioned topology reserves at least
+  // kMinDomainEvents: a drained bucket keeps up to 64 entries, and the
+  // concentration spares (estimate, /2, /4) must stay bigger than that or
+  // they strand in buckets and the hostless core grows its wheel. A
+  // single-domain topology reserves 16 + 2 * links + 4 * expected_flows, as
+  // it always has.
+  constexpr std::size_t kMinDomainEvents = 256;
+  const std::size_t domains = domain_sims_.size();
+  std::vector<std::size_t> links(domains, 0);
+  std::vector<std::size_t> hosts(domains, 0);
+  std::vector<std::size_t> arrivals(domains, 0);
+  std::size_t total_hosts = 0;
+  for (const Edge& e : edges_) ++links[static_cast<std::size_t>(node_domain(e.from))];
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (dynamic_cast<const Host*>(nodes_[n].get()) == nullptr) continue;
+    ++hosts[static_cast<std::size_t>(node_domains_[n])];
+    ++total_hosts;
   }
+  for (const BoundaryLink& b : boundary_links_) {
+    arrivals[static_cast<std::size_t>(b.to_domain)] += in_flight(*b.link);
+  }
+  for (std::size_t d = 0; d < domains; ++d) {
+    const std::size_t even_share =
+        total_hosts == 0 ? expected_flows
+                         : (expected_flows * hosts[d] + total_hosts - 1) / total_hosts;
+    const std::size_t flows = std::min(expected_flows, 2 * even_share);
+    const std::size_t events = 16 + 2 * links[d] + 4 * flows + arrivals[d];
+    domain_sims_[d]->scheduler().reserve(domains > 1 ? std::max(events, kMinDomainEvents)
+                                                     : events);
+  }
+  for (auto& link : links_) link->reserve_in_flight(in_flight(*link));
 }
 
 void Topology::compute_routes() {

@@ -104,9 +104,14 @@ class Topology {
   /// the graph is complete; may be called again if links are added later.
   void compute_routes();
 
-  /// Pre-sizes the scheduler's event pool and every link's in-flight ring
-  /// from the topology (links, expected flows) so the steady state never
-  /// grows them mid-run. Call once after the graph is complete.
+  /// Pre-sizes every domain's scheduler pools and every link's in-flight
+  /// ring so the steady state never grows them mid-run. Each domain is
+  /// sized for its own share: the links it drives, `expected_flows` split
+  /// by the hosts it owns, and one arrival per packet in flight on its
+  /// inbound boundary links — so a hostless domain (a fat tree's core)
+  /// reserves only for its links, and a single-domain topology reserves
+  /// 16 + 2 * links + 4 * expected_flows events. Call once after the graph
+  /// is complete.
   void reserve_runtime(std::size_t expected_flows);
 
   std::size_t node_count() const { return nodes_.size(); }

@@ -2,6 +2,7 @@
 // (src/exp/fabric.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <ostream>
 #include <set>
@@ -314,6 +315,52 @@ TEST(FabricTest, ManyFlowDriverShardedFatTreeByteIdenticalAcrossThreads) {
   EXPECT_GT(std::get<2>(serial), 0u);
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(8), serial);
+}
+
+TEST(FabricTest, DomainPoolsDoNotGrowInTheWindow) {
+  // reserve_runtime sizes each domain for its own share (links it drives,
+  // flows its hosts source, arrivals on its inbound boundary links), not
+  // for the whole fabric. The share must still cover the steady state: a
+  // domain_per_pod fat tree under video load, elephants and mice arriving
+  // through the whole run grows no scheduler pool in any domain, the
+  // hostless core included, over the measured window.
+  Fabric f(fat_tree(4, 2, 4, /*domain_per_pod=*/true));
+  const SimTime warmup = 2 * kSecond;
+  const SimTime window = 2 * kSecond;
+  MixedTrafficConfig base;
+  base.video_flows = 640;
+  base.mice_flows = 0;
+  base.elephant_flows = 8;
+  base.seed = 21;
+  MixedTrafficConfig churn;
+  churn.video_flows = 0;
+  churn.mice_flows = 400;
+  churn.elephant_flows = 0;
+  churn.start_window = warmup + window;
+  churn.seed = 22;
+  std::vector<FlowSpec> specs = gen_mixed_traffic(f, base);
+  const std::vector<FlowSpec> mice = gen_mixed_traffic(f, churn);
+  specs.insert(specs.end(), mice.begin(), mice.end());
+  std::stable_sort(specs.begin(), specs.end(),
+                   [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; });
+  ManyFlowDriver driver(f, std::move(specs), ManyFlowDriverConfig{});
+  f.reserve_runtime(driver.flow_count());
+  driver.start();
+  DomainRunner runner(f.topology(), 2);
+  runner.run_until(warmup);
+  std::vector<Scheduler::Stats> before;
+  for (int d = 0; d < f.domain_count(); ++d) before.push_back(f.sim(d).scheduler().stats());
+  runner.run_until(warmup + window);
+  EXPECT_GT(runner.stats().handoffs, 0u);
+  for (int d = 0; d < f.domain_count(); ++d) {
+    const Scheduler::Stats& b = before[static_cast<std::size_t>(d)];
+    const Scheduler::Stats a = f.sim(d).scheduler().stats();
+    EXPECT_GT(a.executed, b.executed) << "domain " << d;
+    EXPECT_EQ(a.heap_capacity, b.heap_capacity) << "domain " << d;
+    EXPECT_EQ(a.slot_capacity, b.slot_capacity) << "domain " << d;
+    EXPECT_EQ(a.wheel_capacity, b.wheel_capacity) << "domain " << d;
+    EXPECT_EQ(a.run_capacity, b.run_capacity) << "domain " << d;
+  }
 }
 
 // Hand-built mix for the pinned digests below: video flows that overload the

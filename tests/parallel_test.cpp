@@ -8,11 +8,14 @@
 // injections happen in fixed boundary-link order.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,7 +33,11 @@ const QueueFactory kDropTail = [](double) { return std::make_unique<DropTailQueu
 /// byte-identity witness.
 struct RecordingAgent : public Agent {
   explicit RecordingAgent(Simulation& sim) : sim_(sim) {}
-  void on_packet(const Packet& pkt) override { log_.emplace_back(sim_.now(), pkt.uid); }
+  void on_packet(const Packet& pkt) override {
+    log_.emplace_back(sim_.now(), pkt.uid);
+    if (on_arrival_) on_arrival_();
+  }
+  void set_on_arrival(std::function<void()> f) { on_arrival_ = std::move(f); }
 
   std::string serialize() const {
     std::ostringstream out;
@@ -42,6 +49,7 @@ struct RecordingAgent : public Agent {
  private:
   Simulation& sim_;
   std::vector<std::pair<SimTime, std::uint64_t>> log_;
+  std::function<void()> on_arrival_;
 };
 
 /// Paced packet injector: `rate_pps` packets/s of `bytes`-sized packets from
@@ -235,6 +243,70 @@ TEST(DomainRunnerTest, SingleDomainTopologyFallsBackToSequentialRun) {
   EXPECT_EQ(runner.stats().windows, 1u);
   EXPECT_EQ(runner.stats().handoffs, 0u);
   EXPECT_GT(s.sink_b->arrivals(), 0u);
+}
+
+// ------------------------------------------------------ worker threads
+
+TEST(DomainRunnerTest, OneThreadRunsOnTheCallersThread) {
+  // At one thread the runner starts no worker: every event of every domain,
+  // arrivals included, executes on the thread that called run_until.
+  ChainScenario s(/*partitioned=*/true);
+  std::vector<std::thread::id> ids;
+  const auto record = [&ids] { ids.push_back(std::this_thread::get_id()); };
+  std::vector<std::unique_ptr<PeriodicTimer>> probes;
+  for (auto& sim : s.sims) {
+    probes.push_back(std::make_unique<PeriodicTimer>(sim->scheduler(), 10 * kMillisecond, record));
+    probes.back()->start();
+  }
+  s.sink_a->set_on_arrival(record);
+  s.sink_b->set_on_arrival(record);
+  DomainRunner runner(*s.topo, 1);
+  EXPECT_EQ(runner.stats().effective_threads, 1u);
+  runner.run_until(kSecond);
+  ASSERT_GT(ids.size(), 1000u);
+  for (const std::thread::id id : ids) ASSERT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(DomainRunnerTest, ParkedWorkersWakeForTheNextRun) {
+  // Between run_until calls the workers spin for kSpinBudget, then park;
+  // the next call must wake them and continue as if never interrupted.
+  ChainScenario whole(/*partitioned=*/true);
+  DomainRunner(*whole.topo, 2).run_until(2 * kSecond);
+
+  ChainScenario parked(/*partitioned=*/true);
+  DomainRunner runner(*parked.topo, 2);
+  runner.run_until(700 * kMillisecond);
+  std::this_thread::sleep_for(50 * DomainRunner::kSpinBudget);
+  runner.run_until(2 * kSecond);
+  std::this_thread::sleep_for(50 * DomainRunner::kSpinBudget);
+  runner.run_until(2 * kSecond);  // no window left: returns at once
+  EXPECT_EQ(parked.trace(), whole.trace());
+  EXPECT_EQ(parked.sims[0]->now(), 2 * kSecond);
+  EXPECT_EQ(parked.sims[1]->now(), 2 * kSecond);
+}
+
+TEST(DomainRunnerTest, ThrowingDomainJoinsCleanly) {
+  // Domain 1 runs on a worker whenever the hardware allows two threads. Its
+  // exception is rethrown on the caller naming the domain; the workers then
+  // park, and the destructor wakes and joins them.
+  ChainScenario s(/*partitioned=*/true);
+  s.sims[1]->at(300 * kMillisecond, [] { throw std::runtime_error("worker-side fault"); });
+  {
+    DomainRunner runner(*s.topo, 2);
+    try {
+      runner.run_until(kSecond);
+      FAIL() << "expected the captured exception";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DomainRunner: domain 1 failed in window"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("worker-side fault"), std::string::npos) << what;
+    }
+    std::this_thread::sleep_for(50 * DomainRunner::kSpinBudget);
+  }
+  // The run stopped at the failing window.
+  EXPECT_LT(s.sims[0]->now(), kSecond);
+  EXPECT_LT(s.sims[1]->now(), kSecond);
 }
 
 // ------------------------------------------------------- arrival inboxes

@@ -8,16 +8,22 @@
 // the median runs' delivered-packet rates; the noise floor is the plain
 // runs' own wall-clock spread, (max - min) / median, so an overhead below it
 // reads as noise. With one rep per side that spread is 0 by construction,
-// hence kAbMinReps.
+// hence kAbMinReps. A run whose noise floor is at or above the budget cannot
+// tell a breach from noise, so overhead_clause() reports it unmeasurable
+// instead of printing a figure that reads like a breach.
 //
 //   const auto ab = measure_ab_overhead(smoke ? kAbMinReps : 5,
 //                                       [&](bool on) { return run_pipeline(d, on); });
 //   if (ab.treated.data_packets != ab.plain.data_packets) ...  // it perturbed
+//   std::cout << "(" << overhead_clause(ab, 0.02) << ")\n";
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <vector>
+
+#include "util/table.h"
 
 namespace pels {
 
@@ -61,6 +67,20 @@ auto measure_ab_overhead(int reps, RunFn run) -> AbOverhead<decltype(run(false))
   ab.overhead_frac = std::max(0.0, ab.overhead_frac_raw);
   ab.noise_floor_frac = (plain.back().wall_ms - plain.front().wall_ms) / ab.plain.wall_ms;
   return ab;
+}
+
+/// The overhead clause of a report line: "overhead X%, budget B%, noise
+/// floor N%", or "overhead unmeasurable (noise floor N% ≥ budget B%)" when
+/// the run's own spread is at least the budget.
+template <typename Run>
+std::string overhead_clause(const AbOverhead<Run>& ab, double budget_frac) {
+  const std::string budget = TablePrinter::fmt(100.0 * budget_frac, 0) + "%";
+  const std::string floor = TablePrinter::fmt(100.0 * ab.noise_floor_frac, 2) + "%";
+  if (ab.noise_floor_frac >= budget_frac) {
+    return "overhead unmeasurable (noise floor " + floor + " ≥ budget " + budget + ")";
+  }
+  return "overhead " + TablePrinter::fmt(100.0 * ab.overhead_frac, 2) + "%, budget " + budget +
+         ", noise floor " + floor;
 }
 
 }  // namespace pels

@@ -425,9 +425,7 @@ int main(int argc, char** argv) {
   std::cerr << "plain          = " << TablePrinter::fmt(ab.plain_pkts_per_sec / 1e3, 1)
             << " k data pkts/s\n"
             << "monitored      = " << TablePrinter::fmt(ab.treated_pkts_per_sec / 1e3, 1)
-            << " k data pkts/s (overhead " << TablePrinter::fmt(100.0 * ab.overhead_frac, 2)
-            << "%, budget 3%, noise floor " << TablePrinter::fmt(100.0 * ab.noise_floor_frac, 2)
-            << "%)\n";
+            << " k data pkts/s (" << overhead_clause(ab, 0.03) << ")\n";
   if (ab.treated.data_packets != ab.plain.data_packets) {
     std::cerr << "FATAL: invariant monitor perturbed the simulation (" << ab.treated.data_packets
               << " data packets vs " << ab.plain.data_packets << " plain)\n";

@@ -303,9 +303,7 @@ int main(int argc, char** argv) {
             << " M events/s (" << TablePrinter::fmt(events_per_data_packet, 2)
             << " events per delivered data packet, timers and acks included)\n"
             << "with telemetry = " << TablePrinter::fmt(ab.treated_pkts_per_sec / 1e3, 1)
-            << " k data pkts/s (overhead "
-            << TablePrinter::fmt(100.0 * ab.overhead_frac, 2) << "%, budget 2%, noise floor "
-            << TablePrinter::fmt(100.0 * ab.noise_floor_frac, 2) << "%)\n";
+            << " k data pkts/s (" << overhead_clause(ab, 0.02) << ")\n";
   // Telemetry must observe, not perturb: the same scenario with sampling on
   // delivers exactly the same packets.
   if (ab.treated.data_packets != med.data_packets) {

@@ -74,7 +74,8 @@ TEST(RdAllocatorTest, HarderFramesGetMoreBytes) {
   RunningStats s;
   for (std::size_t i = 0; i < levels.size(); ++i)
     if (xs[i] > 0 && xs[i] < 61'400) s.add(levels[i]);
-  if (s.count() >= 2) EXPECT_LT(s.max() - s.min(), 0.25);
+  ASSERT_GE(s.count(), 2u);
+  EXPECT_LT(s.max() - s.min(), 0.25);
 }
 
 TEST(RdAllocatorTest, SingleFrameWindowTakesWholeBudget) {

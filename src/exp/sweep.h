@@ -27,7 +27,9 @@
 //
 // The simulator core stays single-threaded per domain; intra-scenario
 // parallelism lives in DomainRunner (exp/domain_runner.h), which runs
-// link-delay-separated topology domains on this same pool.
+// link-delay-separated topology domains on its own persistent workers: a
+// lookahead window is tens of microseconds of work, too little to pay for
+// this pool's mutex and condition-variable round trip per batch.
 #pragma once
 
 #include <atomic>
@@ -138,8 +140,7 @@ class SweepRunner {
 
   /// Runs job(0) .. job(n-1) on the pool, returning after all have
   /// completed. The primitive behind run(), exposed for callers with a
-  /// natural index space (DomainRunner runs one domain per index each
-  /// lookahead window). Jobs must not throw (run() wraps tasks so they
+  /// natural index space. Jobs must not throw (run() wraps tasks so they
   /// cannot). Batches are serialized: concurrent submitters take turns.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& job);
 

@@ -12,18 +12,23 @@
 //   2. sweep scaling: an 8-point ablation-style sweep executed by
 //      SweepRunner at 1/2/4/8 threads; reports wall-clock per thread count
 //      and asserts the merged CSV is byte-identical to the serial run (the
-//      determinism contract, see DESIGN.md "Parallel experiments").
+//      determinism contract, see DESIGN.md "Parallel experiments"). Next to
+//      each speedup stands the same-run ceiling: what raw threads running a
+//      fixed arithmetic loop gain on this machine at that moment.
 //   3. alloc probe: steady-state heap traffic on a 3-hop DropTail chain
 //      (expected: zero).
 //
 // Usage: micro_pipeline [--smoke] [--json PATH] [--label NAME]
 //   --smoke shortens simulated durations so CI sanitizer jobs can afford it.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ab_overhead.h"
@@ -191,6 +196,31 @@ std::string run_sweep(unsigned threads, SimTime duration, double* wall_ms) {
   return csv.str();
 }
 
+/// Wall time of a fixed xorshift loop split evenly over `threads` raw
+/// std::threads. burn_ms(1) / burn_ms(t) is the speedup the machine grants t
+/// threads of pure arithmetic right now: the ceiling for a sweep speedup
+/// measured in the same run, which a shared or throttled box caps for both.
+double burn_ms(unsigned threads) {
+  constexpr std::uint64_t kTotalSteps = 1ULL << 24;
+  std::atomic<std::uint64_t> sink{0};
+  std::vector<std::thread> burners;
+  burners.reserve(threads);
+  const auto t0 = Clock::now();
+  for (unsigned i = 0; i < threads; ++i) {
+    burners.emplace_back([&sink, i, steps = kTotalSteps / threads] {
+      std::uint64_t x = 0x9e3779b97f4a7c15ULL + i;
+      for (std::uint64_t s = 0; s < steps; ++s) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+      }
+      sink.fetch_xor(x, std::memory_order_relaxed);  // keeps the loop alive
+    });
+  }
+  for (std::thread& b : burners) b.join();
+  return ms_since(t0);
+}
+
 /// Intra-scenario parallel DES measurement: a two-domain chain (the domain
 /// boundary at the middle link) run through DomainRunner at 1 worker and at
 /// one worker per domain. Reports window/handoff counts and asserts the
@@ -327,6 +357,8 @@ int main(int argc, char** argv) {
 
   print_banner(std::cout, "SweepRunner scaling (8-point sweep, byte-identical check)");
   const unsigned hw = SweepRunner::hardware_threads();
+  // Each ceiling probe runs just before the sweep it stands next to.
+  const double burn_serial_ms = burn_ms(1);
   double serial_ms = 0.0;
   const std::string serial_csv = run_sweep(1, sweep_duration, &serial_ms);
   struct Scale {
@@ -334,15 +366,19 @@ int main(int argc, char** argv) {
     unsigned effective_threads;  // after the hardware clamp
     bool oversubscribed;         // requested > hardware: annotation for the gate
     double wall_ms;
+    double ceiling;              // raw-thread speedup at effective_threads
     bool identical;
   };
-  std::vector<Scale> scaling{{1, 1, false, serial_ms, true}};
+  std::vector<Scale> scaling{{1, 1, false, serial_ms, 1.0, true}};
   for (unsigned t : {2u, 4u, 8u}) {
+    const unsigned effective = std::min(t, hw);
+    const double ceiling = burn_serial_ms / burn_ms(effective);
     double ms = 0.0;
     const std::string csv = run_sweep(t, sweep_duration, &ms);
-    scaling.push_back({t, std::min(t, hw), t > hw, ms, csv == serial_csv});
+    scaling.push_back({t, effective, t > hw, ms, ceiling, csv == serial_csv});
   }
-  TablePrinter table({"threads", "effective", "wall (ms)", "speedup", "csv identical"});
+  TablePrinter table(
+      {"threads", "effective", "wall (ms)", "speedup", "ceiling", "csv identical"});
   for (const Scale& sc : scaling) {
     // Oversubscribed entries (requested > hardware) are annotated, not
     // gated: the clamp makes them duplicates of the at-hardware point, and
@@ -351,7 +387,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(sc.threads),
                    std::to_string(sc.effective_threads) + (sc.oversubscribed ? "*" : ""),
                    TablePrinter::fmt(sc.wall_ms, 1), TablePrinter::fmt(serial_ms / sc.wall_ms, 2),
-                   sc.identical ? "yes" : "NO"});
+                   TablePrinter::fmt(sc.ceiling, 2), sc.identical ? "yes" : "NO"});
     if (!sc.identical) {
       std::cerr << "FATAL: threads=" << sc.threads << " CSV differs from serial run\n";
       return 1;
@@ -359,7 +395,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "(hardware threads available: " << hw
-            << "; * = requested count clamped to hardware)\n";
+            << "; * = requested count clamped to hardware; ceiling = speedup of raw threads"
+            << " running a fixed arithmetic loop in this run)\n";
 
   print_banner(std::cout, "intra-scenario parallel DES (2-domain chain, DomainRunner)");
   const ParallelDesResult pdes = run_parallel_des(sweep_duration);
@@ -420,6 +457,7 @@ int main(int argc, char** argv) {
          << ", \"oversubscribed\": " << (scaling[i].oversubscribed ? "true" : "false")
          << ", \"wall_ms\": " << scaling[i].wall_ms
          << ", \"speedup\": " << serial_ms / scaling[i].wall_ms
+         << ", \"ceiling\": " << scaling[i].ceiling
          << ", \"identical_to_serial\": " << (scaling[i].identical ? "true" : "false") << "}"
          << (i + 1 < scaling.size() ? "," : "") << "\n";
   }

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exp/sweep.h"
+
 namespace pels {
 
 // Barrier injection lands packets in Topology's per-link inboxes and

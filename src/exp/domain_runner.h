@@ -15,6 +15,9 @@
 //   2. run every domain's scheduler to the window end. With W effective
 //      threads the caller's thread runs domains d % W == 0 and each of the
 //      runner's W - 1 persistent workers runs the fixed share d % W == w.
+//      (Persistent, unlike SweepRunner's per-batch helpers: a window is
+//      tens of microseconds of work, about what starting and joining the
+//      threads would cost each time.)
 //      Workers and caller meet at an epoch-counter barrier: the caller
 //      publishes the window end and bumps the epoch, each worker counts
 //      itself out when its share is done, and whoever waits spins (with a
@@ -41,17 +44,24 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exp/sweep.h"
 #include "net/packet.h"
 #include "net/topology.h"
 #include "util/time.h"
 
 namespace pels {
+
+/// Destructive-interference granularity for padding the barrier counters and
+/// mailboxes. A fixed 64 is used instead of
+/// std::hardware_destructive_interference_size: the constant must not vary
+/// with -mtune (it would change struct layouts across TUs), and 64 covers
+/// every target this project builds on.
+inline constexpr std::size_t kCacheLineSize = 64;
 
 class DomainRunner {
  public:

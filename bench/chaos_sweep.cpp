@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
   print_banner(std::cout, "chaos campaign: " + std::to_string(schedules) +
                               " seeded fault schedules, monitored");
   // All plans are drawn up front on this thread — draw order is the replay
-  // contract, and it must not depend on pool scheduling.
+  // contract, and it must not depend on thread scheduling.
   ChaosPlanGenerator gen(limits, Rng(campaign_seed, 0x0C05));
   std::vector<FaultPlan> plans;
   plans.reserve(static_cast<std::size_t>(schedules));

@@ -122,7 +122,7 @@ struct AckInfo {
 
   /// Boxed acks (see Packet::ack) churn at one allocation/free per data
   /// packet; a thread-local freelist makes that churn allocation-free in
-  /// steady state. Thread-local, not global, because SweepRunner workers
+  /// steady state. Thread-local, not global, because SweepRunner threads
   /// run disjoint simulations concurrently (share-nothing task model).
   static void* operator new(std::size_t size);
   static void operator delete(void* p) noexcept;

@@ -31,7 +31,10 @@
 //      run records wall clock, effective workers (clamped to
 //      min(threads, domains, hardware)), and per-worker speedup so
 //      bench_compare.py can gate scaling — or skip with a notice on
-//      single-core runners.
+//      single-core runners. Next to each speedup stand the same-run
+//      ceiling (raw threads on a fixed arithmetic loop, timed just before
+//      the run) and DomainRunner's work bound (the speedup the d % W
+//      assignment allows if barriers cost nothing).
 //
 // Usage: many_flows [--smoke] [--json PATH] [--label NAME]
 //   --smoke shortens churn ops, simulated durations, and the sharded mix
@@ -42,8 +45,8 @@
 // pool growth, bytes/flow, handoffs, the byte-identity verdict), so the
 // golden digest of `many_flows --smoke` pins the sharded fat tree at every
 // thread count. Wall-clock and hardware-dependent fields (ms, ns/packet,
-// Mev/s, speedups, the effective worker count, hw=) go to stderr; the JSON
-// carries both.
+// Mev/s, speedups, ceilings, work bounds, the effective worker count, hw=)
+// go to stderr; the JSON carries both.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -55,6 +58,7 @@
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
 #include "sim/scheduler.h"
+#include "thread_ceiling.h"
 #include "util/cli.h"
 #include "util/heap_count.h"
 #include "util/table.h"
@@ -314,6 +318,8 @@ struct ShardedRun {
   std::uint64_t packets = 0;
   std::uint64_t handoffs = 0;
   std::uint64_t windows = 0;
+  double work_bound = 1.0;  // DomainRunner::Stats::work_bound() of the timed window
+  double ceiling = 1.0;     // raw-thread speedup at effective_threads, timed just before
 };
 
 struct ShardedMix {
@@ -327,9 +333,11 @@ struct ShardedMix {
 /// requested thread count. Unlike the flat-cost section this bottleneck IS
 /// congested — cross-pod feedback through the boundary handoff is the
 /// machinery under test, and the fingerprint must come out byte-identical
-/// whatever the interleaving of pod workers.
+/// whatever the interleaving of pod workers. A threaded run times the
+/// raw-thread ceiling just before its timed window (`burn_serial_ms` is the
+/// one-thread burn), so the ceiling reads the machine of that moment.
 ShardedRun run_sharded(unsigned threads, const ShardedMix& mix_size, SimTime warmup,
-                       SimTime window) {
+                       SimTime window, double burn_serial_ms) {
   FabricConfig fc;
   fc.kind = FabricConfig::Kind::kFatTree;
   fc.pods = 4;
@@ -353,17 +361,25 @@ ShardedRun run_sharded(unsigned threads, const ShardedMix& mix_size, SimTime war
 
   DomainRunner runner(fabric.topology(), threads);
   runner.run_until(warmup);
+  ShardedRun r;
+  const unsigned effective = runner.stats().effective_threads;
+  if (effective > 1) r.ceiling = burn_serial_ms / burn_ms(effective);
+  const DomainRunner::Stats before = runner.stats();
   const auto t0 = Clock::now();
   runner.run_until(warmup + window);
-
-  ShardedRun r;
   r.wall_ms = ms_since(t0);
-  r.requested_threads = runner.stats().requested_threads;
-  r.effective_threads = runner.stats().effective_threads;
+
+  const DomainRunner::Stats after = runner.stats();
+  r.requested_threads = after.requested_threads;
+  r.effective_threads = after.effective_threads;
   r.fingerprint = driver.fingerprint();
   r.packets = driver.packets_sent();
-  r.handoffs = runner.stats().handoffs;
-  r.windows = runner.stats().windows;
+  r.handoffs = after.handoffs;
+  r.windows = after.windows;
+  DomainRunner::Stats timed;
+  timed.events = after.events - before.events;
+  timed.busiest_events = after.busiest_events - before.busiest_events;
+  r.work_bound = timed.work_bound();
   return r;
 }
 
@@ -450,9 +466,12 @@ int main(int argc, char** argv) {
   const unsigned thread_sweep[] = {1, 2, 8};
   std::vector<ShardedRun> sharded_runs;
   TablePrinter sharded_table({"threads", "handoffs"});
-  TablePrinter sharded_timing({"threads", "workers", "wall ms", "speedup", "per-worker"});
+  TablePrinter sharded_timing(
+      {"threads", "workers", "wall ms", "speedup", "per-worker", "ceiling", "work bound"});
+  const double burn_serial_ms = burn_ms(1);
   for (const unsigned t : thread_sweep) {
-    sharded_runs.push_back(run_sharded(t, sharded_mix, sharded_warmup, sharded_window));
+    sharded_runs.push_back(
+        run_sharded(t, sharded_mix, sharded_warmup, sharded_window, burn_serial_ms));
     const ShardedRun& r = sharded_runs.back();
     const double speedup = sharded_runs.front().wall_ms / r.wall_ms;
     const double per_worker = speedup / static_cast<double>(r.effective_threads);
@@ -460,7 +479,8 @@ int main(int argc, char** argv) {
     sharded_timing.add_row({std::to_string(r.requested_threads),
                             std::to_string(r.effective_threads),
                             TablePrinter::fmt(r.wall_ms, 1), TablePrinter::fmt(speedup, 2),
-                            TablePrinter::fmt(per_worker, 2)});
+                            TablePrinter::fmt(per_worker, 2), TablePrinter::fmt(r.ceiling, 2),
+                            TablePrinter::fmt(r.work_bound, 2)});
   }
   sharded_table.print(std::cout);
   sharded_timing.print(std::cerr);
@@ -529,7 +549,8 @@ int main(int argc, char** argv) {
     json << "      {\"requested_threads\": " << r.requested_threads
          << ", \"effective_threads\": " << r.effective_threads
          << ", \"wall_ms\": " << r.wall_ms << ", \"speedup_vs_serial\": " << speedup
-         << ", \"per_worker_speedup\": " << per_worker << ", \"packets\": " << r.packets
+         << ", \"per_worker_speedup\": " << per_worker << ", \"ceiling\": " << r.ceiling
+         << ", \"work_bound\": " << r.work_bound << ", \"packets\": " << r.packets
          << ", \"handoffs\": " << r.handoffs << ", \"windows\": " << r.windows << "}"
          << (i + 1 < sharded_runs.size() ? "," : "") << "\n";
   }

@@ -3,8 +3,9 @@
 //
 // Three measurements, written to BENCH_pipeline.json (schema v1, gated in CI
 // by tools/bench_compare.py) and EXPERIMENTS.md:
-//   1. pipeline: wall-clock for a 4-flow dumbbell run; reports data
-//      packets/sec delivered end to end and scheduler events/sec. This is
+//   1. pipeline: a 4-flow dumbbell run; reports data packets delivered end
+//      to end per second of thread CPU time (bench/ab_overhead.h) and
+//      scheduler events per wall second. This is
 //      the number the Packet memory diet (boxed AckInfo, move-only hot
 //      path) moves. Runs are interleaved with telemetry-enabled twins to
 //      measure the sampler overhead (budget ≤ 2%, DESIGN.md "Telemetry")
@@ -21,14 +22,12 @@
 // Usage: micro_pipeline [--smoke] [--json PATH] [--label NAME]
 //   --smoke shortens simulated durations so CI sanitizer jobs can afford it.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ab_overhead.h"
@@ -38,6 +37,7 @@
 #include "pels/scenario.h"
 #include "queue/drop_tail.h"
 #include "sim/timer.h"
+#include "thread_ceiling.h"
 #include "util/cli.h"
 #include "util/heap_count.h"
 #include "util/table.h"
@@ -196,31 +196,6 @@ std::string run_sweep(unsigned threads, SimTime duration, double* wall_ms) {
   return csv.str();
 }
 
-/// Wall time of a fixed xorshift loop split evenly over `threads` raw
-/// std::threads. burn_ms(1) / burn_ms(t) is the speedup the machine grants t
-/// threads of pure arithmetic right now: the ceiling for a sweep speedup
-/// measured in the same run, which a shared or throttled box caps for both.
-double burn_ms(unsigned threads) {
-  constexpr std::uint64_t kTotalSteps = 1ULL << 24;
-  std::atomic<std::uint64_t> sink{0};
-  std::vector<std::thread> burners;
-  burners.reserve(threads);
-  const auto t0 = Clock::now();
-  for (unsigned i = 0; i < threads; ++i) {
-    burners.emplace_back([&sink, i, steps = kTotalSteps / threads] {
-      std::uint64_t x = 0x9e3779b97f4a7c15ULL + i;
-      for (std::uint64_t s = 0; s < steps; ++s) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-      }
-      sink.fetch_xor(x, std::memory_order_relaxed);  // keeps the loop alive
-    });
-  }
-  for (std::thread& b : burners) b.join();
-  return ms_since(t0);
-}
-
 /// Intra-scenario parallel DES measurement: a two-domain chain (the domain
 /// boundary at the middle link) run through DomainRunner at 1 worker and at
 /// one worker per domain. Reports window/handoff counts and asserts the
@@ -329,11 +304,11 @@ int main(int argc, char** argv) {
             << "median wall    = " << TablePrinter::fmt(med.wall_ms, 1) << " ms for "
             << med.data_packets << " delivered data packets\n"
             << "throughput     = " << TablePrinter::fmt(ab.plain_pkts_per_sec / 1e3, 1)
-            << " k data pkts/s, " << TablePrinter::fmt(events_per_sec / 1e6, 2)
+            << " k data pkts per CPU s, " << TablePrinter::fmt(events_per_sec / 1e6, 2)
             << " M events/s (" << TablePrinter::fmt(events_per_data_packet, 2)
             << " events per delivered data packet, timers and acks included)\n"
             << "with telemetry = " << TablePrinter::fmt(ab.treated_pkts_per_sec / 1e3, 1)
-            << " k data pkts/s (" << overhead_clause(ab, 0.02) << ")\n";
+            << " k data pkts per CPU s (" << overhead_clause(ab, 0.02) << ")\n";
   // Telemetry must observe, not perturb: the same scenario with sampling on
   // delivers exactly the same packets.
   if (ab.treated.data_packets != med.data_packets) {

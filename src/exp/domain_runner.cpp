@@ -73,7 +73,13 @@ DomainRunner::DomainRunner(Topology& topo, unsigned threads)
       threads_(std::max(1u, std::min(requested_threads_, SweepRunner::hardware_threads()))),
       lookahead_(topo.min_boundary_delay()),
       mail_(topo.boundary_links().size()),
-      errors_(topo.domain_count()) {
+      slots_(topo.domain_count()),
+      share_events_(threads_) {
+  const auto& boundary = topo_.boundary_links();
+  for (std::size_t i = 0; i < boundary.size(); ++i) {
+    slots_[static_cast<std::size_t>(boundary[i].to_domain)].inbound.push_back(i);
+    slots_[static_cast<std::size_t>(boundary[i].from_domain)].outbound.push_back(i);
+  }
   workers_.reserve(threads_ - 1);
   try {
     for (unsigned w = 1; w < threads_; ++w) {
@@ -83,10 +89,9 @@ DomainRunner::DomainRunner(Topology& topo, unsigned threads)
     stop_workers();
     throw;
   }
-  const auto& boundary = topo_.boundary_links();
   for (std::size_t i = 0; i < boundary.size(); ++i) {
     boundary[i].link->set_remote_delivery([this, i](Packet&& pkt, SimTime deliver_at) {
-      mail_[i].box.push_back(Handoff{std::move(pkt), deliver_at});
+      mail_[i].buffer[fill_].items.push_back(Handoff{std::move(pkt), deliver_at});
     });
   }
 }
@@ -106,7 +111,11 @@ DomainRunner::Stats DomainRunner::stats() const {
   s.effective_threads = threads_;
   s.lookahead = lookahead_;
   s.windows = windows_;
-  s.handoffs = handoffs_;
+  for (const DomainSlot& slot : slots_) {
+    s.handoffs += slot.handoffs;
+    s.events += slot.events;
+  }
+  s.busiest_events = busiest_events_;
   return s;
 }
 
@@ -128,39 +137,93 @@ void DomainRunner::worker_loop(unsigned w) {
   for (;;) {
     seen = spin_then_park(epoch_, [seen](std::uint32_t e) { return e != seen; });
     if (stop_) return;
-    run_share(w, window_end_);
+    run_share(w, window_end_, fill_);
     if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) running_.notify_one();
   }
 }
 
-void DomainRunner::run_share(unsigned w, SimTime end) {
+void DomainRunner::run_share(unsigned w, SimTime end, unsigned fill) {
+  for (std::size_t d = w; d < slots_.size(); d += threads_) run_domain(d, end, fill);
+}
+
+std::size_t DomainRunner::hand_off_buffer(std::size_t i, unsigned b) {
+  std::vector<Handoff>& items = mail_[i].buffer[b].items;
+  [[maybe_unused]] const SimTime dst_now =
+      topo_.domain_sim(topo_.boundary_links()[i].to_domain).now();
+  for (Handoff& h : items) {
+    assert(h.deliver_at >= dst_now && "handoff arrived inside the lookahead window");
+    topo_.hand_off(i, std::move(h.pkt), h.deliver_at);
+  }
+  const std::size_t n = items.size();
+  items.clear();
+  return n;
+}
+
+void DomainRunner::run_domain(std::size_t d, SimTime end, unsigned fill) {
+  DomainSlot& slot = slots_[d];
+  Scheduler& sched = topo_.domain_sim(static_cast<int>(d)).scheduler();
   // A throw must not escape a worker thread (std::terminate): capture here,
   // rethrow with domain context after the barrier.
-  for (std::size_t d = w; d < errors_.size(); d += threads_) {
-    try {
-      topo_.domain_sim(static_cast<int>(d)).run_until(end);
-    } catch (const std::exception& e) {
-      errors_[d] = e.what();
-    } catch (...) {
-      errors_[d] = "non-standard exception";
+  try {
+    // The previous window's arrivals, in link-creation order: the same
+    // schedule order at any thread count, so the same tie-break sequence
+    // numbers. Every one arrives at or after this window's start.
+    for (const std::size_t i : slot.inbound) slot.handoffs += hand_off_buffer(i, fill ^ 1u);
+    const std::uint64_t before = sched.executed();
+    sched.run_until(end);
+    slot.window_events = sched.executed() - before;
+    slot.events += slot.window_events;
+    // Window sizing input: besides its own next event, this domain causes
+    // an arrival at the head of every buffer it filled (deliver_at never
+    // decreases within a link).
+    SimTime next = sched.peek_next_time();
+    for (const std::size_t i : slot.outbound) {
+      const std::vector<Handoff>& items = mail_[i].buffer[fill].items;
+      if (!items.empty()) next = std::min(next, items.front().deliver_at);
     }
+    slot.next_time = next;
+  } catch (const std::exception& e) {
+    slot.error = e.what();
+  } catch (...) {
+    slot.error = "non-standard exception";
+  }
+}
+
+void DomainRunner::drain_mailboxes() {
+  // The buffer the last window filled; the other one was handed off at that
+  // window's start. Link-creation order, as the destinations drain.
+  const unsigned last = fill_;
+  for (std::size_t i = 0; i < mail_.size(); ++i) {
+    const auto to = static_cast<std::size_t>(topo_.boundary_links()[i].to_domain);
+    slots_[to].handoffs += hand_off_buffer(i, last);
   }
 }
 
 void DomainRunner::run_until(SimTime t_end) {
-  const std::size_t domains = topo_.domain_count();
+  if (!failure_.empty()) {
+    throw std::logic_error(
+        "DomainRunner: run_until after a failed run; the failed window's handoffs are "
+        "stranded and its domains stopped apart (earlier failure: " +
+        failure_ + ")");
+  }
+  const std::size_t domains = slots_.size();
   if (domains <= 1) {
     // Single domain: no boundaries, no barriers — plain sequential DES.
+    Scheduler& sched = topo_.sim().scheduler();
+    const std::uint64_t before = sched.executed();
     try {
-      topo_.sim().run_until(t_end);
+      sched.run_until(t_end);
     } catch (const std::exception& e) {
-      throw std::runtime_error(std::string("DomainRunner: domain 0 failed: ") + e.what());
+      failure_ = std::string("DomainRunner: domain 0 failed: ") + e.what();
+      throw std::runtime_error(failure_);
     }
+    const std::uint64_t events = sched.executed() - before;
+    slots_[0].events += events;
+    busiest_events_ += events;
     ++windows_;
     return;
   }
   SimTime now = topo_.domain_sim(0).now();
-  for (std::string& e : errors_) e.clear();
 
   // Stall watchdog budget. Each completed window ends past the previous
   // earliest pending event, which itself is past the previous window's end —
@@ -176,8 +239,18 @@ void DomainRunner::run_until(SimTime t_end) {
   }
   std::uint64_t windows_this_run = 0;
 
+  // The first window's sizing peeks every scheduler: the mailboxes are
+  // empty between run_until() calls, so the schedulers hold every pending
+  // event. Later windows read the slots instead.
+  SimTime earliest = kTimeNever;
+  for (std::size_t d = 0; d < domains; ++d) {
+    earliest = std::min(earliest,
+                        topo_.domain_sim(static_cast<int>(d)).scheduler().peek_next_time());
+  }
+
   while (now < t_end) {
     if (budget != 0 && windows_this_run >= budget) {
+      drain_mailboxes();
       std::ostringstream msg;
       msg << "DomainRunner: stall watchdog tripped after " << windows_this_run
           << " windows (budget " << budget << ", lookahead " << lookahead_
@@ -197,11 +270,6 @@ void DomainRunner::run_until(SimTime t_end) {
     // keeps arrivals out of every domain's past — and when the earliest
     // event is far away (or absent), the whole idle stretch is skipped in
     // a single window instead of being barrier-stepped through.
-    SimTime earliest = kTimeNever;
-    for (std::size_t d = 0; d < domains; ++d) {
-      earliest = std::min(earliest,
-                          topo_.domain_sim(static_cast<int>(d)).scheduler().peek_next_time());
-    }
     SimTime end = t_end;
     if (earliest != kTimeNever && lookahead_ != kTimeNever) {
       const SimTime horizon =
@@ -210,47 +278,42 @@ void DomainRunner::run_until(SimTime t_end) {
     }
     // Window: the workers run their shares while the caller runs its own,
     // then the caller waits for every worker to count itself out.
+    fill_ = static_cast<unsigned>(windows_ & 1);
     if (!workers_.empty()) {
       window_end_ = end;
       running_.store(static_cast<std::uint32_t>(workers_.size()), std::memory_order_relaxed);
       release_workers();
     }
-    run_share(0, end);
+    run_share(0, end, fill_);
     if (!workers_.empty()) {
       spin_then_park(running_, [](std::uint32_t n) { return n == 0; });
     }
     ++windows_;
     for (std::size_t d = 0; d < domains; ++d) {
-      if (errors_[d].empty()) continue;
+      if (slots_[d].error.empty()) continue;
       std::ostringstream msg;
       msg << "DomainRunner: domain " << d << " failed in window " << windows_this_run
-          << " (t=" << now << ".." << end << "ns): " << errors_[d];
+          << " (t=" << now << ".." << end << "ns): " << slots_[d].error;
       for (std::size_t o = d + 1; o < domains; ++o) {
-        if (!errors_[o].empty()) {
-          msg << "; domain " << o << ": " << errors_[o];
+        if (!slots_[o].error.empty()) {
+          msg << "; domain " << o << ": " << slots_[o].error;
         }
       }
-      throw std::runtime_error(msg.str());
+      failure_ = msg.str();
+      throw std::runtime_error(failure_);
     }
 
-    // Barrier: hand cross-domain arrivals to their destination domains,
-    // iterating boundary links in creation order and each mailbox FIFO. This
-    // order — not completion or thread order — decides scheduler tie-break
-    // sequence numbers in the destination, which is what makes the run
-    // byte-identical at any thread count. The packets move on into the
-    // topology's per-link inboxes, so the mailboxes are free for the next
-    // window's workers.
-    for (std::size_t i = 0; i < mail_.size(); ++i) {
-      std::vector<Handoff>& box = mail_[i].box;
-      for (Handoff& h : box) {
-        assert(h.deliver_at >= end && "handoff arrived inside the lookahead window");
-        topo_.hand_off(i, std::move(h.pkt), h.deliver_at);
-      }
-      handoffs_ += box.size();
-      box.clear();
+    // Barrier: the next window's sizing and the work bound, from the slots.
+    earliest = kTimeNever;
+    std::fill(share_events_.begin(), share_events_.end(), 0);
+    for (std::size_t d = 0; d < domains; ++d) {
+      earliest = std::min(earliest, slots_[d].next_time);
+      share_events_[d % threads_] += slots_[d].window_events;
     }
+    busiest_events_ += *std::max_element(share_events_.begin(), share_events_.end());
     now = end;
   }
+  drain_mailboxes();
 }
 
 }  // namespace pels

@@ -11,35 +11,47 @@
 //
 // Execution is windowed (barrier flavour of the null-message idea):
 //   1. pick the next window end = min(t_end, earliest pending event across
-//      all domains + lookahead) — idle stretches are skipped in one hop;
-//   2. run every domain's scheduler to the window end. With W effective
-//      threads the caller's thread runs domains d % W == 0 and each of the
-//      runner's W - 1 persistent workers runs the fixed share d % W == w.
-//      (Persistent, unlike SweepRunner's per-batch helpers: a window is
-//      tens of microseconds of work, about what starting and joining the
-//      threads would cost each time.)
+//      all domains + lookahead) — idle stretches are skipped in one hop.
+//      The first window of a run_until() call peeks every domain's
+//      scheduler; later windows take the minimum over the per-domain slots
+//      that step 2 publishes, so the caller never reads a remote scheduler;
+//   2. run every domain's window on the domain's own thread. With W
+//      effective threads the caller's thread runs domains d % W == 0 and
+//      each of the runner's W - 1 persistent workers runs the fixed share
+//      d % W == w. (Persistent, unlike SweepRunner's per-batch helpers: a
+//      window is tens of microseconds of work, about what starting and
+//      joining the threads would cost each time.) A domain's window is:
+//        a. hand off the packets its inbound boundary links carried in the
+//           previous window (Topology::hand_off), link-creation order, FIFO
+//           within a link, scheduling one `[topology, link]` arrival event
+//           per packet at its precomputed deliver_at, which the lookahead
+//           guarantees is never in the domain's past;
+//        b. run its scheduler to the window end; packets leaving its own
+//           boundary links land in this window's mailbox buffer;
+//        c. publish into its own cache-line slot the earliest time it can
+//           cause an event (its scheduler's next event and the head of each
+//           outbound buffer it filled), its handoff count and the events it
+//           executed.
 //      Workers and caller meet at an epoch-counter barrier: the caller
 //      publishes the window end and bumps the epoch, each worker counts
 //      itself out when its share is done, and whoever waits spins (with a
 //      pause, yielding every 64 pauses) for kSpinBudget, then parks in
 //      std::atomic::wait. At W = 1 no thread is started: the run is a
 //      plain serial loop on the caller;
-//   3. barrier: drain the boundary-link mailboxes in deterministic order
-//      (link creation order, FIFO within a link) into the topology's
-//      per-link inboxes (Topology::hand_off), scheduling one `[topology,
-//      link]` arrival event per packet in the destination domain at its
-//      precomputed deliver_at, which the lookahead guarantees is never in
-//      the destination's past. The event pops its link's inbox head, so no
-//      packet rides a scheduler callback and pending arrivals outlive the
-//      runner.
+//   3. barrier: nothing moves. Each boundary link has two mailbox buffers
+//      alternated by window parity, so sources fill one while destinations
+//      drain the other at their next window start (2a). After the last
+//      window of a run_until() call the caller drains what is left, so the
+//      mailboxes are empty between calls and pending arrivals — which wait
+//      in the topology's per-link inboxes — outlive the runner.
 //
 // Determinism contract (same as SweepRunner's, DESIGN.md "Parallel
 // experiments"): a run at threads=N is byte-identical to threads=1. Window
 // boundaries are computed from simulation state only, each domain is
-// single-threaded within a window, and barrier injections happen on the
-// coordinating thread in a fixed order — so scheduler tie-break sequence
-// numbers, RNG draws, and every metric are independent of thread count and
-// thread placement.
+// single-threaded within a window, and each destination receives its
+// handoffs before any event of the next window, in link-creation order —
+// so scheduler tie-break sequence numbers, RNG draws, and every metric are
+// independent of thread count and thread placement.
 #pragma once
 
 #include <atomic>
@@ -52,16 +64,10 @@
 
 #include "net/packet.h"
 #include "net/topology.h"
+#include "util/cache_line.h"
 #include "util/time.h"
 
 namespace pels {
-
-/// Destructive-interference granularity for padding the barrier counters and
-/// mailboxes. A fixed 64 is used instead of
-/// std::hardware_destructive_interference_size: the constant must not vary
-/// with -mtune (it would change struct layouts across TUs), and 64 covers
-/// every target this project builds on.
-inline constexpr std::size_t kCacheLineSize = 64;
 
 class DomainRunner {
  public:
@@ -71,6 +77,19 @@ class DomainRunner {
     SimTime lookahead = kTimeNever;
     std::uint64_t windows = 0;   // barrier-separated execution windows
     std::uint64_t handoffs = 0;  // packets exchanged across domains
+    /// Events the domains executed under this runner, and the sum over
+    /// windows of the busiest thread's share of them for the d % W
+    /// assignment in use. Both depend only on simulation state and W.
+    std::uint64_t events = 0;
+    std::uint64_t busiest_events = 0;
+
+    /// The speedup W threads could reach if barriers cost nothing:
+    /// events / busiest_events (1 before any event ran).
+    double work_bound() const {
+      return busiest_events == 0
+                 ? 1.0
+                 : static_cast<double>(events) / static_cast<double>(busiest_events);
+    }
   };
 
   /// How long a thread waiting at the window barrier spins before it parks
@@ -103,14 +122,19 @@ class DomainRunner {
   /// with no context (and never std::terminate, which is what a throw
   /// escaping a worker thread would mean). When several domains fail in one
   /// window every failure is listed. The workers stay parked, ready for the
-  /// destructor.
+  /// destructor, and stats() stays readable. The failed window's handoffs
+  /// stay in the mailboxes and its domains stopped at different times, so
+  /// every later run_until() call throws std::logic_error naming the
+  /// earlier failure instead of running on that state.
   ///
   /// Stall watchdog: conservative windows provably advance by more than the
   /// lookahead each round, so one run_until(t_end) call can take at most
   /// (t_end - start) / lookahead + 2 windows. A run exceeding that bound
   /// (with generous slack) has stopped making progress — a lookahead or
   /// barrier bug — and throws a diagnostic listing every domain's clock and
-  /// earliest pending event instead of spinning forever.
+  /// earliest pending event instead of spinning forever. The watchdog trips
+  /// between windows, after handing off what the mailboxes hold, so the
+  /// runner stays usable.
   void run_until(SimTime t_end);
 
   SimTime lookahead() const { return lookahead_; }
@@ -128,17 +152,42 @@ class DomainRunner {
     Packet pkt;
     SimTime deliver_at;
   };
-  // One boundary link's mailbox, written only by the owning domain's
-  // thread during a window and drained only by the caller at the barrier
-  // (the epoch barrier orders the two), so no locks are needed. Padded:
-  // threads pushing into neighbouring mailboxes must not share a line.
-  struct alignas(kCacheLineSize) Mailbox {
-    std::vector<Handoff> box;
+  // One buffer of a boundary link's mailbox, on its own line: the source
+  // domain's thread appends to one buffer while the destination domain's
+  // thread drains the other.
+  struct alignas(kCacheLineSize) MailBuffer {
+    std::vector<Handoff> items;
+  };
+  // A boundary link's two buffers, alternated by window parity: window k
+  // fills buffer k & 1, and the destination hands that buffer off at the
+  // start of window k + 1 (or the caller does, after a run's last window).
+  // The epoch barrier orders each fill before its drain and each drain
+  // before the next fill of the same buffer, so no locks are needed.
+  struct Mailbox {
+    MailBuffer buffer[2];
+  };
+  // What one domain's thread publishes after its window; the caller reads it
+  // after the barrier. Written only by that thread during a window (and by
+  // the caller between windows), on its own line.
+  struct alignas(kCacheLineSize) DomainSlot {
+    SimTime next_time = kTimeNever;   // earliest event this domain can cause
+    std::uint64_t window_events = 0;  // events executed in the last window
+    std::uint64_t events = 0;         // events executed under this runner
+    std::uint64_t handoffs = 0;       // packets handed off into this domain
+    std::string error;                // the window's exception, if any
+    // Boundary links into and out of this domain, in creation order.
+    std::vector<std::size_t> inbound;
+    std::vector<std::size_t> outbound;
   };
 
-  /// Runs thread `w`'s share (domains d % W == w) to `end`, capturing each
-  /// domain's exception in errors_.
-  void run_share(unsigned w, SimTime end);
+  /// Runs thread `w`'s share (domains d % W == w) through one window.
+  void run_share(unsigned w, SimTime end, unsigned fill);
+  /// One domain's window (steps 2a-2c), capturing its exception in its slot.
+  void run_domain(std::size_t d, SimTime end, unsigned fill);
+  /// Hands off buffer `b` of link `i`'s mailbox; returns the packet count.
+  std::size_t hand_off_buffer(std::size_t i, unsigned b);
+  /// Hands off what the last window left in the mailboxes (caller only).
+  void drain_mailboxes();
   void worker_loop(unsigned w);
   /// Wakes the workers for the next window, or for exit once stop_ is set.
   void release_workers();
@@ -148,21 +197,22 @@ class DomainRunner {
   unsigned requested_threads_;
   unsigned threads_;  // W: the caller plus workers_.size()
   SimTime lookahead_;
-  std::vector<Mailbox> mail_;
-  // Per-domain error capture, with the mailboxes' single-writer
-  // discipline: written by the thread running the domain, read by the
-  // caller after the barrier.
-  std::vector<std::string> errors_;
-  std::uint64_t windows_ = 0;
-  std::uint64_t handoffs_ = 0;
+  std::vector<Mailbox> mail_;       // parallel to topo_.boundary_links()
+  std::vector<DomainSlot> slots_;   // one per domain
   std::uint64_t max_windows_override_ = 0;
 
-  // Window barrier. The caller writes window_end_ (or stop_), then bumps
-  // epoch_ (release); a worker that sees the new epoch (acquire) reads
-  // them, runs its share and decrements running_ (acq_rel), and the caller
-  // waits for running_ to reach 0 (acquire) before the handoffs.
-  SimTime window_end_ = 0;
+  // Caller state. window_end_, fill_ and stop_ are published to the workers
+  // by the epoch bump: the caller writes them, then bumps epoch_ (release);
+  // a worker that sees the new epoch (acquire) reads them, runs its share
+  // and decrements running_ (acq_rel), and the caller waits for running_ to
+  // reach 0 (acquire) before it reads the slots.
+  alignas(kCacheLineSize) SimTime window_end_ = 0;
+  unsigned fill_ = 0;  // mailbox buffer the current window fills
   bool stop_ = false;
+  std::uint64_t windows_ = 0;
+  std::uint64_t busiest_events_ = 0;
+  std::vector<std::uint64_t> share_events_;  // per thread, one window's events
+  std::string failure_;  // what the failed run threw; empty while healthy
   alignas(kCacheLineSize) std::atomic<std::uint32_t> epoch_{0};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> running_{0};
   std::vector<std::thread> workers_;  // last: started once the state above exists

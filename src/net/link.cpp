@@ -145,12 +145,15 @@ void Link::add_corruption(CorruptionProcess process) {
 
 void Link::set_remote_delivery(RemoteDelivery handler) {
   // Installing moves the handoff deadline of anything on the wire from
-  // deliver_at back to tx_end — possibly into the past — so only an idle
-  // link may become a boundary. Clearing is always safe: the pending event
-  // fires at tx_end, finds the head not yet due locally, and re-arms at
-  // deliver_at.
-  assert((!handler || ring_.empty()) && "install remote delivery before traffic flows");
+  // deliver_at back to tx_end. For a packet still serializing that is now
+  // or later, and the pending event re-arms there; a packet already
+  // propagating would be handed off in its past, so none may be. Clearing
+  // is always safe: the pending event fires at tx_end, finds the head not
+  // yet due locally, and re-arms at deliver_at.
+  assert((!handler || ring_.empty() || ring_.front().tx_end >= sim_.now()) &&
+         "install remote delivery while no packet is propagating");
   remote_ = std::move(handler);
+  if (remote_) reschedule(sim_.now());
 }
 
 void Link::set_up(bool up) {

@@ -28,13 +28,17 @@
 #include "net/queue_disc.h"
 #include "sim/simulation.h"
 #include "telemetry/metrics.h"
+#include "util/cache_line.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/time.h"
 
 namespace pels {
 
-class Link {
+/// Each link starts on its own cache line: every packet writes its link,
+/// and heap neighbours may belong to different domains (a pod's uplink next
+/// to the core's downlink), whose threads would otherwise share a line.
+class alignas(kCacheLineSize) Link : public CacheLineAllocated {
  public:
   /// Creates a link delivering to `dst`. `bandwidth_bps` > 0;
   /// `prop_delay` >= 0. The link takes ownership of its queue discipline.
@@ -89,12 +93,14 @@ class Link {
   /// handed to `handler` at serialization end together with its computed
   /// arrival time (tx_end + prop_delay) instead of being held locally for
   /// propagation — the domain runner re-schedules the arrival in the
-  /// destination domain's scheduler at the next window barrier. Carrier
+  /// destination domain's scheduler at the start of its next window. Carrier
   /// loss and corruption are still evaluated here, at wire exit, exactly as
   /// for local delivery, and packets_delivered()/bytes_delivered() count at
   /// handoff (once on the wire past corruption, nothing can stop the
-  /// arrival). Install before traffic flows; pass nullptr to restore local
-  /// delivery (only safe while nothing is in flight).
+  /// arrival). Install while no packet is propagating on this link: before
+  /// traffic flows, or right after a runner cleared the hook (packets still
+  /// serializing are handed off at their wire exit). Pass nullptr to
+  /// restore local delivery.
   using RemoteDelivery = std::function<void(Packet&&, SimTime deliver_at)>;
   void set_remote_delivery(RemoteDelivery handler);
 

@@ -8,12 +8,15 @@
 #include <string>
 
 #include "net/packet.h"
+#include "util/cache_line.h"
 
 namespace pels {
 
 class Link;
 
-class Node {
+/// On its own cache line, like Link: neighbouring nodes may belong to
+/// domains that run on different threads.
+class alignas(kCacheLineSize) Node : public CacheLineAllocated {
  public:
   Node(NodeId id, std::string name) : id_(id), name_(std::move(name)) {}
   virtual ~Node() = default;

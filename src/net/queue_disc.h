@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "net/packet.h"
+#include "util/cache_line.h"
 #include "util/time.h"
 
 namespace pels {
@@ -48,7 +49,9 @@ struct ColorCounters {
   }
 };
 
-class QueueDisc {
+/// On its own cache line, like Link: every packet writes its queue's
+/// counters, and neighbouring queues may belong to different domains.
+class alignas(kCacheLineSize) QueueDisc : public CacheLineAllocated {
  public:
   virtual ~QueueDisc() = default;
 

@@ -15,6 +15,7 @@
 #include "net/link.h"
 #include "net/router.h"
 #include "sim/simulation.h"
+#include "util/cache_line.h"
 #include "util/ring_buffer.h"
 
 namespace pels {
@@ -75,8 +76,12 @@ class Topology {
   /// the packet it was scheduled for. The inbox lives as long as the
   /// topology — which every pending arrival already references through its
   /// dst node — so a runner driving the handoffs may be destroyed with
-  /// arrivals still pending. Call from the thread that owns the destination
-  /// domain's scheduler (DomainRunner: the coordinator, at the barrier).
+  /// arrivals still pending. Call from the thread that runs the destination
+  /// domain (DomainRunner: that domain's own thread at the start of its next
+  /// window, or the caller's after a run's last window), with each link's
+  /// packets in FIFO order. The order of the calls for one destination
+  /// decides the tie-break of its equal-time arrivals, so a deterministic
+  /// runner makes them in a fixed order (DomainRunner: link creation).
   void hand_off(std::size_t i, Packet&& pkt, SimTime deliver_at);
 
   /// Minimum propagation delay across boundary links — the lookahead bound
@@ -132,7 +137,9 @@ class Topology {
   };
 
   /// Handed-off packets of one boundary link awaiting their arrival event.
-  struct Inbox {
+  /// Written by the destination domain's thread only; on its own line so
+  /// that neighbouring inboxes of other destinations share nothing.
+  struct alignas(kCacheLineSize) Inbox {
     RingBuffer<Packet> packets;
     SimTime last_deliver_at = 0;  // FIFO precondition check
   };

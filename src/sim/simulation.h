@@ -7,12 +7,15 @@
 #include <memory>
 
 #include "sim/scheduler.h"
+#include "util/cache_line.h"
 #include "util/rng.h"
 #include "util/time.h"
 
 namespace pels {
 
-class Simulation {
+/// On its own cache line: each domain of a partitioned topology has its own
+/// Simulation, driven by its own thread.
+class alignas(kCacheLineSize) Simulation {
  public:
   explicit Simulation(std::uint64_t seed = 1) : master_seed_(seed) {}
 

@@ -8,6 +8,7 @@
 // injections happen in fixed boundary-link order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -235,6 +236,33 @@ TEST(DomainRunnerTest, RepeatedRunUntilContinuesCleanly) {
   EXPECT_EQ(phased.trace(), whole.trace());
 }
 
+TEST(DomainRunnerTest, MailboxesEmptyAtEveryRunEndAcrossRebuiltRunners) {
+  // Many run_until targets at odd times, each ending with boundary packets
+  // in flight, and a fresh runner every third target: every handoff must
+  // reach its destination exactly when it would in one uninterrupted run.
+  // A handoff left in a mailbox at a run's end would die with its runner,
+  // and one handed off from the buffer still being filled would arrive a
+  // window late.
+  ChainScenario whole(/*partitioned=*/true);
+  DomainRunner(*whole.topo, 1).run_until(1500 * kMillisecond);
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ChainScenario cut(/*partitioned=*/true);
+    auto runner = std::make_unique<DomainRunner>(*cut.topo, threads);
+    for (int k = 1; k <= 40; ++k) {
+      if (k % 3 == 0) {
+        runner.reset();
+        runner = std::make_unique<DomainRunner>(*cut.topo, threads);
+      }
+      runner->run_until(k * 37 * kMillisecond + (k * k % 11) * kMillisecond);
+      // Past the boundary wire but not yet at the sink: in the mailbox, the
+      // destination's inbox or the last local hop.
+      ASSERT_GT(cut.boundary_ab->packets_delivered(), cut.sink_b->arrivals()) << "k=" << k;
+    }
+    runner->run_until(1500 * kMillisecond);
+    EXPECT_EQ(cut.trace(), whole.trace()) << "threads=" << threads;
+  }
+}
+
 TEST(DomainRunnerTest, SingleDomainTopologyFallsBackToSequentialRun) {
   ChainScenario s(/*partitioned=*/false);
   DomainRunner runner(*s.topo, 4);
@@ -243,6 +271,38 @@ TEST(DomainRunnerTest, SingleDomainTopologyFallsBackToSequentialRun) {
   EXPECT_EQ(runner.stats().windows, 1u);
   EXPECT_EQ(runner.stats().handoffs, 0u);
   EXPECT_GT(s.sink_b->arrivals(), 0u);
+}
+
+TEST(DomainRunnerTest, WorkBoundCountsEveryDomainsEventsAndTheBusiestThread) {
+  // Targets 1 ms apart, under the 25 ms lookahead, make every run_until one
+  // window, so the test can take each window's per-domain event counts from
+  // the schedulers and rebuild the busiest thread's share for d % W.
+  ChainScenario s(/*partitioned=*/true);
+  DomainRunner runner(*s.topo, 2);
+  const unsigned w = runner.stats().effective_threads;
+  std::uint64_t events = 0;
+  std::uint64_t busiest = 0;
+  for (SimTime t = kMillisecond; t <= 300 * kMillisecond; t += kMillisecond) {
+    const std::uint64_t before0 = s.sims[0]->scheduler().executed();
+    const std::uint64_t before1 = s.sims[1]->scheduler().executed();
+    const std::uint64_t windows = runner.stats().windows;
+    runner.run_until(t);
+    ASSERT_EQ(runner.stats().windows, windows + 1) << "t=" << t;
+    const std::uint64_t e0 = s.sims[0]->scheduler().executed() - before0;
+    const std::uint64_t e1 = s.sims[1]->scheduler().executed() - before1;
+    events += e0 + e1;
+    busiest += w == 1 ? e0 + e1 : std::max(e0, e1);
+  }
+  const DomainRunner::Stats st = runner.stats();
+  EXPECT_GT(events, 1000u);
+  EXPECT_EQ(st.events, events);
+  EXPECT_EQ(st.busiest_events, busiest);
+  EXPECT_DOUBLE_EQ(st.work_bound(),
+                   static_cast<double>(events) / static_cast<double>(busiest));
+  if (w == 2) {
+    EXPECT_GT(st.work_bound(), 1.0);
+    EXPECT_LT(st.work_bound(), 2.0);
+  }
 }
 
 // ------------------------------------------------------ worker threads
@@ -440,6 +500,34 @@ TEST(DomainRunnerTest, WorkerExceptionSurfacesWithDomainAndWindowContext) {
   }
   // The runner object stays usable for inspection after the failure.
   EXPECT_GT(runner.stats().windows, 0u);
+}
+
+TEST(DomainRunnerTest, RunAfterAFailedRunIsRefused) {
+  // The failed window stopped its domains at different times and left its
+  // handoffs in the mailboxes: running on would deliver them late, so the
+  // runner refuses and names the earlier failure.
+  ChainScenario s(/*partitioned=*/true);
+  s.sims[1]->at(500 * kMillisecond, [] { throw std::runtime_error("injected scenario fault"); });
+  DomainRunner runner(*s.topo, 2);
+  EXPECT_THROW(runner.run_until(kSecond), std::runtime_error);
+  const std::uint64_t windows = runner.stats().windows;
+  const SimTime far_now = s.sims[1]->now();
+  try {
+    runner.run_until(2 * kSecond);
+    FAIL() << "expected the refusal";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("after a failed run"), std::string::npos) << what;
+    EXPECT_NE(what.find("injected scenario fault"), std::string::npos) << what;
+  }
+  EXPECT_EQ(runner.stats().windows, windows);
+  EXPECT_EQ(s.sims[1]->now(), far_now);
+
+  ChainScenario single(/*partitioned=*/false);
+  single.sims[0]->at(100 * kMillisecond, [] { throw std::runtime_error("boom"); });
+  DomainRunner serial(*single.topo, 1);
+  EXPECT_THROW(serial.run_until(kSecond), std::runtime_error);
+  EXPECT_THROW(serial.run_until(2 * kSecond), std::logic_error);
 }
 
 TEST(DomainRunnerTest, SingleDomainExceptionIsWrappedWithDomainZero) {

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the two hottest paths of the
 // simulator core: discrete-event scheduling (events/sec under schedule/run,
-// cancel-heavy, and timer-churn workloads) and the PELS router queue's
-// service cycle (a WRR pick, a strict-priority dequeue and a replacement
-// enqueue), which every bottleneck transmission opportunity runs.
+// cancel-heavy, timer-churn and population-pacing workloads) and the PELS
+// router queue's service cycle (a WRR pick, a strict-priority dequeue and a
+// replacement enqueue), which every bottleneck transmission opportunity runs.
 //
 // These exist so hot-path rewrites are measured, not asserted: run the same
 // binary on the before/after tree and compare items_per_second.
@@ -115,6 +115,30 @@ BENCHMARK(BM_SchedulerChurnTiered)
     ->Args({100000, 1})
     ->Args({1000000, 0})
     ->Args({1000000, 1});
+
+/// Wheel storage at population scale: `n` self-rescheduling timers at one
+/// 5 s period, phases spread over the first period (population-1m's pacing
+/// shape without the flows). Set-up warms the wheel past a level-1 wrap
+/// (8.6 s); each iteration then runs one timer, which re-arms itself, so
+/// the reported time is ns per event.
+void BM_SchedulerPacingPopulation(benchmark::State& state) {
+  const auto n = static_cast<SimTime>(state.range(0));
+  constexpr SimTime kPeriod = 5 * kSecond;
+  struct Rearm {
+    Scheduler* sched;
+    void operator()() const {
+      Scheduler* s = sched;
+      s->schedule_in(kPeriod, Rearm{s});
+    }
+  };
+  Scheduler sched;
+  sched.reserve(static_cast<std::size_t>(n));
+  for (SimTime i = 0; i < n; ++i) sched.schedule_at(i * (kPeriod / n), Rearm{&sched});
+  sched.run_until(9 * kSecond);
+  for (auto _ : state) benchmark::DoNotOptimize(sched.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerPacingPopulation)->Arg(1000000);
 
 // ------------------------------------------------------------- PelsQueue
 

@@ -110,22 +110,14 @@ void Topology::reserve_runtime(std::size_t expected_flows) {
   // pair per flow its hosts source, one arrival event per packet in flight
   // on its inbound boundary links, plus slack for samplers and fault
   // injectors. The generous constants cost a few KB once, and warm-up then
-  // never grows the pools mid-run — heap, slot pool, run buffer, AND wheel
-  // buckets (Scheduler::reserve distributes the estimate across the
-  // calendar tiers; the Scheduler::Stats *_capacity probes let benches
+  // never grows the pools mid-run — heap, slot pool, run buffer, AND the
+  // wheel's block pool (the Scheduler::Stats *_capacity probes let benches
   // assert zero growth, see bench/many_flows.cpp).
   //
-  // A domain's flows are expected_flows split by the hosts it owns, with
-  // 2x headroom (capped at expected_flows): sources need not spread evenly
-  // (gen_mixed_traffic draws them at random), and a wheel bucket's reserve
-  // is the estimate / 256, so the even share leaves the busiest pod's
-  // buckets short. Every domain of a partitioned topology reserves at least
-  // kMinDomainEvents: a drained bucket keeps up to 64 entries, and the
-  // concentration spares (estimate, /2, /4) must stay bigger than that or
-  // they strand in buckets and the hostless core grows its wheel. A
-  // single-domain topology reserves 16 + 2 * links + 4 * expected_flows, as
-  // it always has.
-  constexpr std::size_t kMinDomainEvents = 256;
+  // A domain's flows are expected_flows split by the hosts it owns; the
+  // 4 events per flow leave room for sources that do not spread evenly
+  // (gen_mixed_traffic draws them at random). A single-domain topology
+  // reserves 16 + 2 * links + 4 * expected_flows, as it always has.
   const std::size_t domains = domain_sims_.size();
   std::vector<std::size_t> links(domains, 0);
   std::vector<std::size_t> hosts(domains, 0);
@@ -141,13 +133,11 @@ void Topology::reserve_runtime(std::size_t expected_flows) {
     arrivals[static_cast<std::size_t>(b.to_domain)] += in_flight(*b.link);
   }
   for (std::size_t d = 0; d < domains; ++d) {
-    const std::size_t even_share =
+    const std::size_t flows =
         total_hosts == 0 ? expected_flows
                          : (expected_flows * hosts[d] + total_hosts - 1) / total_hosts;
-    const std::size_t flows = std::min(expected_flows, 2 * even_share);
     const std::size_t events = 16 + 2 * links[d] + 4 * flows + arrivals[d];
-    domain_sims_[d]->scheduler().reserve(domains > 1 ? std::max(events, kMinDomainEvents)
-                                                     : events);
+    domain_sims_[d]->scheduler().reserve(events);
   }
   for (auto& link : links_) link->reserve_in_flight(in_flight(*link));
 }

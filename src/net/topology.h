@@ -115,8 +115,10 @@ class Topology {
   /// by the hosts it owns, and one arrival per packet in flight on its
   /// inbound boundary links — so a hostless domain (a fat tree's core)
   /// reserves only for its links, and a single-domain topology reserves
-  /// 16 + 2 * links + 4 * expected_flows events. Call once after the graph
-  /// is complete.
+  /// 16 + 2 * links + 4 * expected_flows events. The estimate needs no
+  /// floor for the wheel: Scheduler::reserve sizes its block pool for any
+  /// spread of that many events over the buckets. Call once after the
+  /// graph is complete.
   void reserve_runtime(std::size_t expected_flows);
 
   std::size_t node_count() const { return nodes_.size(); }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace pels {
 
@@ -39,6 +41,18 @@ inline void prefetch_slot(const void* p, std::size_t bytes) {
 }
 
 }  // namespace
+
+void Scheduler::throw_past_schedule(SimTime t) const {
+  throw std::logic_error("Scheduler::schedule_at: t = " + std::to_string(t) +
+                         " ns is before now() = " + std::to_string(now_) + " ns");
+}
+
+std::uint32_t Scheduler::new_block() {
+  const auto blk = static_cast<std::uint32_t>(blocks_.size());
+  blocks_.emplace_back();
+  next_block_.push_back(kNoBlock);
+  return blk;
+}
 
 void Scheduler::sift_up(std::size_t i) {
   const Entry e = heap_[i];
@@ -123,31 +137,38 @@ void Scheduler::load_run(std::size_t pos, std::uint64_t abs_idx) {
   run_.clear();
   run_pos_ = 0;
   Bucket& b = wheel_[0].buckets[pos];
-  const std::size_t n = b.entries.size();
   constexpr std::size_t kAhead = 16;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) prefetch_slot(&slots_[b.entries[i + kAhead].slot], sizeof(Slot));
-    const Entry& e = b.entries[i];
-    // Read-only on the slot: live entries stay counted in wheel_live_ while
-    // staged in the run (take_callback settles the flag and the count when
-    // they execute, on a line ++gen dirties anyway), so the purge never
-    // dirties these cold lines just to clear residency. Stale entries were
-    // already settled by cancel().
-    if (slots_[e.slot].gen != e.gen) {
-      ++stale_skipped_;
-      continue;
+  for (std::uint32_t blk = b.head;; blk = next_block_[blk]) {
+    const Entry* es = blocks_[blk].entries.data();
+    const bool last = blk == b.tail;
+    const std::size_t n = last ? b.fill : kBlockEntries;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kAhead < n) prefetch_slot(&slots_[es[i + kAhead].slot], sizeof(Slot));
+      const Entry& e = es[i];
+      // Read-only on the slot: live entries stay counted in wheel_live_ while
+      // staged in the run (take_callback settles the flag and the count when
+      // they execute, on a line ++gen dirties anyway), so the purge never
+      // dirties these cold lines just to clear residency. Stale entries were
+      // already settled by cancel().
+      if (slots_[e.slot].gen != e.gen) {
+        ++stale_skipped_;
+        continue;
+      }
+      run_.push_back(e);
     }
-    run_.push_back(e);
+    if (last) break;
   }
-  b.entries.clear();  // keeps capacity: buckets are pooled storage
-  // ...up to a point: storage far past the per-bucket reserve came from a
-  // concentration takeover (a pacing horizon sliding across this level fills
-  // one insertion bucket with ~the whole population). Level-0 drains are the
-  // end of that storage's life in a bucket, so return it to the spare pool
-  // here; left in place it would strand — the sliding horizon visits every
-  // bucket once per wrap, and 256 stranded population-sized buffers both
-  // starve the pool and read as unbounded wheel growth.
-  if (b.entries.capacity() > bucket_keep_capacity()) park_into_pool(b.entries);
+  // The bucket keeps its first block for its next wrap and the rest of the
+  // chain goes back on the free list. Where buckets hold a few entries each
+  // (fattree-churn: 3.7 events per drain), returning every drained block
+  // and taking one again at the next placement cost ~5 ns per event. A kept
+  // block is that bucket's one partial block, so the reserve() bound holds.
+  if (b.tail != b.head) {
+    next_block_[b.tail] = free_block_;
+    free_block_ = next_block_[b.head];
+    b.tail = b.head;
+  }
+  b.fill = 0;
   wheel_[0].occupancy[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
   std::sort(run_.begin(), run_.end(), [](const Entry& a, const Entry& c) {
     return a.t != c.t ? a.t < c.t : a.seq < c.seq;
@@ -160,39 +181,46 @@ void Scheduler::load_run(std::size_t pos, std::uint64_t abs_idx) {
 }
 
 void Scheduler::cascade(int level, std::size_t pos) {
-  Bucket& b = wheel_[level].buckets[pos];
   // Re-placed entries land in strictly lower levels (the cascaded bucket
   // contains the new frontier, so the XOR level rule cannot pick `level`
-  // again) or on the heap for the already-drained window — never back in
-  // this bucket, so it is walked in place and keeps its storage, exactly
-  // like a drained level-0 bucket. Swapping it out instead would hand every
-  // cascaded bucket some other bucket's storage, and the ones left short
-  // would regrow on every period.
+  // again) or on the heap for the already-drained window, never back in
+  // this bucket, so it is detached first and walked block by block.
+  const Bucket b = wheel_[level].buckets[pos];
+  wheel_[level].buckets[pos] = Bucket{};
   wheel_[level].occupancy[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
   const std::uint64_t f0 = frontier_idx0();
-  for (const Entry& e : b.entries) {
-    // The common path is slot-free: entries re-place on (t, seq) alone, and
-    // cancelled ones ride along until the level-0 purge. Only the rare heap
-    // fallback (an entry behind the drain frontier) checks the generation,
-    // because moving an entry out of the wheel must fix the slot-side
-    // residency bookkeeping.
-    if (!place_in_wheel(e, f0)) {
-      Slot& s = slots_[e.slot];
-      if (s.gen != e.gen) {  // cancelled while wheel-resident: purge
-        ++stale_skipped_;
-        continue;
+  for (std::uint32_t blk = b.head;;) {
+    const bool last = blk == b.tail;
+    const std::size_t n = last ? b.fill : kBlockEntries;
+    for (std::size_t i = 0; i < n; ++i) {
+      // A copy: placing may link a block and reallocate blocks_.
+      const Entry e = blocks_[blk].entries[i];
+      // The common path is slot-free: entries re-place on (t, seq) alone, and
+      // cancelled ones ride along until the level-0 purge. Only the rare heap
+      // fallback (an entry behind the drain frontier) checks the generation,
+      // because moving an entry out of the wheel must fix the slot-side
+      // residency bookkeeping.
+      if (!place_in_wheel(e, f0)) {
+        Slot& s = slots_[e.slot];
+        if (s.gen != e.gen) {  // cancelled while wheel-resident: purge
+          ++stale_skipped_;
+          continue;
+        }
+        s.where = kNotInWheel;
+        --wheel_live_;
+        heap_.push_back(e);
+        sift_up(heap_.size() - 1);
       }
-      s.where = kNotInWheel;
-      --wheel_live_;
-      heap_.push_back(e);
-      sift_up(heap_.size() - 1);
     }
+    // Free each block once its entries are re-placed: the next block a lower
+    // bucket links is this warm one, and at most one block's entries are
+    // ever held twice, which the reserve() bound covers.
+    const std::uint32_t next = next_block_[blk];
+    next_block_[blk] = free_block_;
+    free_block_ = blk;
+    if (last) break;
+    blk = next;
   }
-  b.entries.clear();
-  // A concentrated bucket's big storage (taken over from the spare pool in
-  // place_in_wheel) leaves through here when the bucket cascades: park it
-  // back into the pool so it circulates to the next concentrated bucket.
-  if (b.entries.capacity() > bucket_keep_capacity()) park_into_pool(b.entries);
   ++cascades_;
 }
 

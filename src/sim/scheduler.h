@@ -46,9 +46,14 @@
 //     mismatch) is skipped when it reaches the front. Executed slots also
 //     bump the generation, so an old id can never cancel a later event that
 //     happens to reuse its slot.
-//   * Slots, heap storage, wheel buckets, and the run buffer are recycled
-//     via free lists / reserve() / clear-not-shrink, so the steady state
-//     allocates nothing per event.
+//   * Wheel storage is one pool of fixed-size entry blocks; a bucket is a
+//     chain of blocks. A drained level-0 bucket keeps its first block; the
+//     rest, and every cascaded block, go back on a LIFO free list.
+//     reserve(events) sizes the pool to the most `events` entries can
+//     occupy across the 768 buckets, so the wheel cannot grow after it.
+//     Slots, heap storage and the run buffer are recycled via free lists /
+//     reserve() / clear-not-shrink, so the steady state allocates nothing
+//     per event.
 #pragma once
 
 #include <algorithm>
@@ -146,13 +151,9 @@ class Scheduler {
     std::size_t slots = 0;            // pooled callback slots allocated
     std::size_t heap_capacity = 0;    // heap vector capacity (growth probe)
     std::size_t slot_capacity = 0;    // slot pool capacity (growth probe)
-    std::size_t wheel_capacity = 0;   // sum of bucket capacities (growth probe)
+    std::size_t wheel_capacity = 0;   // block pool capacity in entries (growth probe)
     std::size_t run_capacity = 0;     // run buffer capacity (growth probe)
-    // Breakdown of wheel_capacity for diagnosing which tier grew: per-level
-    // bucket sums plus the pooled spare storage that circulates
-    // between buckets (wheel_capacity = sum of levels + pool).
-    std::array<std::size_t, 3> wheel_level_capacity{};
-    std::size_t wheel_pool_capacity = 0;
+    std::size_t wheel_blocks_peak = 0;  // high-water mark of wheel blocks in use
     // Resident cost of one pending event: its pooled slot plus its queue
     // entry (heap or wheel bucket). pending * (slot_bytes + entry_bytes) is
     // the scheduler's share of per-flow memory in timer-per-flow drivers.
@@ -160,14 +161,21 @@ class Scheduler {
     std::size_t entry_bytes = 0;
   };
 
+  /// Entries per wheel block: 32 x 24 B = 768 B, 12 cache lines. Each
+  /// occupied bucket holds one partial block, so small simulations, with a
+  /// few entries in each of hundreds of buckets, favour small blocks
+  /// (EXPERIMENTS.md compares 16, 32 and 64).
+  static constexpr std::size_t kBlockEntries = 32;
+
   /// Current simulation time. Starts at 0.
   SimTime now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `t` (>= now). Returns an id
   /// usable with cancel(). Defined inline: this is the hottest call in the
   /// simulator and every caller benefits from seeing the free-list ops.
+  /// Throws std::logic_error when `t` is before now(), in every build.
   EventId schedule_at(SimTime t, Callback fn) {
-    assert(t >= now_ && "cannot schedule in the past");
+    if (t < now_) [[unlikely]] throw_past_schedule(t);
     assert(fn && "callback must be callable");
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -284,23 +292,17 @@ class Scheduler {
     s.slots = slots_.size();
     s.heap_capacity = heap_.capacity();
     s.slot_capacity = slots_.capacity();
-    for (int l = 0; l < kWheelLevels; ++l) {
-      for (const Bucket& b : wheel_[l].buckets)
-        s.wheel_level_capacity[l] += b.entries.capacity();
-      s.wheel_capacity += s.wheel_level_capacity[l];
-    }
-    // Storage swaps between buckets and the spare pool, so both count toward
-    // the pooled wheel capacity (otherwise a swap reads as spurious
-    // growth/shrink on the probe).
-    for (const std::vector<Entry>& sp : spares_) s.wheel_pool_capacity += sp.capacity();
-    s.wheel_capacity += s.wheel_pool_capacity;
+    s.wheel_capacity = blocks_.capacity() * kBlockEntries;
     s.run_capacity = run_.capacity();
+    // Blocks are bump-allocated only when the free list is empty, so the
+    // number ever handed out is the high-water mark of blocks in use.
+    s.wheel_blocks_peak = blocks_.size();
     s.slot_bytes = slot_bytes();
     s.entry_bytes = entry_bytes();
     return s;
   }
 
-  /// Pre-sizes the heap, slot pool, run buffer, and wheel buckets for
+  /// Pre-sizes the heap, slot pool, run buffer, and wheel block pool for
   /// `events` concurrent events, so a warm simulation never grows a pool
   /// mid-run (the Stats *_capacity probes let benches assert that).
   void reserve(std::size_t events) {
@@ -310,25 +312,14 @@ class Scheduler {
     // The run buffer holds one drained level-0 bucket: worst case every
     // pending event shares a bucket, so size it like the heap.
     run_.reserve(events);
-    // Wheel buckets: assume the pending population spreads evenly across a
-    // level's 256 buckets, with slack for skew. Buckets are cleared-not-
-    // shrunk, so this is a one-time cost (~24 bytes per reserved entry per
-    // level) that warmup would otherwise pay in on-demand doublings.
-    const std::size_t per_bucket = events / kWheelBuckets + 4;
-    bucket_reserve_ = per_bucket;
-    for (WheelLevel& level : wheel_) {
-      for (Bucket& b : level.buckets) b.entries.reserve(per_bucket);
-    }
-    // Concentration spares: the even-spread assumption fails whenever the
-    // pacing horizon crosses a level's bucket width — the single insertion
-    // bucket at now + gap then collects ~the whole pending population, far
-    // past per_bucket. Pre-park a worst-case buffer (all events in one
-    // bucket) plus two mid-size ones so the takeover path in place_in_wheel
-    // never has to grow a bucket at runtime, even with an L1 horizon bucket,
-    // its waiting predecessor, and an L2 boundary spill alive at once.
-    spares_[0].reserve(events + 16);
-    spares_[1].reserve(events / 2 + 16);
-    spares_[2].reserve(events / 4 + 16);
+    // However `events` entries spread over the 768 buckets, each bucket
+    // holds at most one partial (or kept empty) tail block, and a cascade
+    // frees each source block as soon as it is re-placed. Reserving is address space only:
+    // blocks are touched when first handed out.
+    const std::size_t blocks =
+        (events + kBlockEntries - 1) / kBlockEntries + kWheelLevels * kWheelBuckets;
+    blocks_.reserve(blocks);
+    next_block_.reserve(blocks);
   }
 
  private:
@@ -364,20 +355,25 @@ class Scheduler {
   static constexpr int kWheelShift = 17;  // log2(level-0 bucket width in ns)
   static constexpr std::uint32_t kNotInWheel = 0xffffffffu;
   static constexpr std::uint32_t kInWheel = 0;
-  /// Parked spare buffers circulating between concentrated buckets. Sized
-  /// for the worst concurrent demand observed in practice (filling horizon
-  /// bucket + waiting predecessor + period spill, per busy level) with
-  /// headroom; the pool is tiny next to the buffers it holds, so generosity
-  /// is cheap.
-  static constexpr std::size_t kSpareBuffers = 8;
+  static constexpr std::uint32_t kNoBlock = 0xffffffffu;
   /// Most run entries an insertion behind the drain frontier may move (see
   /// place_in_run). Such an insertion usually lands a few entries past the
   /// run head; the bound only stops a bucket of many equal-time events from
   /// making each one linear in the bucket.
   static constexpr std::size_t kMaxRunSlide = 32;
 
+  /// Fixed-size unit of wheel storage, addressed by its index in blocks_.
+  /// Chain links live in next_block_, so a block is entries only.
+  struct Block {
+    std::array<Entry, kBlockEntries> entries;
+  };
+  /// A chain of blocks; entries may be stale (purged at drain). An empty
+  /// bucket either has no blocks and a full "tail", so the first append
+  /// links one, or keeps one empty block after a level-0 drain.
   struct Bucket {
-    std::vector<Entry> entries;  // may hold stale entries; purged at drain
+    std::uint32_t head = kNoBlock;
+    std::uint32_t tail = kNoBlock;
+    std::uint32_t fill = kBlockEntries;  // entries used in the tail block
   };
   struct WheelLevel {
     std::array<Bucket, kWheelBuckets> buckets;
@@ -433,6 +429,7 @@ class Scheduler {
   /// entries whose slots are already marked, stale ones included). `f0` is
   /// the caller's frontier_idx0() — hoisted to a parameter so cascade(),
   /// whose frontier is fixed for the whole re-place loop, computes it once.
+  /// `e` must not live in blocks_, which append_block may reallocate.
   bool place_in_wheel(const Entry& e, std::uint64_t f0) {
     const std::uint64_t idx0 = bucket_index0(e.t);
     if (idx0 < f0) return false;
@@ -450,21 +447,8 @@ class Scheduler {
     const auto pos = static_cast<std::size_t>(
         (idx0 >> (level * kWheelBits)) & (kWheelBuckets - 1));
     Bucket& b = wheel_[level].buckets[pos];
-    // Buckets concentrate: every schedule issued within one pacing gap of a
-    // higher-level period boundary lands in the same next-period bucket, and
-    // when the pacing horizon exceeds a level's bucket width the *insertion*
-    // bucket at now + gap collects the whole pending population as it slides
-    // across the level. Instead of letting each such bucket grow its own
-    // large vector (a capacity ratchet that walks around the level once per
-    // period), a full bucket takes over parked storage from the spare pool:
-    // a handful of hot buffers circulate and steady state stops allocating.
-    // One parked buffer is not enough — a filling L1 horizon bucket, its
-    // not-yet-cascaded predecessor, and an L2 boundary-spill bucket can all
-    // demand big storage in the same stretch, which is exactly how small
-    // configs kept growing the wheel mid-run. The capacity test is the same
-    // size==capacity compare push_back is about to do anyway.
-    if (b.entries.size() == b.entries.capacity()) take_over_spare(b);
-    b.entries.push_back(e);
+    if (b.fill == kBlockEntries) append_block(b);
+    blocks_[b.tail].entries[b.fill++] = e;
     wheel_[level].occupancy[pos >> 6] |= std::uint64_t{1} << (pos & 63);
     return true;
   }
@@ -498,55 +482,30 @@ class Scheduler {
     return true;
   }
 
-  /// Moves a full bucket's entries into a parked spare buffer and swaps
-  /// storage, leaving the bucket's old vector parked in the pool. The spare
-  /// is chosen like vector growth would size it — the smallest one holding
-  /// at least 2x the bucket's size — so a lightly skewed bucket borrows a
-  /// small buffer and the big pre-parked buffers stay free for genuine
-  /// concentration (a greedy largest-first pick hands the worst-case buffer
-  /// to the first 20-entry bucket that fills, starving the population-sized
-  /// demand that arrives later). Falls back to the largest spare when none
-  /// is big enough, and to organic push_back growth when even that is no
-  /// bigger than the bucket. The copy is allocation-free: the chosen spare's
-  /// capacity strictly exceeds the bucket's, hence its size.
-  void take_over_spare(Bucket& b) {
-    const std::size_t need =
-        b.entries.size() < 4 ? 8 : b.entries.size() * 2;
-    std::vector<Entry>* chosen = nullptr;
-    std::vector<Entry>* largest = &spares_[0];
-    for (std::size_t i = 0; i < kSpareBuffers; ++i) {
-      std::vector<Entry>& sp = spares_[i];
-      if (sp.capacity() > largest->capacity()) largest = &sp;
-      if (sp.capacity() >= need && (chosen == nullptr || sp.capacity() < chosen->capacity()))
-        chosen = &sp;
+  /// Links a fresh block to `b`'s tail: the most recently freed one (still
+  /// warm in cache), or a never-used one off the end of the pool. Inline,
+  /// since events that open a bucket or fill its tail come through here. A
+  /// chain ends at its bucket's tail, so the link of a block taken off the
+  /// free list needs no reset.
+  void append_block(Bucket& b) {
+    std::uint32_t blk = free_block_;
+    if (blk != kNoBlock) {
+      free_block_ = next_block_[blk];
+    } else {
+      blk = new_block();
     }
-    if (chosen == nullptr) chosen = largest;
-    if (chosen->capacity() <= b.entries.capacity()) return;
-    chosen->clear();
-    chosen->insert(chosen->end(), b.entries.begin(), b.entries.end());
-    b.entries.swap(*chosen);
-    chosen->clear();  // old bucket storage, now parked with capacity intact
-  }
-
-  /// Parks an empty vector's storage into the spare pool by displacing the
-  /// smallest parked buffer (when `v` is the bigger of the two). This is how
-  /// big buffers circulate back after their bucket drains or cascades —
-  /// without it they strand in cleared-not-shrunk buckets and starve the
-  /// pool.
-  void park_into_pool(std::vector<Entry>& v) {
-    std::vector<Entry>* smallest = &spares_[0];
-    for (std::size_t i = 1; i < kSpareBuffers; ++i) {
-      if (spares_[i].capacity() < smallest->capacity()) smallest = &spares_[i];
+    if (b.head == kNoBlock) {
+      b.head = blk;
+    } else {
+      next_block_[b.tail] = blk;
     }
-    if (v.capacity() > smallest->capacity()) v.swap(*smallest);
+    b.tail = blk;
+    b.fill = 0;
   }
-
-  /// A drained bucket keeps storage up to this cap; anything bigger came
-  /// from a concentration takeover and is returned to the pool.
-  std::size_t bucket_keep_capacity() const {
-    const std::size_t floor = 64;
-    return bucket_reserve_ * 2 > floor ? bucket_reserve_ * 2 : floor;
-  }
+  /// Bump-allocates a never-used block at the end of the pool.
+  std::uint32_t new_block();
+  /// Cold path of schedule_at's past-time check.
+  [[noreturn, gnu::cold]] void throw_past_schedule(SimTime t) const;
 
   /// Ensures the globally next live event (if any) is at the run head or the
   /// heap top, draining/cascading wheel buckets as the frontier advances.
@@ -581,7 +540,6 @@ class Scheduler {
   std::uint64_t cascades_ = 0;
   std::size_t pending_ = 0;
   bool wheel_enabled_ = true;
-  std::size_t bucket_reserve_ = 0;   // per-bucket reserve() size (keep cap)
   std::size_t wheel_live_ = 0;       // live entries in wheel buckets or
                                      // staged in the run buffer
   std::int64_t run_bucket_ = -1;     // last drained level-0 bucket index
@@ -589,11 +547,9 @@ class Scheduler {
   std::vector<Entry> run_;           // drained bucket, sorted by (t, seq)
   std::size_t run_pos_ = 0;          // consumption cursor into run_
   std::array<WheelLevel, kWheelLevels> wheel_;
-  // Parked storage pool for concentrated buckets (see place_in_wheel and
-  // reserve()). Several buffers because several buckets can need big storage
-  // concurrently; extra slots beyond the pre-parked three let organically
-  // grown buffers retire into the pool instead of shrinking.
-  std::array<std::vector<Entry>, kSpareBuffers> spares_;
+  std::vector<Block> blocks_;              // the wheel's block pool
+  std::vector<std::uint32_t> next_block_;  // chain / free-list link per block
+  std::uint32_t free_block_ = kNoBlock;    // LIFO free list head
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -8,10 +8,12 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace pels {
@@ -317,30 +319,10 @@ TEST(FabricTest, ManyFlowDriverShardedFatTreeByteIdenticalAcrossThreads) {
   EXPECT_EQ(run(8), serial);
 }
 
-TEST(FabricTest, DomainPoolsDoNotGrowInTheWindow) {
-  // reserve_runtime sizes each domain for its own share (links it drives,
-  // flows its hosts source, arrivals on its inbound boundary links), not
-  // for the whole fabric. The share must still cover the steady state: a
-  // domain_per_pod fat tree under video load, elephants and mice arriving
-  // through the whole run grows no scheduler pool in any domain, the
-  // hostless core included, over the measured window.
-  Fabric f(fat_tree(4, 2, 4, /*domain_per_pod=*/true));
-  const SimTime warmup = 2 * kSecond;
-  const SimTime window = 2 * kSecond;
-  MixedTrafficConfig base;
-  base.video_flows = 640;
-  base.mice_flows = 0;
-  base.elephant_flows = 8;
-  base.seed = 21;
-  MixedTrafficConfig churn;
-  churn.video_flows = 0;
-  churn.mice_flows = 400;
-  churn.elephant_flows = 0;
-  churn.start_window = warmup + window;
-  churn.seed = 22;
-  std::vector<FlowSpec> specs = gen_mixed_traffic(f, base);
-  const std::vector<FlowSpec> mice = gen_mixed_traffic(f, churn);
-  specs.insert(specs.end(), mice.begin(), mice.end());
+// Runs `specs` on `f` with pools sized by reserve_runtime and expects no
+// domain's scheduler pool to grow over [warmup, warmup + window].
+void expect_no_pool_growth(Fabric& f, std::vector<FlowSpec> specs, SimTime warmup,
+                           SimTime window) {
   std::stable_sort(specs.begin(), specs.end(),
                    [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; });
   ManyFlowDriver driver(f, std::move(specs), ManyFlowDriverConfig{});
@@ -360,6 +342,94 @@ TEST(FabricTest, DomainPoolsDoNotGrowInTheWindow) {
     EXPECT_EQ(a.slot_capacity, b.slot_capacity) << "domain " << d;
     EXPECT_EQ(a.wheel_capacity, b.wheel_capacity) << "domain " << d;
     EXPECT_EQ(a.run_capacity, b.run_capacity) << "domain " << d;
+  }
+}
+
+// Mice from gen_mixed_traffic with starts spread over [0, span).
+std::vector<FlowSpec> mice_through(const Fabric& f, std::size_t count, SimTime span,
+                                   std::uint64_t seed) {
+  MixedTrafficConfig churn;
+  churn.video_flows = 0;
+  churn.mice_flows = count;
+  churn.elephant_flows = 0;
+  churn.start_window = span;
+  churn.seed = seed;
+  return gen_mixed_traffic(f, churn);
+}
+
+TEST(FabricTest, DomainPoolsDoNotGrowInTheWindow) {
+  // reserve_runtime sizes each domain for its own share (links it drives,
+  // flows its hosts source, arrivals on its inbound boundary links), not
+  // for the whole fabric. The share must still cover the steady state: a
+  // domain_per_pod fat tree under video load, elephants and mice arriving
+  // through the whole run grows no scheduler pool in any domain, the
+  // hostless core included, over the measured window.
+  const SimTime warmup = 2 * kSecond;
+  const SimTime window = 2 * kSecond;
+  {
+    SCOPED_TRACE("random mix");
+    Fabric f(fat_tree(4, 2, 4, /*domain_per_pod=*/true));
+    MixedTrafficConfig base;
+    base.video_flows = 640;
+    base.mice_flows = 0;
+    base.elephant_flows = 8;
+    base.seed = 21;
+    std::vector<FlowSpec> specs = gen_mixed_traffic(f, base);
+    const std::vector<FlowSpec> mice = mice_through(f, 400, warmup + window, 22);
+    specs.insert(specs.end(), mice.begin(), mice.end());
+    expect_no_pool_growth(f, std::move(specs), warmup, window);
+  }
+  {
+    // The balanced population of the fattree-churn benchmark, three times
+    // the random mix's videos: every host sources 62 videos at one rate,
+    // spread evenly over the other hosts in a seeded order, two elephants
+    // leave each pod, and mice arrive at 150/s.
+    SCOPED_TRACE("balanced mix");
+    Fabric f(fat_tree(4, 2, 4, /*domain_per_pod=*/true));
+    const MixedTrafficConfig defaults;
+    const int hosts = static_cast<int>(f.hosts().size());
+    const int pods = f.config().pods;
+    const int per_pod = hosts / pods;
+    Rng rng(23, /*stream=*/0xFA7);
+    const auto start_in_first_second = [&rng] {
+      return static_cast<SimTime>(rng.uniform(0.0, static_cast<double>(kSecond)));
+    };
+    std::vector<FlowSpec> specs;
+    for (int src = 0; src < hosts; ++src) {
+      std::vector<int> peers;
+      for (int dst = 0; dst < hosts; ++dst)
+        if (dst != src) peers.push_back(dst);
+      for (std::size_t i = peers.size() - 1; i > 0; --i)
+        std::swap(peers[i], peers[static_cast<std::size_t>(
+                                rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+      for (std::size_t k = 0; k < 62; ++k) {
+        FlowSpec s;
+        s.cls = TrafficClass::kVideo;
+        s.src_host = src;
+        s.dst_host = peers[k % peers.size()];
+        s.start = start_in_first_second();
+        s.rate_bps = defaults.video_rate_bps;
+        s.packet_bytes = defaults.packet_bytes;
+        specs.push_back(s);
+      }
+    }
+    for (int e = 0; e < 2 * pods; ++e) {
+      const int src_pod = e % pods;
+      const int dst_pod = (src_pod + 1 + e / pods) % pods;
+      FlowSpec s;
+      s.cls = TrafficClass::kElephant;
+      s.src_host = src_pod * per_pod + static_cast<int>(rng.uniform_int(0, per_pod - 1));
+      s.dst_host = dst_pod * per_pod + static_cast<int>(rng.uniform_int(0, per_pod - 1));
+      s.start = start_in_first_second();
+      s.rate_bps = defaults.elephant_rate_bps;
+      s.packet_bytes = defaults.packet_bytes;
+      specs.push_back(s);
+    }
+    const std::vector<FlowSpec> mice =
+        mice_through(f, static_cast<std::size_t>(150 * to_seconds(warmup + window)),
+                     warmup + window, 24);
+    specs.insert(specs.end(), mice.begin(), mice.end());
+    expect_no_pool_growth(f, std::move(specs), warmup, window);
   }
 }
 

@@ -306,14 +306,12 @@ TEST(SchedulerWheelTest, ShallowRunInsertionStaysOutOfTheHeap) {
 }
 
 TEST(SchedulerWheelTest, ConcentratedPacingHorizonDoesNotGrowWheelAfterReserve) {
-  // The even-spread bucket reserve is wrong on purpose for this workload: a
-  // pacing gap wider than a level's bucket width concentrates the whole
+  // A pacing gap wider than a level's bucket width concentrates the whole
   // population into the sliding insertion bucket (here 1000 synchronized
-  // 50 ms timers, landing one level up), so steady state leans on the spare
-  // pool — takeover on fill, park on drain/cascade. After reserve(), the
-  // total wheel capacity (buckets + pool; swaps conserve it) must not move,
-  // even across level-1/level-2 period boundaries (8.6 s), and nothing may
-  // leak into unbounded ratchet growth over many wraps.
+  // 50 ms timers, landing one level up). Whichever bucket holds them, the
+  // entries occupy blocks of the one pool that reserve() sized, so the
+  // wheel capacity must not move, even across level-1/level-2 period
+  // boundaries (8.6 s), and nothing may leak into growth over many wraps.
   Scheduler sched;
   sched.reserve(4096);
   struct Rearm {
@@ -332,6 +330,71 @@ TEST(SchedulerWheelTest, ConcentratedPacingHorizonDoesNotGrowWheelAfterReserve) 
   EXPECT_EQ(after.heap_capacity, settled.heap_capacity);
   EXPECT_EQ(after.run_capacity, settled.run_capacity);
   EXPECT_EQ(after.slot_capacity, settled.slot_capacity);
+}
+
+TEST(SchedulerWheelTest, PacingPopulationStaysWithinTheBlockBound) {
+  // population-1m's pacing shape, scaled down: 10^5 self-rescheduling
+  // timers at one 5 s period, phases spread over the first period, run past
+  // two level-1 wraps. However the entries spread over the buckets, they
+  // never occupy more than one partial block per bucket beyond the full
+  // ones, and the pool reserve() sized never grows.
+  constexpr std::size_t kTimers = 100'000;
+  constexpr SimTime kPeriod = 5 * kSecond;
+  Scheduler sched;
+  sched.reserve(kTimers);
+  const Scheduler::Stats reserved = sched.stats();
+  struct Rearm {
+    Scheduler* sched;
+    void operator()() const {
+      Scheduler* s = sched;
+      s->schedule_in(kPeriod, Rearm{s});
+    }
+  };
+  for (std::size_t i = 0; i < kTimers; ++i)
+    sched.schedule_at(static_cast<SimTime>(i) * (kPeriod / static_cast<SimTime>(kTimers)),
+                      Rearm{&sched});
+  sched.run_until(from_seconds(20));
+  const Scheduler::Stats after = sched.stats();
+  EXPECT_EQ(after.pending, kTimers);
+  EXPECT_GE(after.executed, 3 * kTimers);
+  EXPECT_GT(after.cascades, 0u);
+  const std::size_t full_blocks =
+      (kTimers + Scheduler::kBlockEntries - 1) / Scheduler::kBlockEntries;
+  EXPECT_LE(after.wheel_blocks_peak, full_blocks + 768);
+  EXPECT_EQ(after.wheel_capacity, reserved.wheel_capacity);
+  EXPECT_EQ(after.heap_capacity, reserved.heap_capacity);
+  EXPECT_EQ(after.slot_capacity, reserved.slot_capacity);
+  EXPECT_EQ(after.run_capacity, reserved.run_capacity);
+}
+
+TEST(SchedulerWheelTest, OneEventPerBucketFitsTheReserve) {
+  // The partial-block worst case: one event in every bucket the level rule
+  // can reach from frontier 0, each holding a block of its own. That is all
+  // 256 level-0 buckets and 255 of each higher level (the frontier's own
+  // level-1 and level-2 bucket never holds entries). reserve(768) covers it
+  // without growing, and the events still run in time order.
+  Scheduler sched;
+  sched.reserve(768);
+  const Scheduler::Stats reserved = sched.stats();
+  std::vector<SimTime> times;
+  for (SimTime p = 0; p < 256; ++p) times.push_back(p << 17);        // level 0
+  for (SimTime p = 1; p < 256; ++p) times.push_back(p << (17 + 8));  // level 1
+  for (SimTime p = 1; p < 256; ++p) times.push_back(p << (17 + 16));  // level 2
+  std::vector<SimTime> ran;
+  for (auto it = times.rbegin(); it != times.rend(); ++it)
+    sched.schedule_at(*it, [&sched, &ran] { ran.push_back(sched.now()); });
+  const Scheduler::Stats placed = sched.stats();
+  EXPECT_EQ(placed.heap_size, 0u);
+  EXPECT_EQ(placed.wheel_entries, 766u);
+  EXPECT_EQ(placed.wheel_blocks_peak, 766u);
+  EXPECT_EQ(placed.wheel_capacity, reserved.wheel_capacity);
+  sched.run();
+  EXPECT_EQ(ran, times);
+  const Scheduler::Stats after = sched.stats();
+  EXPECT_EQ(after.wheel_capacity, reserved.wheel_capacity);
+  EXPECT_EQ(after.heap_capacity, reserved.heap_capacity);
+  EXPECT_EQ(after.slot_capacity, reserved.slot_capacity);
+  EXPECT_EQ(after.run_capacity, reserved.run_capacity);
 }
 
 // The regression the ISSUE gates on: a full dumbbell scenario (the machinery

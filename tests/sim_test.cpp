@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -316,6 +318,29 @@ TEST(SchedulerTest, SlotPoolRecyclesUnderChurn) {
   EXPECT_LE(s.stats().slots, 2 * window.size());
   s.run();
   EXPECT_EQ(s.stats().executed, 64u);
+}
+
+TEST(SchedulerTest, SchedulingInThePastThrowsInEveryBuild) {
+  // Not an assert: a release build must refuse the event too, naming both
+  // times, and leave the scheduler as it was.
+  Scheduler s;
+  s.schedule_at(500, [] {});
+  s.run_until(100);
+  ASSERT_EQ(s.now(), 100);
+  try {
+    s.schedule_at(99, [] {});
+    FAIL() << "scheduling before now() did not throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("t = 99 ns"), std::string::npos) << what;
+    EXPECT_NE(what.find("now() = 100 ns"), std::string::npos) << what;
+  }
+  EXPECT_THROW(s.schedule_in(-1, [] {}), std::logic_error);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.stats().scheduled, 1u);
+  s.schedule_at(100, [] {});  // now() itself is not the past
+  s.run();
+  EXPECT_EQ(s.executed(), 2u);
 }
 
 // ---------------------------------------------------------- PeriodicTimer

@@ -42,7 +42,7 @@ int main() {
       const double r_x1 = s.source(1).rate_series().mean_in(20 * kSecond, duration);
       SweepOutput out;
       out.rows.push_back({std::to_string(c.x1) + " / " + std::to_string(c.x2),
-                          "R" + std::to_string(s.source(0).governing_router()),
+                          std::string("R").append(std::to_string(s.source(0).governing_router())),
                           TablePrinter::fmt(r_long / 1e3, 0), TablePrinter::fmt(r_x2 / 1e3, 0),
                           TablePrinter::fmt(r_x1 / 1e3, 0),
                           TablePrinter::fmt(s.sink(0).mean_utility(), 3)});

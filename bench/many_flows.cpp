@@ -328,11 +328,12 @@ struct ShardedMix {
   std::size_t elephant_flows = 0;
 };
 
-/// One sharded run: a domain-per-pod fat tree (4 pods = 5 domains counting
-/// the core) with a mixed population, driven through DomainRunner at the
-/// requested thread count. Unlike the flat-cost section this bottleneck IS
-/// congested — cross-pod feedback through the boundary handoff is the
-/// machinery under test, and the fingerprint must come out byte-identical
+/// One sharded run: a domain-per-pod fat tree (4 pods = 4 domains; the core
+/// is a transit router the pods run) with a mixed population, driven
+/// through DomainRunner at the requested thread count. Unlike the
+/// flat-cost section this bottleneck IS congested — cross-pod feedback
+/// through the boundary handoff is the machinery under test, and the
+/// fingerprint must come out byte-identical
 /// whatever the interleaving of pod workers. A threaded run times the
 /// raw-thread ceiling just before its timed window (`burn_serial_ms` is the
 /// one-thread burn), so the ceiling reads the machine of that moment.

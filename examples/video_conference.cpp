@@ -40,7 +40,7 @@ int main() {
       const auto& d = s.sink(i).delay_samples(c);
       if (d.empty()) continue;
       const double p99 = d.quantile(0.99) * 1e3;
-      delays.add_row({"P" + std::to_string(i), color_name(c),
+      delays.add_row({std::string("P").append(std::to_string(i)), color_name(c),
                       TablePrinter::fmt(d.mean() * 1e3, 1),
                       TablePrinter::fmt(d.quantile(0.95) * 1e3, 1),
                       TablePrinter::fmt(p99, 1),
@@ -58,7 +58,7 @@ int main() {
     int base_ok = 0;
     for (const auto& q : frames) base_ok += q.base_ok;
     quality.add_row(
-        {"P" + std::to_string(i),
+        {std::string("P").append(std::to_string(i)),
          TablePrinter::fmt(s.source(i).rate_series().mean_in(20 * kSecond, duration) / 1e3, 0),
          TablePrinter::fmt(s.sink(i).mean_utility(), 3),
          TablePrinter::fmt_int(static_cast<long long>(frames.size())),

@@ -72,13 +72,26 @@ DomainRunner::DomainRunner(Topology& topo, unsigned threads)
       // of the W threads, so spinning threads never outnumber the hardware.
       threads_(std::max(1u, std::min(requested_threads_, SweepRunner::hardware_threads()))),
       lookahead_(topo.min_boundary_delay()),
-      mail_(topo.boundary_links().size()),
+      mail_(topo.channels().size()),
       slots_(topo.domain_count()),
       share_events_(threads_) {
-  const auto& boundary = topo_.boundary_links();
-  for (std::size_t i = 0; i < boundary.size(); ++i) {
-    slots_[static_cast<std::size_t>(boundary[i].to_domain)].inbound.push_back(i);
-    slots_[static_cast<std::size_t>(boundary[i].from_domain)].outbound.push_back(i);
+  if (topo_.channels_stale()) {
+    throw std::logic_error(
+        "DomainRunner: call Topology::compute_routes() after the last link into or out of "
+        "a transit router");
+  }
+  const auto& channels = topo_.channels();
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    if (channels[c].local()) continue;
+    slots_[static_cast<std::size_t>(channels[c].to_domain)].inbound.push_back(c);
+    slots_[static_cast<std::size_t>(channels[c].from_domain)].outbound.push_back(c);
+    // A buffer holds what its link sends in one window, whose events span at
+    // most the lookahead: reserve twice that many 1000-byte packets, so the
+    // steady state does not grow it.
+    const Link& link = *topo_.boundary_links()[channels[c].boundary].link;
+    const auto per_window = static_cast<std::size_t>(
+        2.0 * link.bandwidth_bps() * to_seconds(lookahead_) / 8000.0 + 2.0);
+    for (MailBuffer& b : mail_[c].buffer) b.items.reserve(per_window);
   }
   workers_.reserve(threads_ - 1);
   try {
@@ -89,9 +102,30 @@ DomainRunner::DomainRunner(Topology& topo, unsigned threads)
     stop_workers();
     throw;
   }
+  const auto& boundary = topo_.boundary_links();
   for (std::size_t i = 0; i < boundary.size(); ++i) {
+    if (boundary[i].transit == nullptr) {
+      const std::size_t c = boundary[i].first_channel;
+      boundary[i].link->set_remote_delivery([this, c](Packet&& pkt, SimTime deliver_at) {
+        mail_[c].buffer[fill_].items.push_back(Handoff{std::move(pkt), deliver_at});
+      });
+      continue;
+    }
+    // Into a transit router: the router's table picks the channel at wire
+    // exit, and a packet whose next hop runs in this link's own domain is
+    // handed off on the spot — it never leaves the thread.
     boundary[i].link->set_remote_delivery([this, i](Packet&& pkt, SimTime deliver_at) {
-      mail_[i].buffer[fill_].items.push_back(Handoff{std::move(pkt), deliver_at});
+      const std::size_t c = topo_.channel_for(i, pkt.dst);
+      if (c == Topology::kNoChannel) {
+        const Topology::BoundaryLink& b = topo_.boundary_links()[i];
+        b.transit->count_unroutable_in(static_cast<std::size_t>(b.from_domain));
+        return;
+      }
+      if (topo_.channels()[c].local()) {
+        topo_.hand_off(c, std::move(pkt), deliver_at);
+        return;
+      }
+      mail_[c].buffer[fill_].items.push_back(Handoff{std::move(pkt), deliver_at});
     });
   }
 }
@@ -146,13 +180,13 @@ void DomainRunner::run_share(unsigned w, SimTime end, unsigned fill) {
   for (std::size_t d = w; d < slots_.size(); d += threads_) run_domain(d, end, fill);
 }
 
-std::size_t DomainRunner::hand_off_buffer(std::size_t i, unsigned b) {
-  std::vector<Handoff>& items = mail_[i].buffer[b].items;
+std::size_t DomainRunner::hand_off_buffer(std::size_t c, unsigned b) {
+  std::vector<Handoff>& items = mail_[c].buffer[b].items;
   [[maybe_unused]] const SimTime dst_now =
-      topo_.domain_sim(topo_.boundary_links()[i].to_domain).now();
+      topo_.domain_sim(topo_.channels()[c].to_domain).now();
   for (Handoff& h : items) {
     assert(h.deliver_at >= dst_now && "handoff arrived inside the lookahead window");
-    topo_.hand_off(i, std::move(h.pkt), h.deliver_at);
+    topo_.hand_off(c, std::move(h.pkt), h.deliver_at);
   }
   const std::size_t n = items.size();
   items.clear();
@@ -165,7 +199,7 @@ void DomainRunner::run_domain(std::size_t d, SimTime end, unsigned fill) {
   // A throw must not escape a worker thread (std::terminate): capture here,
   // rethrow with domain context after the barrier.
   try {
-    // The previous window's arrivals, in link-creation order: the same
+    // The previous window's arrivals, in channel order: the same
     // schedule order at any thread count, so the same tie-break sequence
     // numbers. Every one arrives at or after this window's start.
     for (const std::size_t i : slot.inbound) slot.handoffs += hand_off_buffer(i, fill ^ 1u);
@@ -191,11 +225,10 @@ void DomainRunner::run_domain(std::size_t d, SimTime end, unsigned fill) {
 
 void DomainRunner::drain_mailboxes() {
   // The buffer the last window filled; the other one was handed off at that
-  // window's start. Link-creation order, as the destinations drain.
+  // window's start. Channel order, as the destinations drain.
   const unsigned last = fill_;
-  for (std::size_t i = 0; i < mail_.size(); ++i) {
-    const auto to = static_cast<std::size_t>(topo_.boundary_links()[i].to_domain);
-    slots_[to].handoffs += hand_off_buffer(i, last);
+  for (DomainSlot& slot : slots_) {
+    for (const std::size_t c : slot.inbound) slot.handoffs += hand_off_buffer(c, last);
   }
 }
 

@@ -7,7 +7,11 @@
 // which by construction take at least the link's propagation delay to
 // arrive. That minimum delay is the classic conservative lookahead: every
 // domain may run `lookahead` ahead of the others without ever receiving a
-// message from its past.
+// message from its past. A boundary link hands each packet to one channel
+// (Topology::channels()): its destination node's domain, or, for a link
+// into a transit router such as a fat tree's hostless core, the domain
+// that drives the router's next hop — one handoff per packet, straight to
+// the pod it enters.
 //
 // Execution is windowed (barrier flavour of the null-message idea):
 //   1. pick the next window end = min(t_end, earliest pending event across
@@ -21,13 +25,15 @@
 //      d % W == w. (Persistent, unlike SweepRunner's per-batch helpers: a
 //      window is tens of microseconds of work, about what starting and
 //      joining the threads would cost each time.) A domain's window is:
-//        a. hand off the packets its inbound boundary links carried in the
-//           previous window (Topology::hand_off), link-creation order, FIFO
-//           within a link, scheduling one `[topology, link]` arrival event
-//           per packet at its precomputed deliver_at, which the lookahead
-//           guarantees is never in the domain's past;
+//        a. hand off the packets its inbound channels carried in the
+//           previous window (Topology::hand_off), channel order, FIFO
+//           within a channel, scheduling one `[topology, channel]` arrival
+//           event per packet at its precomputed deliver_at, which the
+//           lookahead guarantees is never in the domain's past;
 //        b. run its scheduler to the window end; packets leaving its own
-//           boundary links land in this window's mailbox buffer;
+//           boundary links land in this window's mailbox buffer of their
+//           channel (a local channel, back into the same domain, is handed
+//           off on the spot);
 //        c. publish into its own cache-line slot the earliest time it can
 //           cause an event (its scheduler's next event and the head of each
 //           outbound buffer it filled), its handoff count and the events it
@@ -38,18 +44,18 @@
 //      pause, yielding every 64 pauses) for kSpinBudget, then parks in
 //      std::atomic::wait. At W = 1 no thread is started: the run is a
 //      plain serial loop on the caller;
-//   3. barrier: nothing moves. Each boundary link has two mailbox buffers
+//   3. barrier: nothing moves. Each channel has two mailbox buffers
 //      alternated by window parity, so sources fill one while destinations
 //      drain the other at their next window start (2a). After the last
 //      window of a run_until() call the caller drains what is left, so the
 //      mailboxes are empty between calls and pending arrivals — which wait
-//      in the topology's per-link inboxes — outlive the runner.
+//      in the topology's per-channel inboxes — outlive the runner.
 //
 // Determinism contract (same as SweepRunner's, DESIGN.md "Parallel
 // experiments"): a run at threads=N is byte-identical to threads=1. Window
 // boundaries are computed from simulation state only, each domain is
 // single-threaded within a window, and each destination receives its
-// handoffs before any event of the next window, in link-creation order —
+// handoffs before any event of the next window, in channel order —
 // so scheduler tie-break sequence numbers, RNG draws, and every metric are
 // independent of thread count and thread placement.
 #pragma once
@@ -99,7 +105,8 @@ class DomainRunner {
   static constexpr std::chrono::microseconds kSpinBudget{100};
 
   /// Binds to `topo` and installs remote-delivery handlers on its boundary
-  /// links (uninstalled again on destruction). `threads` = 0 means one
+  /// links (uninstalled again on destruction). Throws std::logic_error
+  /// while the topology's channels are stale (Topology::channels_stale()). `threads` = 0 means one
   /// thread per domain; the effective count is additionally clamped to
   /// min(threads, domains, hardware), and the caller's thread is one of
   /// them, so W effective threads start W - 1 workers. Construct before
@@ -152,13 +159,13 @@ class DomainRunner {
     Packet pkt;
     SimTime deliver_at;
   };
-  // One buffer of a boundary link's mailbox, on its own line: the source
+  // One buffer of a channel's mailbox, on its own line: the source
   // domain's thread appends to one buffer while the destination domain's
   // thread drains the other.
   struct alignas(kCacheLineSize) MailBuffer {
     std::vector<Handoff> items;
   };
-  // A boundary link's two buffers, alternated by window parity: window k
+  // A channel's two buffers, alternated by window parity: window k
   // fills buffer k & 1, and the destination hands that buffer off at the
   // start of window k + 1 (or the caller does, after a run's last window).
   // The epoch barrier orders each fill before its drain and each drain
@@ -175,7 +182,8 @@ class DomainRunner {
     std::uint64_t events = 0;         // events executed under this runner
     std::uint64_t handoffs = 0;       // packets handed off into this domain
     std::string error;                // the window's exception, if any
-    // Boundary links into and out of this domain, in creation order.
+    // Channels into and out of this domain, in channel order (local
+    // channels excluded: they need no mailbox).
     std::vector<std::size_t> inbound;
     std::vector<std::size_t> outbound;
   };
@@ -184,8 +192,8 @@ class DomainRunner {
   void run_share(unsigned w, SimTime end, unsigned fill);
   /// One domain's window (steps 2a-2c), capturing its exception in its slot.
   void run_domain(std::size_t d, SimTime end, unsigned fill);
-  /// Hands off buffer `b` of link `i`'s mailbox; returns the packet count.
-  std::size_t hand_off_buffer(std::size_t i, unsigned b);
+  /// Hands off buffer `b` of channel `c`'s mailbox; returns the packet count.
+  std::size_t hand_off_buffer(std::size_t c, unsigned b);
   /// Hands off what the last window left in the mailboxes (caller only).
   void drain_mailboxes();
   void worker_loop(unsigned w);
@@ -197,7 +205,7 @@ class DomainRunner {
   unsigned requested_threads_;
   unsigned threads_;  // W: the caller plus workers_.size()
   SimTime lookahead_;
-  std::vector<Mailbox> mail_;       // parallel to topo_.boundary_links()
+  std::vector<Mailbox> mail_;       // parallel to topo_.channels()
   std::vector<DomainSlot> slots_;   // one per domain
   std::uint64_t max_windows_override_ = 0;
 

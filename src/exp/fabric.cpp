@@ -14,10 +14,10 @@ namespace pels {
 
 Fabric::Fabric(FabricConfig cfg) : cfg_(cfg) {
   const bool multi_domain = cfg_.kind == FabricConfig::Kind::kFatTree && cfg_.domain_per_pod;
-  // Domain 0 hosts the core (and everything, when single-domain); with
-  // domain_per_pod each pod gets its own Simulation. All domains must exist
-  // before any node is added (Topology::add_domain contract).
-  const int domains = multi_domain ? 1 + cfg_.pods : 1;
+  // With domain_per_pod pod p is domain p (the core is a transit router of
+  // no domain); otherwise everything lives in domain 0. All domains must
+  // exist before any node is added (Topology::add_domain contract).
+  const int domains = multi_domain ? std::max(cfg_.pods, 1) : 1;
   sims_.reserve(static_cast<std::size_t>(domains));
   for (int d = 0; d < domains; ++d) {
     sims_.push_back(std::make_unique<Simulation>(cfg_.seed + static_cast<std::uint64_t>(d)));
@@ -37,9 +37,10 @@ Fabric::Fabric(FabricConfig cfg) : cfg_(cfg) {
 }
 
 Link& Fabric::add_core_link(Node& from, Node& to, SimTime delay) {
-  // The link's events run in the source node's domain, so the queue's
+  // The link's events run in the domain that drives it, so the queue's
   // feedback timer must live on that domain's scheduler.
-  Scheduler& sched = sims_[static_cast<std::size_t>(topo_->node_domain(from.id()))]->scheduler();
+  const int domain = topo_->link_domain(from, to);
+  Scheduler& sched = sims_[static_cast<std::size_t>(domain)]->scheduler();
   PelsQueue* queue = nullptr;
   const QueueFactory factory = [this, &sched, &queue](double bw) {
     PelsQueueConfig qc = cfg_.core_queue;
@@ -52,7 +53,7 @@ Link& Fabric::add_core_link(Node& from, Node& to, SimTime delay) {
   Link& link = topo_->add_link(from, to, cfg_.core_bandwidth_bps, delay, factory);
   core_links_.push_back(&link);
   core_queues_.push_back(queue);
-  core_queue_domains_.push_back(topo_->node_domain(from.id()));
+  core_queue_domains_.push_back(domain);
   return link;
 }
 
@@ -76,6 +77,7 @@ void Fabric::build_parking_lot() {
     routers.push_back(&r);
     Host& h = topo_->add_host("H" + n);
     hosts_.push_back(&h);
+    host_domains_.push_back(0);
     add_edge_link(h, r);
     add_edge_link(r, h);
   }
@@ -92,16 +94,19 @@ void Fabric::build_fat_tree() {
     throw std::invalid_argument("fat tree needs pods/racks/hosts >= 1");
   }
   const bool multi_domain = cfg_.domain_per_pod;
-  Router& core = topo_->add_router("core", 0);
+  Router& core = multi_domain ? topo_->add_transit_router("core") : topo_->add_router("core", 0);
   for (int p = 0; p < cfg_.pods; ++p) {
-    const int domain = multi_domain ? 1 + p : 0;
+    const int domain = multi_domain ? p : 0;
     const std::string pod_idx = std::to_string(p);
     const std::string pod = "p" + pod_idx;
     Router& agg = topo_->add_router(pod + ".agg", domain);
     // Pod uplink/downlink: the aggregation <-> core tier. The uplink is a
     // bottleneck; the downlink shares the wire's rate and delay but stays a
-    // plain FIFO (no AQM under study on the return path). Both directions'
-    // core_delay is the cross-domain lookahead when domain_per_pod is set.
+    // plain FIFO (no AQM under study on the return path). With
+    // domain_per_pod the pod drives both: the uplink hands each packet to
+    // the pod its route enters, across the uplink's core_delay (the
+    // lookahead), and that pod forwards it through the core onto its own
+    // downlink.
     add_core_link(agg, core, cfg_.core_delay);
     const QueueFactory downlink = [this](double) {
       return std::make_unique<DropTailQueue>(cfg_.edge_queue_limit);
@@ -116,6 +121,7 @@ void Fabric::build_fat_tree() {
       for (int h = 0; h < cfg_.hosts_per_rack; ++h) {
         Host& host = topo_->add_host(rack + ".h" + std::to_string(h), domain);
         hosts_.push_back(&host);
+        host_domains_.push_back(domain);
         add_edge_link(host, tor);
         add_edge_link(tor, host);
       }
@@ -255,7 +261,7 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
   for (std::size_t i = 0; i < flows.size(); ++i) validate_flow_spec(flows[i], i, hosts);
   flows_.reserve(flows.size());
   starts_.reserve(flows.size());
-  sink_table_.resize(flows.size());
+  if (domains == 1) sink_table_.resize(flows.size());
   // Specs must arrive in activation order (gen_mixed_traffic sorts); sort
   // defensively so hand-built mixes work too. Flow ids (= indices) are
   // assigned after the sort, so they are a property of the mix alone — not
@@ -263,6 +269,10 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
   std::stable_sort(flows.begin(), flows.end(),
                    [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; });
   std::vector<std::size_t> videos(shards_.size(), 0);
+  // With several domains delivering, sink cells are grouped by the
+  // destination host's domain.
+  std::vector<std::uint32_t> receiver;
+  if (domains > 1) receiver.reserve(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const FlowSpec& spec = flows[i];
     FlowRt f;
@@ -278,7 +288,12 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
     if (spec.cls == TrafficClass::kVideo) ++videos[f.shard];
     flows_.push_back(f);
     starts_.push_back(spec.start);
+    if (domains > 1) {
+      receiver.push_back(static_cast<std::uint32_t>(
+          fabric.host_domain(static_cast<std::size_t>(spec.dst_host))));
+    }
   }
+  if (domains > 1) sink_table_.partition(std::move(receiver), domains);
   for (std::size_t d = 0; d < shards_.size(); ++d) shards_[d].table.reserve(videos[d]);
   // One shared table-backed sink serves every destination host: per-flow
   // receiver state is one SinkTable cell, not a map entry + object.
@@ -307,7 +322,7 @@ void ManyFlowDriver::start() {
   started_ = true;
   for (std::uint32_t d = 0; d < shards_.size(); ++d) {
     Shard& s = shards_[d];
-    if (s.members.empty()) continue;  // hostless domains (e.g. the core) idle
+    if (s.members.empty()) continue;  // a domain whose hosts source nothing idles
     Simulation& sim = fabric_.sim(static_cast<int>(d));
     const SimTime first = std::max(starts_[s.members[0]], sim.now());
     s.activation_event = sim.at(first, [this, d] { activate_due_flows(d); });

@@ -11,9 +11,15 @@
 //     topology of §5.2's max-min feedback rule);
 //   * fat-tree-ish pod/rack fabrics — hosts under per-rack ToR routers,
 //     racks under a per-pod aggregation router, pods joined by one core
-//     router. Optionally each pod maps onto its own DomainRunner domain
-//     (cross-domain links are the pod uplinks, whose propagation delay is
-//     the conservative lookahead).
+//     router. Optionally each pod maps onto its own DomainRunner domain:
+//     `pods` domains, pod p in domain p. The hostless core then has no
+//     domain of its own; it is a transit router (Topology::
+//     add_transit_router). Each core -> pod downlink is driven by the pod
+//     it feeds, and a packet on a pod uplink is routed through the core's
+//     table at wire exit and handed once, straight to its destination pod,
+//     whose thread runs the core's forwarding and the downlink. The pod
+//     uplinks are the only boundary links; their propagation delay is the
+//     conservative lookahead.
 //
 // Every contended (core/uplink) link carries a PelsQueue, so the fabric has
 // one feedback meter per bottleneck; edge links are plain FIFOs.
@@ -34,7 +40,8 @@
 // — one 16-byte {packets, bytes} cell per flow instead of a map entry plus
 // sink object (no per-flow ACK path — the driver measures simulator cost
 // per packet, not end-to-end protocol dynamics; bench/many_flows.cpp is the
-// consumer).
+// consumer). On a multi-domain fabric the cells are grouped by receiving
+// domain, each group on its own cache lines (SinkTable::partition).
 #pragma once
 
 #include <cstdint>
@@ -70,9 +77,10 @@ struct FabricConfig {
   int pods = 2;
   int racks_per_pod = 2;
   int hosts_per_rack = 2;
-  /// Map each pod (plus the core) onto its own Simulation domain so
-  /// DomainRunner can execute pods in parallel. The pod uplink delay is the
-  /// lookahead, so it must stay > 0. Single-domain when false.
+  /// Map each pod onto its own Simulation domain (pod p = domain p; the
+  /// core is a transit router run by the pods) so DomainRunner can execute
+  /// pods in parallel. The pod uplink delay is the lookahead, so it must
+  /// stay > 0. Single-domain when false.
   bool domain_per_pod = false;
 
   double edge_bandwidth_bps = 100e6;  // host <-> ToR, uncontended
@@ -106,16 +114,15 @@ class Fabric {
 
   /// End hosts in creation order; FlowSpec src/dst index into this.
   const std::vector<Host*>& hosts() const { return hosts_; }
-  int host_domain(std::size_t host_index) const {
-    return topo_->node_domain(hosts_[host_index]->id());
-  }
+  int host_domain(std::size_t host_index) const { return host_domains_[host_index]; }
 
   /// Bottleneck links (each carrying a PelsQueue), in creation order.
   const std::vector<Link*>& core_links() const { return core_links_; }
   PelsQueue& core_queue(std::size_t i) { return *core_queues_[i]; }
   std::size_t core_queue_count() const { return core_queues_.size(); }
-  /// Domain whose scheduler runs core queue `i`'s events (= the source
-  /// node's domain) — the locality rule sharded drivers partition meters by.
+  /// Domain whose scheduler runs core queue `i`'s events (= the domain
+  /// that drives its link) — the locality rule sharded drivers partition
+  /// meters by.
   int core_queue_domain(std::size_t i) const { return core_queue_domains_[i]; }
 
   /// Pre-sizes every domain's runtime pools for `expected_flows` concurrent
@@ -132,6 +139,7 @@ class Fabric {
   std::vector<std::unique_ptr<Simulation>> sims_;
   std::unique_ptr<Topology> topo_;
   std::vector<Host*> hosts_;
+  std::vector<int> host_domains_;  // parallel to hosts_
   std::vector<Link*> core_links_;
   std::vector<PelsQueue*> core_queues_;
   std::vector<int> core_queue_domains_;

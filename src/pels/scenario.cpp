@@ -120,8 +120,11 @@ DumbbellScenario::DumbbellScenario(ScenarioConfig config)
 
   // R1 .. R(hops+1): hop h runs from routers[h] to routers[h + 1].
   std::vector<Router*> routers;
-  for (int r = 0; r <= cfg_.hops(); ++r)
-    routers.push_back(&topo_.add_router("R" + std::to_string(r + 1)));
+  for (int r = 0; r <= cfg_.hops(); ++r) {
+    std::string name = std::to_string(r + 1);
+    name.insert(0, 1, 'R');
+    routers.push_back(&topo_.add_router(std::move(name)));
+  }
   Router& r1 = *routers[0];
   Router& r2 = *routers[1];
   pels_queues_.assign(static_cast<std::size_t>(cfg_.hops()), nullptr);

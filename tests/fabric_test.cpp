@@ -87,18 +87,22 @@ TEST(FabricTest, FatTreeGeometry) {
 
 TEST(FabricTest, FatTreeDomainPerPodMapsOntoDomains) {
   Fabric f(fat_tree(3, 1, 2, /*domain_per_pod=*/true));
-  EXPECT_EQ(f.domain_count(), 4);  // core + one per pod
-  // Hosts land in their pod's domain (domains 1..pods), never the core's.
+  EXPECT_EQ(f.domain_count(), 3);  // one per pod; the core has none
+  // Hosts land in their pod's domain: pod p is domain p.
   for (std::size_t h = 0; h < f.hosts().size(); ++h) {
-    EXPECT_GE(f.host_domain(h), 1);
-    EXPECT_LE(f.host_domain(h), 3);
+    EXPECT_EQ(f.host_domain(h), static_cast<int>(h / 2));
   }
-  // The pod uplink delay is the conservative lookahead.
-  EXPECT_EQ(f.topology().min_boundary_delay(), f.config().core_delay);
+  // The hostless core is a transit router, and the pod uplinks are the only
+  // boundary links; their delay is the conservative lookahead.
+  Topology& topo = f.topology();
+  EXPECT_TRUE(topo.is_transit(0));
+  EXPECT_EQ(topo.node(0).name(), "core");
+  EXPECT_EQ(topo.boundary_links().size(), 3u);
+  EXPECT_EQ(topo.min_boundary_delay(), f.config().core_delay);
 
-  // Structurally runnable under DomainRunner: cross-pod traffic crosses the
-  // boundary mailboxes and still arrives.
-  DomainRunner runner(f.topology());
+  // Structurally runnable under DomainRunner: cross-pod traffic crosses one
+  // boundary mailbox, straight into the destination pod, and arrives.
+  DomainRunner runner(topo);
   Packet pkt;
   pkt.flow = 1;
   pkt.size_bytes = 500;
@@ -108,7 +112,7 @@ TEST(FabricTest, FatTreeDomainPerPodMapsOntoDomains) {
   ASSERT_TRUE(f.hosts().front()->send(std::move(pkt)));
   runner.run_until(kSecond);
   EXPECT_EQ(f.hosts().back()->packets_received(), 1u);
-  EXPECT_GT(runner.stats().handoffs, 0u);
+  EXPECT_EQ(runner.stats().handoffs, 1u);
 }
 
 TEST(FabricTest, MixedTrafficIsDeterministicAndWellFormed) {
@@ -279,15 +283,113 @@ TEST(FabricTest, ManyFlowDriverShardsPartitionBySourceDomain) {
   mix.mice_flows = 5;
   mix.seed = 11;
   ManyFlowDriver driver(f, gen_mixed_traffic(f, mix), ManyFlowDriverConfig{});
-  ASSERT_EQ(driver.shard_count(), 3u);  // core + 2 pods
-  // The core domain owns no hosts, so its shard owns no flows; the pod
-  // shards' tables grow to their own populations once everything activates.
+  ASSERT_EQ(driver.shard_count(), 2u);  // one per pod
+  // Each pod shard's table grows to its own population once everything
+  // activates.
   driver.start();
   DomainRunner runner(f.topology(), 1);
   runner.run_until(2 * kSecond);
-  EXPECT_EQ(driver.flow_table(0).capacity(), 0u);
+  EXPECT_GT(driver.flow_table(0).capacity(), 0u);
   EXPECT_GT(driver.flow_table(1).capacity(), 0u);
-  EXPECT_GT(driver.flow_table(2).capacity(), 0u);
+}
+
+// Every packet the driver sent was delivered, dropped (by a queue, on a wire
+// or for want of a route), is queued, on a wire, or waits in a handoff
+// inbox — the accounting perfbench's conservation check does, which reads
+// the transit core's packets_forwarded(). Returns the packets in handoff.
+std::uint64_t expect_conserved(Fabric& f, const ManyFlowDriver& driver) {
+  Topology& topo = f.topology();
+  std::uint64_t dropped = 0, queued = 0, on_wire = 0, link_delivered = 0;
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    const Link& link = topo.link(i);
+    const QueueDisc& q = link.queue();
+    EXPECT_EQ(q.counters().total_arrivals(),
+              q.counters().total_drops() + q.packet_count() + link.packets_in_flight() +
+                  link.packets_delivered() + link.packets_corrupted())
+        << "link " << i;
+    dropped += q.counters().total_drops() + link.packets_corrupted();
+    queued += q.packet_count();
+    on_wire += link.packets_in_flight();
+    link_delivered += link.packets_delivered();
+  }
+  std::uint64_t node_received = 0;
+  for (std::size_t id = 0; id < topo.node_count(); ++id) {
+    Node& n = topo.node(static_cast<NodeId>(id));
+    if (const auto* h = dynamic_cast<const Host*>(&n)) {
+      node_received += h->packets_received();
+      dropped += h->packets_undeliverable();
+    } else if (const auto* r = dynamic_cast<const Router*>(&n)) {
+      node_received += r->packets_forwarded() + r->packets_unroutable();
+      dropped += r->packets_unroutable();
+    }
+  }
+  EXPECT_LE(node_received, link_delivered);
+  const std::uint64_t in_handoff = link_delivered - node_received;
+  EXPECT_EQ(driver.packets_sent(),
+            driver.packets_received() + dropped + queued + on_wire + in_handoff);
+  return in_handoff;
+}
+
+TEST(FabricTest, TransitCoreForwardCountIsExactAtAnyThreadCount) {
+  // Every pod forwards through the core on its own thread, each in its own
+  // lane; the sum must equal, packet for packet, what the core offered its
+  // downlinks, and must not depend on the thread count.
+  const auto run = [](unsigned threads) {
+    Fabric f(fat_tree(4, 2, 2, /*domain_per_pod=*/true));
+    MixedTrafficConfig mix;
+    mix.video_flows = 48;
+    mix.mice_flows = 24;
+    mix.elephant_flows = 4;
+    mix.seed = 31;
+    ManyFlowDriver driver(f, gen_mixed_traffic(f, mix), ManyFlowDriverConfig{});
+    f.reserve_runtime(driver.flow_count());
+    driver.start();
+    DomainRunner runner(f.topology(), threads);
+    runner.run_until(3 * kSecond + 7 * kMillisecond);  // packets mid-handoff
+    const auto& core = dynamic_cast<const Router&>(f.topology().node(0));
+    std::uint64_t offered = 0;
+    for (int p = 0; p < 4; ++p) {
+      const Host& in_pod = *f.hosts()[static_cast<std::size_t>(p) * 4];
+      offered += core.routing().route_to(in_pod.id())->queue().counters().total_arrivals();
+    }
+    EXPECT_EQ(core.packets_forwarded(), offered) << "threads=" << threads;
+    EXPECT_EQ(core.packets_unroutable(), 0u) << "threads=" << threads;
+    const std::uint64_t in_handoff = expect_conserved(f, driver);
+    EXPECT_GT(in_handoff, 0u) << "threads=" << threads;
+    // One handoff per packet through the core: up a pod uplink, straight
+    // to its destination pod (or still waiting in that pod's inbox).
+    EXPECT_EQ(runner.stats().handoffs, core.packets_forwarded() + in_handoff)
+        << "threads=" << threads;
+    return std::tuple{core.packets_forwarded(), driver.fingerprint(), runner.stats().handoffs};
+  };
+  const auto serial = run(1);
+  EXPECT_GT(std::get<0>(serial), 1000u);
+  EXPECT_EQ(run(4), serial);
+}
+
+TEST(FabricTest, DomainPerPodTreeWithOnePodStaysLocal) {
+  // One pod is one domain: the transit core's links in and out all run in
+  // it, so nothing is a boundary link and the runner degenerates to a
+  // plain sequential run that still conserves packets.
+  Fabric f(fat_tree(1, 2, 2, /*domain_per_pod=*/true));
+  EXPECT_EQ(f.domain_count(), 1);
+  EXPECT_TRUE(f.topology().is_transit(0));
+  EXPECT_TRUE(f.topology().boundary_links().empty());
+  EXPECT_EQ(f.topology().min_boundary_delay(), kTimeNever);
+  MixedTrafficConfig mix;
+  mix.video_flows = 12;
+  mix.mice_flows = 6;
+  mix.elephant_flows = 1;
+  mix.seed = 5;
+  ManyFlowDriver driver(f, gen_mixed_traffic(f, mix), ManyFlowDriverConfig{});
+  f.reserve_runtime(driver.flow_count());
+  driver.start();
+  DomainRunner runner(f.topology(), 4);
+  runner.run_until(2 * kSecond + 3 * kMillisecond);
+  EXPECT_EQ(runner.stats().effective_threads, 1u);
+  EXPECT_EQ(runner.stats().handoffs, 0u);
+  EXPECT_GT(driver.packets_received(), 100u);
+  expect_conserved(f, driver);
 }
 
 TEST(FabricTest, ManyFlowDriverShardedFatTreeByteIdenticalAcrossThreads) {
@@ -359,11 +461,11 @@ std::vector<FlowSpec> mice_through(const Fabric& f, std::size_t count, SimTime s
 
 TEST(FabricTest, DomainPoolsDoNotGrowInTheWindow) {
   // reserve_runtime sizes each domain for its own share (links it drives,
-  // flows its hosts source, arrivals on its inbound boundary links), not
-  // for the whole fabric. The share must still cover the steady state: a
-  // domain_per_pod fat tree under video load, elephants and mice arriving
-  // through the whole run grows no scheduler pool in any domain, the
-  // hostless core included, over the measured window.
+  // the transit core's downlinks included, flows its hosts source, arrivals
+  // on the channels into it), not for the whole fabric. The share must
+  // still cover the steady state: a domain_per_pod fat tree under video
+  // load, elephants and mice arriving through the whole run grows no
+  // scheduler pool in any pod domain over the measured window.
   const SimTime warmup = 2 * kSecond;
   const SimTime window = 2 * kSecond;
   {

@@ -478,6 +478,176 @@ TEST(DomainRunnerTest, UnknownDomainIsRejected) {
   Topology topo(sim);
   EXPECT_THROW(topo.add_host("x", 1), std::invalid_argument);
   EXPECT_THROW(topo.add_router("y", -1), std::invalid_argument);
+  // A transit router is made by its own call, never by a domain id.
+  EXPECT_THROW(topo.add_router("z", Topology::kTransitDomain), std::invalid_argument);
+  EXPECT_EQ(topo.node_count(), 0u);
+}
+
+// ------------------------------------------------------- transit routers
+
+/// A hostless core: hosts a0 and a1 in domain 0, b in domain 1 and c in
+/// domain 2, each joined to the core by a 5 ms link pair. Partitioned, the
+/// core is a transit router and every host's uplink a boundary link;
+/// monolithic, everything (the core an ordinary router) lives in domain 0.
+struct TransitStar {
+  static constexpr SimTime kDelay = 5 * kMillisecond;
+
+  explicit TransitStar(bool partitioned) : d0(5), d1(5), d2(5), topo(d0) {
+    const int one = partitioned ? topo.add_domain(d1) : 0;
+    const int two = partitioned ? topo.add_domain(d2) : 0;
+    a0 = &topo.add_host("a0");
+    a1 = &topo.add_host("a1");
+    b = &topo.add_host("b", one);
+    c = &topo.add_host("c", two);
+    z = &topo.add_host("z", one);  // no links: nothing routes to it
+    core = partitioned ? &topo.add_transit_router("core") : &topo.add_router("core");
+    for (Host* h : {a0, a1, b, c}) {
+      uplinks.push_back(topo.connect(*h, *core, 1e9, kDelay, kDropTail).first);
+    }
+    topo.compute_routes();
+    for (Host* h : {a0, a1, b, c}) {
+      sinks.push_back(std::make_unique<RecordingAgent>(
+          topo.domain_sim(topo.node_domain(h->id()))));
+      h->set_default_agent(sinks.back().get());
+    }
+  }
+
+  /// Sends one 100-byte packet from `src` to `dst` at `uid` ms.
+  void send(Host& src, NodeId dst, std::uint64_t uid) {
+    const SimTime at = static_cast<SimTime>(uid) * kMillisecond;
+    topo.domain_sim(topo.node_domain(src.id())).at(at, [&src, dst, uid] {
+      Packet pkt;
+      pkt.uid = uid;
+      pkt.flow = 1;
+      pkt.size_bytes = 100;
+      pkt.src = src.id();
+      pkt.dst = dst;
+      src.send(std::move(pkt));
+    });
+  }
+
+  std::string trace() const {
+    std::string out;
+    for (const auto& s : sinks) out += s->serialize() + "|";
+    return out;
+  }
+
+  Simulation d0, d1, d2;
+  Topology topo;
+  Host* a0 = nullptr;
+  Host* a1 = nullptr;
+  Host* b = nullptr;
+  Host* c = nullptr;
+  Host* z = nullptr;
+  Router* core = nullptr;
+  std::vector<Link*> uplinks;  // a0, a1, b, c -> core
+  std::vector<std::unique_ptr<RecordingAgent>> sinks;
+};
+
+TEST(TransitRouterTest, PacketIsHandedOnceToTheDomainItsRouteNames) {
+  TransitStar probe(/*partitioned=*/true);
+  const Topology& topo = probe.topo;
+  // Every uplink is a boundary link with one channel per domain the core
+  // feeds: 0, 1 and 2, in that order.
+  ASSERT_EQ(topo.boundary_links().size(), 4u);
+  ASSERT_EQ(topo.channels().size(), 12u);
+  EXPECT_EQ(topo.min_boundary_delay(), TransitStar::kDelay);
+  const auto to_domain = [&topo](std::size_t link, const Host& dst) {
+    const std::size_t ch = topo.channel_for(link, dst.id());
+    EXPECT_NE(ch, Topology::kNoChannel) << dst.name();
+    EXPECT_EQ(topo.channels()[ch].boundary, link);
+    return topo.channels()[ch].to_domain;
+  };
+  EXPECT_EQ(to_domain(0, *probe.c), 2);  // a0 -> core -> c
+  EXPECT_EQ(to_domain(0, *probe.b), 1);
+  EXPECT_EQ(to_domain(0, *probe.a1), 0);  // back into a0's own domain
+  EXPECT_EQ(to_domain(2, *probe.c), 2);   // b -> core -> c
+  EXPECT_TRUE(topo.channels()[topo.channel_for(0, probe.a1->id())].local());
+
+  // End to end: every packet arrives when the monolithic run delivers it,
+  // the local hop a0 -> a1 needs no handoff, the rest one each.
+  const auto run = [](bool partitioned, unsigned threads) {
+    TransitStar s(partitioned);
+    s.send(*s.a0, s.c->id(), 1);
+    s.send(*s.a0, s.b->id(), 2);
+    s.send(*s.a0, s.a1->id(), 3);
+    s.send(*s.b, s.c->id(), 4);
+    DomainRunner runner(s.topo, threads);
+    runner.run_until(50 * kMillisecond);
+    EXPECT_EQ(s.core->packets_forwarded(), 4u);
+    EXPECT_EQ(s.core->packets_unroutable(), 0u);
+    return std::pair{s.trace(), runner.stats().handoffs};
+  };
+  const auto [whole, no_handoffs] = run(false, 1);
+  EXPECT_EQ(no_handoffs, 0u);
+  // Sent at uid ms; two 800 ns serializations and two 5 ms wires later.
+  const auto arrival = [](std::uint64_t uid) {
+    const SimTime at = static_cast<SimTime>(uid) * kMillisecond + 1600 + 2 * TransitStar::kDelay;
+    return std::to_string(at) + ":" + std::to_string(uid) + ";";
+  };
+  EXPECT_EQ(whole, "|" + arrival(3) + "|" + arrival(2) + "|" + arrival(1) + arrival(4) + "|");
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const auto [trace, handoffs] = run(true, threads);
+    EXPECT_EQ(trace, whole) << "threads=" << threads;
+    EXPECT_EQ(handoffs, 3u) << "threads=" << threads;
+  }
+}
+
+TEST(TransitRouterTest, UnknownDestinationThroughTheCoreIsCountedUnroutable) {
+  for (const unsigned threads : {1u, 2u}) {
+    TransitStar s(/*partitioned=*/true);
+    // a0 sends everything up its one link: an id past every table, a node
+    // the core has no route to, and an invalid id.
+    s.a0->routing().set_route(999, s.uplinks[0]);
+    s.a0->routing().set_route(s.z->id(), s.uplinks[0]);
+    EXPECT_EQ(s.topo.channel_for(0, 999), Topology::kNoChannel);
+    EXPECT_EQ(s.topo.channel_for(0, s.z->id()), Topology::kNoChannel);
+    EXPECT_EQ(s.topo.channel_for(0, kInvalidNode), Topology::kNoChannel);
+    s.send(*s.a0, 999, 1);
+    s.send(*s.a0, s.z->id(), 2);
+    s.topo.domain_sim(0).at(kMillisecond, [&s] {
+      Packet pkt;
+      pkt.uid = 3;
+      pkt.size_bytes = 100;
+      pkt.src = s.a0->id();
+      pkt.dst = kInvalidNode;
+      s.uplinks[0]->send(std::move(pkt));
+    });
+    DomainRunner runner(s.topo, threads);
+    runner.run_until(50 * kMillisecond);
+    EXPECT_EQ(s.uplinks[0]->packets_delivered(), 3u) << "threads=" << threads;
+    EXPECT_EQ(s.core->packets_unroutable(), 3u) << "threads=" << threads;
+    EXPECT_EQ(s.core->packets_forwarded(), 0u) << "threads=" << threads;
+    EXPECT_EQ(runner.stats().handoffs, 0u) << "threads=" << threads;
+    EXPECT_EQ(s.trace(), "||||") << "threads=" << threads;
+  }
+}
+
+TEST(TransitRouterTest, StaleChannelsAndTransitToTransitLinksAreRejected) {
+  Simulation sim_a(1);
+  Simulation sim_b(1);
+  Topology topo(sim_a);
+  const int far = topo.add_domain(sim_b);
+  Host& a = topo.add_host("a");
+  Host& b = topo.add_host("b", far);
+  Router& core = topo.add_transit_router("core");
+  Router& spine = topo.add_transit_router("spine");
+  EXPECT_TRUE(topo.is_transit(core.id()));
+  EXPECT_EQ(topo.node_domain(core.id()), Topology::kTransitDomain);
+  EXPECT_THROW(topo.add_link(core, spine, 1e6, kMillisecond, kDropTail), std::invalid_argument);
+  // A link into a transit router may hand packets to any domain.
+  EXPECT_THROW(topo.add_link(a, core, 1e6, 0, kDropTail), std::invalid_argument);
+  // A link out of it runs in the domain it feeds.
+  EXPECT_EQ(topo.link_domain(core, b), far);
+  Link& down = topo.add_link(core, b, 1e6, 0, kDropTail);
+  EXPECT_EQ(&down.sim(), &sim_b);
+  topo.add_link(a, core, 1e6, kMillisecond, kDropTail);
+  EXPECT_TRUE(topo.channels_stale());
+  EXPECT_THROW(DomainRunner(topo, 2), std::logic_error);
+  topo.compute_routes();
+  EXPECT_FALSE(topo.channels_stale());
+  EXPECT_EQ(topo.boundary_links().size(), 1u);
+  EXPECT_NO_THROW(DomainRunner(topo, 2));
 }
 
 // ----------------------------------------------------- error propagation

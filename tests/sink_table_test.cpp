@@ -2,6 +2,10 @@
 // memory diet for population-scale drivers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "cc/sink_table.h"
 #include "net/host.h"
 
@@ -41,6 +45,43 @@ TEST(SinkTableTest, ResizePreservesCountersAndReportsFootprint) {
   EXPECT_EQ(table.packets(7), 0u);
   // One {packets, bytes} cell: 16 bytes per flow of committed capacity, minimum.
   EXPECT_GE(table.memory_bytes(), 8u * 16u);
+}
+
+TEST(SinkTableTest, PartitionGivesEachReceivingDomainItsOwnCacheLines) {
+  // Flows delivered by domains 0, 1 and 2 interleave in id order, as a
+  // sharded driver's do.
+  std::vector<std::uint32_t> domain_of;
+  for (std::uint32_t f = 0; f < 23; ++f) domain_of.push_back(f % 3);
+  SinkTable table;
+  table.partition(domain_of, 3);
+  EXPECT_EQ(table.size(), 23u);
+  for (std::size_t f = 0; f < 23; ++f) table.record(f, static_cast<std::int32_t>(100 + f));
+  table.record(7, 1);
+  std::uint64_t bytes = 0;
+  for (std::size_t f = 0; f < 23; ++f) {
+    EXPECT_EQ(table.packets(f), f == 7 ? 2u : 1u);
+    EXPECT_EQ(table.bytes(f), 100u + f + (f == 7 ? 1u : 0u));
+    bytes += table.bytes(f);
+  }
+  EXPECT_EQ(table.totals().packets, 24u);
+  EXPECT_EQ(table.totals().bytes, bytes);
+  // No cache line holds the cells of two domains.
+  std::map<std::uintptr_t, std::uint32_t> owner;
+  for (std::size_t f = 0; f < 23; ++f) {
+    const auto [it, fresh] = owner.emplace(table.cache_line(f), domain_of[f]);
+    EXPECT_EQ(it->second, domain_of[f]) << "flow " << f;
+  }
+  // Domains of 8, 8 and 7 flows fill 2 lines each, plus 3 cells of slack
+  // for alignment, and a 4-byte index per flow.
+  EXPECT_EQ(owner.size(), 6u);
+  EXPECT_EQ(table.memory_bytes(), (24u + 3u) * 16u + 23u * 4u);
+}
+
+TEST(SinkTableTest, SingleDomainTableIsOneFlatColumn) {
+  SinkTable table;
+  table.resize(8);
+  EXPECT_EQ(table.memory_bytes(), 8u * 16u);  // no index, no padding
+  EXPECT_EQ(table.cache_line(4) - table.cache_line(0), 1u);
 }
 
 TEST(SinkTableTest, AgentRoutesDeliveriesIntoFlowCells) {

@@ -50,8 +50,8 @@ TEST(MetricsRegistry, SlotAddressesSurviveLaterRegistrations) {
   Gauge* g0 = &reg.gauge("g0");
   // Enough registrations to force any vector-backed storage to reallocate.
   for (int i = 1; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.gauge("g" + std::to_string(i));
+    reg.counter(std::string("c").append(std::to_string(i)));
+    reg.gauge(std::string("g").append(std::to_string(i)));
   }
   first->inc(7);
   g0->set(2.5);

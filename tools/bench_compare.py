@@ -6,7 +6,14 @@ evaluator, judge(), applies them. A row names a JSON path (fanning out over
 "[*]" and "{a,b}"), a kind, a bound and the promise it keeps. The schema is
 the set of paths the rows read: a missing or mistyped value is bad input.
 
-Exit status: 0 = pass, 1 = a rule failed, 2 = bad input.
+A check whose run could not resolve its bound is "unmeasurable", neither a
+pass nor a fail: an overhead rule whose measured noise floor reaches the
+rule's bound, and a scaling entry whose same-run raw-thread ceiling falls
+below CEILING_FLOOR_PER_WORKER x its workers (the machine had no CPU to
+spare for the threads).
+
+Exit status: 0 = pass (unmeasurable checks included), 1 = a rule failed,
+2 = bad input.
 
 Usage:
   tools/bench_compare.py --baseline BENCH_pipeline.json build/BENCH_pipeline-ci.json \\
@@ -34,6 +41,25 @@ class Rule(NamedTuple):
     of: tuple = ()  # fields read under each match ("name:str"/":bool"; numbers by default)
     fn: Optional[Callable] = None  # derives the judged value from `of`; None skips a match
     smoke: float = 1.0  # bound multiplier on a smoke run
+    floor: str = ""  # path of the measurement's noise floor; >= bound is unmeasurable
+
+
+class Check(NamedTuple):
+    """One judged value; `unmeasurable` says why the run cannot resolve it."""
+
+    where: str
+    value: Any
+    bound: Any
+    unmeasurable: str = ""
+
+
+# A scaling entry is judged as speedup / ceiling against bound / workers: the
+# rule's speedup floor scaled by the share of its workers' CPUs the machine
+# gave, which the ceiling (raw threads on a fixed arithmetic loop, timed in
+# the same run) measures. A free machine (ceiling = workers) keeps the plain
+# speedup floor. Below this ceiling per worker (1.5x at 2 workers, 3x at 4)
+# the machine had no CPU to spare, and the entry is unmeasurable.
+CEILING_FLOOR_PER_WORKER = 0.75
 
 
 FAIRNESS_CELLS_FULL = [
@@ -60,11 +86,14 @@ RULES = {
         Rule("alloc_probe.allocs_per_packet", "max", 0.01, "the hot path does not allocate"),
         Rule("sweep_scaling[*].identical_to_serial", "true", True,
              "a parallel sweep is byte-identical to serial"),
-        Rule("", "scaling", 0.8, "parallel sweep dispatch does not eat its own gains",
+        Rule("", "scaling", 0.8,
+             "parallel sweep dispatch does not eat its own gains (speedup / ceiling >= "
+             "0.8 / workers)",
              of=("hardware_threads", "sweep_scaling", "threads", "effective_threads",
-                 "speedup")),
+                 "speedup", "ceiling")),
         Rule("telemetry.overhead_frac", "max", 0.05,
-             "telemetry sampling costs at most 5% (2% target)"),
+             "telemetry sampling costs at most 5% (2% target)",
+             floor="telemetry.noise_floor_frac"),
     ],
     "many_flows": [
         Rule("many_flows.large.flows", "min", 100_000, "the 10^5-flow scale claim was run"),
@@ -91,9 +120,11 @@ RULES = {
              "no pre-sized scheduler pool grows mid-window"),
         Rule("sharded.byte_identical", "true", True,
              "the sharded driver ends byte-identical at every DomainRunner thread count"),
-        Rule("sharded", "scaling", 0.8, "domain parallelism does not eat its own gains",
+        Rule("sharded", "scaling", 0.8,
+             "domain parallelism does not eat its own gains (speedup / ceiling >= "
+             "0.8 / workers)",
              of=("hardware_concurrency", "runs", "requested_threads", "effective_threads",
-                 "speedup_vs_serial")),
+                 "speedup_vs_serial", "ceiling")),
     ],
     "chaos_sweep": [
         Rule("campaign.{violations,task_errors}", "eq", 0,
@@ -105,7 +136,8 @@ RULES = {
         Rule("parallel_chaos.identical_across_workers", "true", True,
              "fault injection keeps DomainRunner runs deterministic"),
         Rule("monitor_overhead.overhead_frac", "max", 0.06,
-             "the invariant monitor costs at most 6% (3% target)"),
+             "the invariant monitor costs at most 6% (3% target)",
+             floor="monitor_overhead.noise_floor_frac"),
     ],
     "fairness_matrix": [
         Rule("", "eq", [], "every expected cell was measured (the smoke subset on smoke runs)",
@@ -178,29 +210,36 @@ def read(node: Any, spec: str, where: str = "") -> Any:
 
 
 def scaling(rule: Rule, where: str, node: dict, floor: float) -> list:
-    """Speedup checks for the entries that truly ran >= 2 unclamped workers."""
-    hw_field, entries, threads, effective, speedup = rule.of
+    """speedup / ceiling for the entries that truly ran >= 2 unclamped workers."""
+    hw_field, entries, threads, effective, speedup, ceiling = rule.of
     hw = read(node, hw_field, where)
-    rows = zip(*(read(node, f"{entries}[*].{f}", where) for f in (threads, effective, speedup)))
+    fields = (threads, effective, speedup, ceiling)
+    rows = zip(*(read(node, f"{entries}[*].{f}", where) for f in fields))
     name = f"{where}.{entries}" if where else entries
     if hw < 2:
         print(f"scaling gate {name}: SKIPPED ({hw_field} = {hw}; a single-core box has "
               "nothing to scale)")
         return []
     checks = []
-    for i, (requested, workers, value) in enumerate(rows):
+    for i, (requested, workers, value, ceil) in enumerate(rows):
         if workers >= 2 and workers < requested:
             print(f"scaling gate {name}[{i}]: {requested} threads clamped to {workers} of "
                   f"{hw} hardware threads; annotated, not gated")
         elif workers >= 2:
-            checks.append((f"{name}[{i}].{speedup}", value, floor))
+            at = f"{name}[{i}].{speedup}/{ceiling}"
+            least = CEILING_FLOOR_PER_WORKER * workers
+            if ceil < least:
+                checks.append(Check(at, value / ceil if ceil > 0 else 0.0, floor / workers,
+                                    f"ceiling {fmt(ceil)} < {fmt(least)} at {workers} workers"))
+            else:
+                checks.append(Check(at, value / ceil, floor / workers))
     if not checks:
         print(f"scaling gate {name}: SKIPPED (no entry ran >= 2 unclamped workers)")
     return checks
 
 
 def resolve(rule: Rule, doc: dict, baseline: Optional[dict]) -> list:
-    """Everything rule judges, as (where, value, bound); a None value does not apply."""
+    """Everything rule judges, as Checks; a None value does not apply."""
     bound = read(doc, rule.bound) if isinstance(rule.bound, str) else rule.bound
     if rule.smoke != 1.0 and read(doc, "smoke:bool"):
         bound *= rule.smoke
@@ -215,12 +254,16 @@ def resolve(rule: Rule, doc: dict, baseline: Optional[dict]) -> list:
                     base = read(baseline, where)
                 except BadInput as e:
                     raise BadInput(f"baseline {e}") from None
-                checks.append((where, typed(where, node, "num"), (1.0 - bound) * base))
+                checks.append(Check(where, typed(where, node, "num"), (1.0 - bound) * base))
             elif rule.fn is not None:
-                checks.append((where, rule.fn(*(read(node, f, where) for f in rule.of)), bound))
+                checks.append(Check(where, rule.fn(*(read(node, f, where) for f in rule.of)),
+                                    bound))
             else:
                 kind = "bool" if rule.kind == "true" else "num"
-                checks.append((where, typed(where, node, kind), bound))
+                noise = read(doc, rule.floor) if rule.floor else None
+                why = (f"noise floor {fmt(noise)} >= bound {fmt(bound)}"
+                       if noise is not None and noise >= bound else "")
+                checks.append(Check(where, typed(where, node, kind), bound, why))
     return checks
 
 
@@ -276,23 +319,31 @@ def judge(doc: Any, baseline: Any = None) -> int:
         return 2
 
     failures = 0
+    unmeasurable = 0
     for rule, checks in resolved:
         op, ok = CMP[rule.kind]
-        checks = [c for c in checks if c[1] is not None]
-        broken = [c for c in checks if not ok(c[1], c[2])]
+        checks = [c for c in checks if c.value is not None]
+        for c in checks:
+            if c.unmeasurable:
+                print(f"unmeasurable {rule.msg}: {c.where} = {fmt(c.value)}, neither pass nor "
+                      f"fail ({c.unmeasurable})")
+                unmeasurable += 1
+        checks = [c for c in checks if not c.unmeasurable]
+        broken = [c for c in checks if not ok(c.value, c.bound)]
         if checks:
-            values = ", ".join(fmt(v) for _, v, _ in checks[:6])
+            values = ", ".join(fmt(c.value) for c in checks[:6])
             more = f", ... ({len(checks)} values)" if len(checks) > 6 else ""
             verdict = "FAIL" if broken else "ok"
-            print(f"{verdict:4} {rule.msg}: {op} {fmt(checks[0][2])} [{values}{more}]")
-        for where, value, bound in broken:
-            name = where or f"from ({', '.join(rule.of)})"
-            fail(f"{name} = {fmt(value)}, want {op} {fmt(bound)}: {rule.msg}")
+            print(f"{verdict:4} {rule.msg}: {op} {fmt(checks[0].bound)} [{values}{more}]")
+        for c in broken:
+            name = c.where or f"from ({', '.join(rule.of)})"
+            fail(f"{name} = {fmt(c.value)}, want {op} {fmt(c.bound)}: {rule.msg}")
         failures += bool(broken)
     if failures:
         print(f"bench_compare: {bench}: {failures} rule(s) failed")
         return 1
-    print(f"bench_compare: {bench} PASS")
+    moot = f" ({unmeasurable} check(s) unmeasurable)" if unmeasurable else ""
+    print(f"bench_compare: {bench} PASS{moot}")
     return 0
 
 
@@ -308,10 +359,10 @@ def load(path: str) -> Any:
 # --- selftest --------------------------------------------------------------
 
 def pipeline_doc() -> dict:
-    def entry(threads: int, effective: int, speedup: float) -> dict:
+    def entry(threads: int, effective: int, speedup: float, ceiling: float) -> dict:
         return {"threads": threads, "effective_threads": effective,
                 "oversubscribed": threads > effective, "speedup": speedup,
-                "identical_to_serial": True}
+                "ceiling": ceiling, "identical_to_serial": True}
 
     return {
         "schema_version": 1, "bench": "micro_pipeline", "smoke": False,
@@ -321,8 +372,8 @@ def pipeline_doc() -> dict:
         "telemetry": {"data_pkts_per_sec": 396000.0, "overhead_frac": 0.01,
                       "overhead_frac_raw": 0.01, "noise_floor_frac": 0.02},
         "alloc_probe": {"allocs_per_packet": 0.0, "steady_allocs": 0},
-        "sweep_scaling": [entry(1, 1, 1.0), entry(2, 2, 1.8), entry(8, 8, 5.5),
-                          entry(16, 8, 5.2)],
+        "sweep_scaling": [entry(1, 1, 1.0, 1.0), entry(2, 2, 1.8, 1.95),
+                          entry(8, 8, 5.5, 6.8), entry(16, 8, 5.2, 6.8)],
     }
 
 
@@ -339,10 +390,11 @@ def manyflows_doc() -> dict:
         return {"pending": pending, "heap_ev_per_sec": heap, "wheel_ev_per_sec": wheel,
                 "speedup": speedup}
 
-    def run(threads: int, wall_ms: float, speedup: float, per_worker: float) -> dict:
+    def run(threads: int, wall_ms: float, speedup: float, per_worker: float,
+            ceiling: float) -> dict:
         return {"requested_threads": threads, "effective_threads": threads,
                 "wall_ms": wall_ms, "speedup_vs_serial": speedup,
-                "per_worker_speedup": per_worker}
+                "per_worker_speedup": per_worker, "ceiling": ceiling}
 
     return {
         "schema_version": 1, "bench": "many_flows", "smoke": False,
@@ -352,8 +404,8 @@ def manyflows_doc() -> dict:
                        "huge": side(1000000, 610.0, 0.0), "cost_ratio": 1.05,
                        "huge_cost_ratio": 1.17, "bytes_per_flow_budget": 256},
         "sharded": {"hardware_concurrency": 8, "byte_identical": True,
-                    "runs": [run(1, 100.0, 1.0, 1.0), run(2, 56.0, 1.79, 0.89),
-                             run(5, 32.0, 3.12, 0.62)]},
+                    "runs": [run(1, 100.0, 1.0, 1.0, 1.0), run(2, 56.0, 1.79, 0.89, 1.96),
+                             run(5, 32.0, 3.12, 0.62, 3.8)]},
     }
 
 
@@ -424,7 +476,18 @@ SELFTEST = [
     ("micro_pipeline", "a slow oversubscribed entry (not gated)",
      {"sweep_scaling[3].speedup": 0.5}, 0),
     ("micro_pipeline", "a single-core box (scaling gate skipped)", single_core_sweep, 0),
+    ("micro_pipeline", "a sweep slower than serial on a machine with 1.6 of 2 CPUs free",
+     {"sweep_scaling[1].speedup": 0.6, "sweep_scaling[1].ceiling": 1.6}, 1),
+    ("micro_pipeline", "a sweep at 0.7x with 1.6 of 2 CPUs free (floor scaled to 0.64x)",
+     {"sweep_scaling[1].speedup": 0.7, "sweep_scaling[1].ceiling": 1.6}, 0),
+    # PR 30's failing run: 0.73x at 2 threads, with a 2-thread ceiling of 1.09.
+    ("micro_pipeline", "a sweep on a machine with no CPU to spare (unmeasurable)",
+     {"sweep_scaling[1].speedup": 0.73, "sweep_scaling[1].ceiling": 1.09}, 0),
     ("micro_pipeline", "a telemetry overhead blowout", {"telemetry.overhead_frac": 0.2}, 1),
+    ("micro_pipeline", "an overhead under a noise floor above the bound (unmeasurable)",
+     {"telemetry.overhead_frac": 0.138, "telemetry.noise_floor_frac": 0.64}, 0),
+    ("micro_pipeline", "a scaling entry without its ceiling",
+     lambda doc: (doc["sweep_scaling"][1].pop("ceiling"), doc)[1], 2),
     ("micro_pipeline", "a null pkts/s", {"pipeline.data_pkts_per_sec": None}, 2),
     ("micro_pipeline", "a top-level array", lambda doc: [doc], 2),
     ("micro_pipeline", "an unknown bench name", {"bench": "micro_pipline"}, 2),
@@ -451,6 +514,8 @@ SELFTEST = [
     ("many_flows", "a shard fingerprint divergence", {"sharded.byte_identical": False}, 1),
     ("many_flows", "a sharded run slower than serial",
      {"sharded.runs[1].speedup_vs_serial": 0.55}, 1),
+    ("many_flows", "a sharded run on a machine with no CPU to spare (unmeasurable)",
+     {"sharded.runs[1].speedup_vs_serial": 0.7, "sharded.runs[1].ceiling": 1.1}, 0),
     ("many_flows", "a slow hw-clamped shard entry (not gated)",
      {"sharded.hardware_concurrency": 2, "sharded.runs[2].effective_threads": 2,
       "sharded.runs[2].speedup_vs_serial": 0.5}, 0),
@@ -462,6 +527,8 @@ SELFTEST = [
     ("chaos_sweep", "a faulted parallel divergence",
      {"parallel_chaos.identical_across_workers": False}, 1),
     ("chaos_sweep", "a monitor overhead blowout", {"monitor_overhead.overhead_frac": 0.15}, 1),
+    ("chaos_sweep", "a monitor overhead under a noise floor above the bound (unmeasurable)",
+     {"monitor_overhead.overhead_frac": 0.104, "monitor_overhead.noise_floor_frac": 0.49}, 0),
     ("fairness_matrix", "nothing: a clean run passes", {}, 0),
     ("fairness_matrix", "a base-layer protection collapse",
      {"cells[0].base_protection": 0.5, "summary.min_base_protection": 0.5}, 1),

@@ -262,12 +262,15 @@ ManyFlowDriver::ManyFlowDriver(Fabric& fabric, std::vector<FlowSpec> flows,
   flows_.reserve(flows.size());
   starts_.reserve(flows.size());
   if (domains == 1) sink_table_.resize(flows.size());
-  // Specs must arrive in activation order (gen_mixed_traffic sorts); sort
-  // defensively so hand-built mixes work too. Flow ids (= indices) are
-  // assigned after the sort, so they are a property of the mix alone — not
-  // of the fabric's domain partitioning or the thread count.
-  std::stable_sort(flows.begin(), flows.end(),
-                   [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; });
+  // Flow ids (= indices) follow activation order, so they are a property of
+  // the mix alone — not of the fabric's domain partitioning or the thread
+  // count. Specs already in that order (gen_mixed_traffic's) are used as
+  // given; any other mix is stable-sorted (equal starts keep their input
+  // order).
+  const auto by_start = [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; };
+  if (!std::is_sorted(flows.begin(), flows.end(), by_start)) {
+    std::stable_sort(flows.begin(), flows.end(), by_start);
+  }
   std::vector<std::size_t> videos(shards_.size(), 0);
   // With several domains delivering, sink cells are grouped by the
   // destination host's domain.

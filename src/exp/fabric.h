@@ -229,6 +229,10 @@ struct ManyFlowDriverConfig {
 /// one shard reading every meter — the original shared-control-tick
 /// semantics.
 ///
+/// Flow ids are indices in activation order (spec.start). Specs that arrive
+/// in that order, as gen_mixed_traffic delivers them, are used as given;
+/// others are stable-sorted first, so equal starts keep their input order.
+///
 /// Per-flow receiver state is a SinkTable (one dense column of 16-byte
 /// {packets, bytes} cells indexed by flow id) fed through each host's default
 /// agent — no per-flow map entries, no per-host sink objects; see

@@ -17,13 +17,16 @@
 // the set by calling TimeSeriesSampler::reserve_runtime. Slots live in deques
 // so registration never invalidates previously handed-out pointers, and
 // nothing on the read path allocates (probe callbacks must not allocate
-// either; every probe in this repo reads plain members).
+// either; every probe in this repo reads plain members). Registration and
+// index_of are O(1) through a hashed name index, so a scenario's set-up is
+// linear in its instrument count.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pels {
@@ -72,8 +75,8 @@ class MetricsRegistry {
   /// Allocation-free: the sampler calls this once per instrument per tick.
   double read(std::size_t i) const;
 
-  /// Index of the instrument named `name`, or -1 if absent.
-  std::ptrdiff_t index_of(const std::string& name) const;
+  /// Index of the instrument named `name`, or -1 if absent. O(1).
+  std::ptrdiff_t index_of(std::string_view name) const;
 
  private:
   enum class Kind : std::uint8_t { kCounter, kGauge, kProbe };
@@ -86,12 +89,28 @@ class MetricsRegistry {
     ProbeFn probe;
   };
 
-  void check_new_name(const std::string& name) const;
+  // One slot of the name index: the low 32 bits of the name's hash and the
+  // entry's index + 1 (0 = empty). The names themselves stay in entries_.
+  struct IndexSlot {
+    std::uint32_t hash = 0;
+    std::uint32_t entry = 0;
+  };
+
+  /// Throws std::invalid_argument on an empty or registered name; returns
+  /// the name's hash for add_entry.
+  std::uint32_t check_new_name(const std::string& name) const;
+  /// Appends `e` and indexes it under `hash` (from check_new_name).
+  void add_entry(Entry e, std::uint32_t hash);
+  std::ptrdiff_t find(std::string_view name, std::uint32_t hash) const;
+  void place(IndexSlot slot);
 
   // Deques: slot addresses survive later registrations.
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::vector<Entry> entries_;
+  // Open addressing with linear probing, a power-of-two size at most half
+  // full, so every probe run ends at an empty slot.
+  std::vector<IndexSlot> index_;
 };
 
 }  // namespace pels

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <ostream>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "exp/domain_runner.h"
 #include "exp/fabric.h"
+#include "util/heap_count.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -648,6 +650,91 @@ TEST(FabricTest, ManyFlowDriverPinnedPopulationDigests) {
     EXPECT_EQ(driver.packets_sent(), 5156u) << "threads " << threads;
     EXPECT_EQ(driver.packets_received(), 4284u) << "threads " << threads;
   }
+}
+
+// A generated mix (sorted by start, every start distinct) and a shuffled
+// copy of it.
+std::pair<std::vector<FlowSpec>, std::vector<FlowSpec>> sorted_and_shuffled_mix() {
+  Fabric f(parking_lot(2));
+  MixedTrafficConfig mix;
+  mix.video_flows = 8;
+  mix.mice_flows = 6;
+  mix.elephant_flows = 2;
+  mix.start_window = from_seconds(0.5);
+  std::vector<FlowSpec> sorted = gen_mixed_traffic(f, mix);
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    EXPECT_LT(sorted[i - 1].start, sorted[i].start) << "ties would make the order ambiguous";
+  }
+  std::vector<FlowSpec> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(7));
+  EXPECT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(),
+                              [](const FlowSpec& a, const FlowSpec& b) { return a.start < b.start; }));
+  return {std::move(sorted), std::move(shuffled)};
+}
+
+// Flow ids are activation order, whatever order the specs arrive in: a
+// shuffled copy of a generated mix runs flow for flow like the original.
+TEST(FabricTest, ManyFlowDriverSortsAHandBuiltMix) {
+  const auto [sorted, shuffled] = sorted_and_shuffled_mix();
+  const auto run = [](std::vector<FlowSpec> specs) {
+    Fabric f(parking_lot(2));
+    ManyFlowDriver driver(f, std::move(specs), ManyFlowDriverConfig{});
+    f.reserve_runtime(driver.flow_count());
+    driver.start();
+    driver.run_until(4 * kSecond);
+    std::vector<double> rates;  // per flow id; -1 for a finished flow
+    for (std::size_t i = 0; i < driver.flow_count(); ++i) {
+      rates.push_back(driver.flow_done(i) ? -1.0 : driver.flow_rate_bps(i));
+    }
+    return std::tuple{driver.fingerprint(), driver.packets_sent(), rates};
+  };
+  EXPECT_EQ(run(shuffled), run(sorted));
+}
+
+// Specs already in activation order are used as given: the driver makes
+// one heap allocation fewer for them than for a shuffled copy, which it
+// stable-sorts through a merge buffer.
+TEST(FabricTest, ManyFlowDriverUsesSortedSpecsAsGiven) {
+  const auto [sorted, shuffled] = sorted_and_shuffled_mix();
+  const auto allocs_to_build = [](std::vector<FlowSpec> specs) {
+    Fabric f(parking_lot(2));
+    const std::uint64_t before = heap_counts().allocs;
+    ManyFlowDriver driver(f, std::move(specs), ManyFlowDriverConfig{});
+    return heap_counts().allocs - before;
+  };
+  EXPECT_LT(allocs_to_build(sorted), allocs_to_build(shuffled));
+}
+
+// Equal starts keep their input order, sorted or not. Elephants report
+// their spec rate, which tells the flows apart.
+TEST(FabricTest, ManyFlowDriverKeepsInputOrderAmongEqualStarts) {
+  const auto spec = [](SimTime start, double rate) {
+    FlowSpec s;
+    s.cls = TrafficClass::kElephant;
+    s.src_host = 0;
+    s.dst_host = 2;
+    s.start = start;
+    s.rate_bps = rate;
+    return s;
+  };
+  const FlowSpec a = spec(kSecond, 100e3);
+  const FlowSpec b = spec(from_millis(500), 200e3);
+  const FlowSpec c = spec(kSecond, 300e3);
+  const auto rates_by_id = [](std::vector<FlowSpec> specs) {
+    Fabric f(parking_lot(2));
+    ManyFlowDriver driver(f, std::move(specs), ManyFlowDriverConfig{});
+    driver.start();
+    driver.run_until(2 * kSecond);
+    std::vector<double> rates;
+    for (std::size_t i = 0; i < driver.flow_count(); ++i) rates.push_back(driver.flow_rate_bps(i));
+    return rates;
+  };
+  const std::vector<double> bac = {200e3, 100e3, 300e3};
+  const std::vector<double> bca = {200e3, 300e3, 100e3};
+  EXPECT_EQ(rates_by_id({a, b, c}), bac);  // unsorted: stable-sorted
+  EXPECT_EQ(rates_by_id({c, b, a}), bca);
+  EXPECT_EQ(rates_by_id({b, a, c}), bac);  // sorted: used as given
+  EXPECT_EQ(rates_by_id({b, c, a}), bca);
 }
 
 TEST(FabricTest, ManyFlowDriverRejectsBadSpecsNamingFlowAndField) {

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +68,70 @@ TEST(MetricsRegistry, RejectsDuplicateAndEmptyNames) {
   EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
   EXPECT_THROW(reg.add_probe("x", [] { return 0.0; }), std::invalid_argument);
   EXPECT_THROW(reg.counter(""), std::invalid_argument);
+}
+
+// The name index must resolve a registry far larger than any scenario's
+// (the dumbbell registers about 700 instruments) to registration indices.
+TEST(MetricsRegistry, IndexResolvesEveryNameOfALargeRegistry) {
+  constexpr std::size_t kProbes = 20'000;
+  MetricsRegistry reg;
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    reg.add_probe("flow" + std::to_string(i) + ".rate_bps", [] { return 0.0; });
+  }
+  ASSERT_EQ(reg.size(), kProbes);
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    ASSERT_EQ(reg.index_of("flow" + std::to_string(i) + ".rate_bps"),
+              static_cast<std::ptrdiff_t>(i));
+  }
+  EXPECT_EQ(reg.index_of("flow20000.rate_bps"), -1);
+  EXPECT_EQ(reg.index_of("flow0.rate"), -1);
+  EXPECT_EQ(reg.index_of("flow0.rate_bps "), -1);
+  EXPECT_EQ(reg.index_of(""), -1);
+}
+
+// Two names whose 32-bit index hashes collide are still told apart. The
+// pair is searched for with the hash the index keeps: the low 32 bits of
+// std::hash<std::string_view> (a first collision is expected within ~10^5
+// names).
+TEST(MetricsRegistry, NamesWithCollidingIndexHashesAreToldApart) {
+  std::unordered_map<std::uint32_t, std::string> seen;
+  std::string first, second;
+  for (int i = 0; i < (1 << 20) && second.empty(); ++i) {
+    std::string name = "n" + std::to_string(i);
+    const auto hash = static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+    const auto [it, fresh] = seen.emplace(hash, name);
+    if (!fresh) {
+      first = it->second;
+      second = std::move(name);
+    }
+  }
+  ASSERT_FALSE(second.empty());
+  MetricsRegistry reg;
+  reg.counter(first);
+  EXPECT_EQ(reg.index_of(second), -1);
+  EXPECT_NO_THROW(reg.gauge(second));
+  EXPECT_EQ(reg.index_of(first), 0);
+  EXPECT_EQ(reg.index_of(second), 1);
+}
+
+// A name registered first is rejected after many later registrations, by
+// every kind and across kinds, and a rejected registration adds nothing.
+TEST(MetricsRegistry, ReRegisteringAnEarlyNameThrowsForEveryKind) {
+  MetricsRegistry reg;
+  reg.counter("c");
+  reg.gauge("g");
+  reg.add_probe("p", [] { return 0.0; });
+  for (int i = 0; i < 1000; ++i) reg.counter("late" + std::to_string(i));
+  const std::size_t size = reg.size();
+  for (const char* name : {"c", "g", "p", "late0", "late999"}) {
+    EXPECT_THROW(reg.counter(name), std::invalid_argument) << name;
+    EXPECT_THROW(reg.gauge(name), std::invalid_argument) << name;
+    EXPECT_THROW(reg.add_probe(name, [] { return 0.0; }), std::invalid_argument) << name;
+  }
+  EXPECT_EQ(reg.size(), size);
+  EXPECT_EQ(reg.index_of("c"), 0);
+  EXPECT_EQ(reg.index_of("g"), 1);
+  EXPECT_EQ(reg.index_of("p"), 2);
 }
 
 TEST(TelemetryConfig, ValidatesOnlyWhenEnabled) {
@@ -301,6 +367,33 @@ TEST(TimeSeriesSampler, CsvAndJsonExportsAreStable) {
   EXPECT_NE(csv1.str().find("t_seconds,x"), std::string::npos);
   EXPECT_NE(csv1.str().find("0.125"), std::string::npos);
   EXPECT_NE(json1.str().find("\"samples\": 2"), std::string::npos);
+}
+
+// The CSV header lists instruments in registration order, whatever order
+// the name index keeps them in.
+TEST(TimeSeriesSampler, CsvColumnsFollowRegistrationOrder) {
+  Simulation sim(1);
+  MetricsRegistry reg;
+  std::string header = "t_seconds";
+  for (int i = 0; i < 200; ++i) {
+    const std::string name = std::to_string((i * 7919) % 200) + (i % 2 ? ".z" : ".a");
+    if (i % 3 == 0) {
+      reg.counter(name);
+    } else if (i % 3 == 1) {
+      reg.gauge(name);
+    } else {
+      reg.add_probe(name, [] { return 0.0; });
+    }
+    header += ',' + name;
+  }
+  TimeSeriesSampler sampler(sim.scheduler(), reg, from_millis(500));
+  sampler.reserve_runtime(4);
+  sampler.start();
+  sim.run_until(kSecond);
+
+  std::ostringstream csv;
+  sampler.write_csv(csv);
+  EXPECT_EQ(csv.str().substr(0, csv.str().find('\n')), header);
 }
 
 }  // namespace
